@@ -17,7 +17,7 @@ import numpy as np
 from . import hamio
 from .entangler import MAX_SUBSET_SIZE
 from .meanfield import GRAM_TOL_SCALE, compute_l, decompose_by_qubit, verify_mf
-from .partition import greedy_partition, validate_plan
+from .partition import PartitionPlan, greedy_partition, validate_plan
 from .pauli import PauliSum
 from .qwc import qwc_partition
 from .simulator import StateVector, estimate_energy, expectation, to_dense, variance
@@ -180,8 +180,21 @@ def _cmd_variance(cfg: RunConfig) -> int:
     return 0
 
 
+def _load_plan(path: str) -> PartitionPlan:
+    """A parsed plan that passes validate_plan, so samples follow checked certificates."""
+    try:
+        plan = hamio.parse_plan(_read(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    problems = validate_plan(plan)
+    if problems:
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise ValueError(f"{path}: plan fails validation: {problems[0]}{more}")
+    return plan
+
+
 def _cmd_measure(cfg: RunConfig) -> int:
-    plan = hamio.parse_plan(_read(cfg.plan_path))
+    plan = _load_plan(cfg.plan_path)
     psi = _load_state(cfg.state_path)
     if plan.source.n_qubits != psi.n_qubits:
         raise ValueError(

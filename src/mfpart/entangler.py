@@ -20,14 +20,15 @@ and builds two kinds of unitary:
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .meanfield import _sign_fix, compute_l, decompose_by_qubit
-from .pauli import AXES, PauliSum, PauliWord, multiply_words
+from .pauli import PauliSum, PauliWord, multiply_words
 
 __all__ = [
     "MAX_SUBSET_SIZE",
@@ -55,7 +56,8 @@ _AXIS_MATRIX = {
 }
 
 
-def _subset_words(n_qubits: int, subset: tuple[int, ...]) -> list[PauliWord]:
+@functools.lru_cache(maxsize=1024)
+def _subset_words(n_qubits: int, subset: tuple[int, ...]) -> tuple[PauliWord, ...]:
     """All 4^k - 1 non-identity words supported on the subset."""
     words = []
     for axes in itertools.product("IXYZ", repeat=len(subset)):
@@ -63,14 +65,39 @@ def _subset_words(n_qubits: int, subset: tuple[int, ...]) -> list[PauliWord]:
             continue
         assignment = {q: a for q, a in zip(subset, axes) if a != "I"}
         words.append(PauliWord.from_axes(n_qubits, assignment))
-    return words
+    return tuple(words)
+
+
+@functools.lru_cache(maxsize=8)
+def _trace_pattern(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each k-qubit basis word (identity first) has its one nonzero per row.
+
+    Row j of basis word b holds ``phase[b, j]`` in column ``column[b, j]``,
+    so trace(b @ m) is the sum over j of phase[b, j] * m[column[b, j], j].
+    """
+    dense = np.array([_dense_axes(axes) for axes in itertools.product("IXYZ", repeat=k)])
+    column = np.argmax(dense != 0, axis=2)
+    phase = np.take_along_axis(dense, column[:, :, None], axis=2)[:, :, 0]
+    column.flags.writeable = False
+    phase.flags.writeable = False
+    return column, phase
 
 
 def _dense_on_subset(word: PauliWord, subset: tuple[int, ...]) -> np.ndarray:
-    """Dense matrix of the word's subset factor; subset[0] is the low bit."""
+    """Dense matrix of the word's subset factor; subset[0] is the low bit.
+
+    The result is shared between calls and read-only.
+    """
+    return _dense_axes(tuple(word.axis(q) for q in subset))
+
+
+@functools.lru_cache(maxsize=256)
+def _dense_axes(axes: tuple[str, ...]) -> np.ndarray:
+    # Subsets of up to MAX_SUBSET_SIZE qubits need 21 distinct keys.
     out = np.array([[1.0 + 0.0j]])
-    for q in subset:
-        out = np.kron(_AXIS_MATRIX[word.axis(q)], out)
+    for axis in axes:
+        out = np.kron(_AXIS_MATRIX[axis], out)
+    out.flags.writeable = False
     return out
 
 
@@ -171,11 +198,16 @@ class EntanglerSpec:
 
 @dataclass(frozen=True)
 class FactorabilityVerdict:
-    """Outcome of the degenerate-eigenspace block analysis."""
+    """Outcome of the degenerate-eigenspace block analysis.
+
+    ``spectrum`` is the operator's eigendecomposition the analysis used;
+    it takes no part in comparisons.
+    """
 
     status: str  # nondegenerate_ok | degenerate_ok | fails
     eigenspace: int | None = None
     residual: float | None = None
+    spectrum: SpectrumReport | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -203,12 +235,70 @@ def commutator_norm(h: PauliSum, o: PauliSum | KQubitOp) -> float:
     return float(np.sqrt(sum(abs(c) ** 2 for c in _commutator_terms(h, o).values())))
 
 
+def _local_bits(mask: int, subset: tuple[int, ...]) -> int:
+    """The mask's bits on the subset, subset[0] as bit 0."""
+    bits = 0
+    for i, q in enumerate(subset):
+        bits |= ((mask >> q) & 1) << i
+    return bits
+
+
+def _commutator_matrix(
+    h: PauliSum, subset: tuple[int, ...], words: tuple[PauliWord, ...]
+) -> np.ndarray:
+    """Real form of the map from subset word coefficients to [h, o] coefficients.
+
+    Column j belongs to ``words[j]``; row r holds the real part and row
+    r + rows the imaginary part of the r-th product word, numbered by
+    first appearance with the subset word as the outer loop and h's terms
+    as the inner one.  Subset words act only on subset bits, so the
+    anticommutation parity and the power of i in each product come from
+    the k-bit subset patterns, and a product word is identified by the
+    term's part outside the subset plus its new subset pattern.
+    """
+    k = len(subset)
+    outside = ~sum(1 << q for q in subset)
+    rest_ids: dict[tuple[int, int], int] = {}
+    rest, tx, tz = [], [], []
+    for wu in h.terms:
+        outside_part = (wu.x_mask & outside, wu.z_mask & outside)
+        rest.append(rest_ids.setdefault(outside_part, len(rest_ids)))
+        tx.append(_local_bits(wu.x_mask, subset))
+        tz.append(_local_bits(wu.z_mask, subset))
+    tx = np.array(tx, dtype=np.int64)[None, :]
+    tz = np.array(tz, dtype=np.int64)[None, :]
+    wx = np.array([_local_bits(w.x_mask, subset) for w in words], dtype=np.int64)[:, None]
+    wz = np.array([_local_bits(w.z_mask, subset) for w in words], dtype=np.int64)[:, None]
+    count = np.bitwise_count
+    anti = (count(tx & wz) + count(tz & wx)) & 1
+    px, pz = tx ^ wx, tz ^ wz
+    # (term)(word) = i^power (product) with Y = i X Z on every qubit;
+    # anticommuting pairs have power 1 or 3, a phase of +i or -i.
+    power = (count(tx & tz) + count(wx & wz) + 2 * count(tz & wx) - count(px & pz)) & 3
+    sign = 2 - power.astype(np.int64)  # bitwise_count gives uint8
+    cols, terms = np.nonzero(anti)
+    rest = np.array(rest, dtype=np.int64)
+    keys = (rest[terms] << 2 * k) | (px[cols, terms] << k) | pz[cols, terms]
+    row_of: dict[int, int] = {}
+    rows = np.array([row_of.setdefault(key, len(row_of)) for key in keys.tolist()], dtype=np.int64)
+    n_rows = len(row_of)
+    coeffs = np.array(list(h.terms.values()), dtype=float)
+    stacked = np.zeros((2 * n_rows, len(words)))
+    # The real half stays +0.0: adding onto zeros (rather than assigning)
+    # matches the signed zeros that the singular vectors depend on.
+    stacked[n_rows + rows, cols] += 2.0 * coeffs[terms] * sign[cols, terms]
+    return stacked
+
+
 def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
     """Basis of subset operators commuting with h.
 
     Builds the linear map from word coefficients to commutator
     coefficients and returns sign-fixed unit vectors spanning its
     nullspace (singular values at or below 1e-8 relative to the largest).
+    Every entry of the map is exact, and its zeros are +0.0 throughout:
+    a -0.0 entry leaves the nullspace the same but can move the singular
+    vectors LAPACK returns by an ulp, and with them the chosen operators.
     """
     subset = tuple(subset)
     if len(subset) > MAX_SUBSET_SIZE:
@@ -217,26 +307,12 @@ def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
         raise ValueError("subset must be strictly increasing and within range")
 
     words = _subset_words(h.n_qubits, subset)
-    rows: dict[PauliWord, int] = {}
-    columns: list[dict[int, complex]] = []
-    for w in words:
-        col: dict[int, complex] = {}
-        for wu, cu in h.terms.items():
-            anti = ((wu.x_mask & w.z_mask).bit_count() + (wu.z_mask & w.x_mask).bit_count()) % 2
-            if not anti:
-                continue
-            phase, prod = multiply_words(wu, w)
-            idx = rows.setdefault(prod, len(rows))
-            col[idx] = col.get(idx, 0.0) + 2.0 * cu * phase
-        columns.append(col)
-
-    if rows:
-        m = np.zeros((len(rows), len(words)), dtype=complex)
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                m[i, j] = v
-        stacked = np.vstack([m.real, m.imag])
-        _, sing, vt = np.linalg.svd(stacked)
+    stacked = _commutator_matrix(h, subset, words)
+    if len(stacked):
+        # A term that touches the subset anticommutes with half of the 4^k
+        # subset Paulis, so the map has at least 2 * 4^k / 2 rows, more than
+        # its 4^k - 1 columns: the thin SVD has every right singular vector.
+        _, sing, vt = np.linalg.svd(stacked, full_matrices=False)
         tol = _NULLSPACE_TOL_SCALE * max(1.0, float(sing[0]) if len(sing) else 0.0)
         rank = int(np.sum(sing > tol))
         null_vectors = [vt[r] for r in range(rank, len(words))]
@@ -280,9 +356,9 @@ def factorability_check(h: PauliSum, o: KQubitOp) -> FactorabilityVerdict:
     report = op_spectrum(o)
     groups = report.degenerate_groups()
     if all(g.stop - g.start == 1 for g in groups):
-        return FactorabilityVerdict(status="nondegenerate_ok")
+        return FactorabilityVerdict(status="nondegenerate_ok", spectrum=report)
     if set(h.support()) <= set(o.subset):
-        return FactorabilityVerdict(status="degenerate_ok")
+        return FactorabilityVerdict(status="degenerate_ok", spectrum=report)
 
     blocks = _rest_blocks(h, o.subset)
     rest_words = sorted(blocks, key=lambda w: w.sort_key())
@@ -302,8 +378,10 @@ def factorability_check(h: PauliSum, o: KQubitOp) -> FactorabilityVerdict:
         sing = np.linalg.svd(entries, compute_uv=False)
         if len(sing) < 2 or sing[1] <= _BLOCK_TOL * max(sing[0], 1.0):
             continue
-        return FactorabilityVerdict(status="fails", eigenspace=gi, residual=float(sing[1]))
-    return FactorabilityVerdict(status="degenerate_ok")
+        return FactorabilityVerdict(
+            status="fails", eigenspace=gi, residual=float(sing[1]), spectrum=report
+        )
+    return FactorabilityVerdict(status="degenerate_ok", spectrum=report)
 
 
 def _computational_label(column: np.ndarray) -> int:
@@ -328,14 +406,20 @@ def build_unentangler(h: PauliSum, o: KQubitOp) -> EntanglerSpec:
     computational label; degenerate eigenspaces are refined against the
     largest reduced block of h before ordering.
     """
-    verdict = factorability_check(h, o)
+    return _build_unentangler(h, o, factorability_check(h, o))[0]
+
+
+def _build_unentangler(
+    h: PauliSum, o: KQubitOp, verdict: FactorabilityVerdict
+) -> tuple[EntanglerSpec, PauliSum]:
+    """:func:`build_unentangler` from a verdict on (h, o), plus U†hU."""
     if not verdict.ok:
         raise ValueError(
             f"not factorable: eigenspace {verdict.eigenspace} has off-diagonal "
             f"residual {verdict.residual:g}"
         )
 
-    report = op_spectrum(o)
+    report = verdict.spectrum
     blocks = _rest_blocks(h, o.subset)
     rest_words = sorted(blocks, key=lambda w: w.sort_key())
     columns: list[np.ndarray] = []
@@ -359,10 +443,10 @@ def build_unentangler(h: PauliSum, o: KQubitOp) -> EntanglerSpec:
     for q in o.subset:
         if compute_l(decompose_by_qubit(transformed, q)).l < 2:
             raise RuntimeError(f"transform left qubit {q} non-factorable")
-    return spec
+    return spec, transformed
 
 
-def build_clifford_unentangler(o: KQubitOp, h: PauliSum | None = None) -> EntanglerSpec:
+def build_clifford_unentangler(o: KQubitOp) -> EntanglerSpec:
     """Word-symmetry rotation: maps a single-word operator onto one qubit.
 
     The generator is the origin word with its factor on the highest
@@ -392,32 +476,29 @@ def apply_unitary(h: PauliSum, spec: EntanglerSpec) -> PauliSum:
     subset words by trace inner products; coefficients stay real because
     the conjugated factors are Hermitian.  Results are pruned at 1e-10.
     """
-    subset = spec.subset
+    subset = tuple(spec.subset)
     if any(not 0 <= q < h.n_qubits for q in subset):
         raise ValueError("spec subset outside the Hamiltonian register")
     u = spec.unitary
     dim = 1 << len(subset)
-    basis = [PauliWord.identity(h.n_qubits)] + _subset_words(h.n_qubits, subset)
-    dense_basis = [_dense_on_subset(w, subset) for w in basis]
+    basis = (PauliWord.identity(h.n_qubits),) + _subset_words(h.n_qubits, subset)
+    column, phase = _trace_pattern(len(subset))
+    outside = ~sum(1 << q for q in subset)
 
-    expansion_cache: dict[tuple[tuple[int, str], ...], list[float]] = {}
+    expansion_cache: dict[tuple[str, ...], list[float]] = {}
     terms: list[tuple[PauliWord, float]] = []
     for word, coeff in h.terms.items():
-        key = tuple((q, word.axis(q)) for q in subset)
+        key = tuple(word.axis(q) for q in subset)
         if key not in expansion_cache:
-            m = u.conj().T @ _dense_on_subset(word, subset) @ u
-            expansion_cache[key] = [
-                float((np.trace(b @ m)).real) / dim for b in dense_basis
-            ]
+            m = u.conj().T @ _dense_axes(key) @ u
+            # Re trace(b @ m) / dim for every basis word b at once; the
+            # complex row sum adds the diagonal up the way a trace does.
+            traces = (phase * m[column, np.arange(dim)]).sum(axis=1)
+            expansion_cache[key] = (traces.real / dim).tolist()
         weights = expansion_cache[key]
-        rest = word
-        for q in subset:
-            rest = rest.drop_qubit(q)
+        x, z = word.x_mask & outside, word.z_mask & outside
         for bw, w_coeff in zip(basis, weights):
             if abs(w_coeff) < 1e-14:
                 continue
-            merged = rest
-            for q in bw.support():
-                merged = merged.with_axis(q, bw.axis(q))
-            terms.append((merged, coeff * w_coeff))
+            terms.append((PauliWord(h.n_qubits, x | bw.x_mask, z | bw.z_mask), coeff * w_coeff))
     return PauliSum.from_terms(h.n_qubits, terms, prune=1e-10)

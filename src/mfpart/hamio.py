@@ -12,6 +12,7 @@ readable; floats pass through ``repr`` and round-trip exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -147,8 +148,65 @@ def _prefix_key(prefix: tuple[int, ...]) -> str:
     return "".join("+" if s == 1 else "-" for s in prefix)
 
 
-def _prefix_from_key(key: str) -> tuple[int, ...]:
+@functools.lru_cache(maxsize=4096)
+def _outcomes(key: str) -> tuple[int, ...] | None:
+    """The outcome prefix a key such as '+-+' stands for, or None."""
+    if key.strip("+-"):
+        return None
     return tuple(1 if c == "+" else -1 for c in key)
+
+
+def _prefix_from_key(key: str, path: tuple) -> tuple[int, ...]:
+    prefix = _outcomes(key)
+    if prefix is None:
+        raise ValueError(f"plan field {_name(path)!r}: key {key!r} is not a run of + and -")
+    return prefix
+
+
+# Field paths are nested pairs (parent, key or index), turned into names
+# such as 'fragments[0].terms' only for an error message.
+
+
+def _name(path: tuple) -> str:
+    if not path:
+        return ""
+    parent, part = path
+    head = _name(parent)
+    if isinstance(part, int):
+        return f"{head}[{part}]"
+    return f"{head}.{part}" if head else part
+
+
+_JSON_TYPES = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
+               (str, "a string"), (list, "an array"), (dict, "an object"))
+
+
+def _json_type(value) -> str:
+    return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)), "null")
+
+
+def _check(value, kind: type, path: tuple):
+    """The value, if it has the JSON type ``kind`` (float: any number)."""
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    expected = dict(_JSON_TYPES)[kind]
+    raise ValueError(f"plan field {_name(path)!r} must be {expected}, not {_json_type(value)}")
+
+
+def _get(obj: dict, key: str, kind: type, path: tuple):
+    """obj[key] checked against a JSON type; errors name the field."""
+    if key not in obj:
+        raise ValueError(f"plan field {_name((path, key))!r} is missing")
+    return _check(obj[key], kind, (path, key))
+
+
+def _items(obj: dict, key: str, kind: type, path: tuple) -> list[tuple[tuple, object]]:
+    """(path, item) pairs of a list field whose items have one JSON type."""
+    here = (path, key)
+    return [
+        ((here, i), _check(item, kind, (here, i)))
+        for i, item in enumerate(_get(obj, key, list, path))
+    ]
 
 
 def _terms_payload(h: PauliSum) -> list[dict]:
@@ -157,12 +215,12 @@ def _terms_payload(h: PauliSum) -> list[dict]:
     ]
 
 
-def _sum_from_payload(n_qubits: int, payload: list[dict]) -> PauliSum:
-    return PauliSum.from_terms(
-        n_qubits,
-        ((_word_from_label(n_qubits, row["word"]), row["coeff"]) for row in payload),
-        prune=None,
-    )
+def _sum_from_payload(n_qubits: int, doc: dict, key: str, path: tuple) -> PauliSum:
+    terms = [
+        (_word_from_label(n_qubits, _get(row, "word", str, here)), _get(row, "coeff", float, here))
+        for here, row in _items(doc, key, dict, path)
+    ]
+    return PauliSum.from_terms(n_qubits, terms, prune=None)
 
 
 def _word_from_label(n_qubits: int, label: str) -> PauliWord:
@@ -204,32 +262,50 @@ def _certificate_payload(cert: MFCertificate) -> dict:
     return payload
 
 
-def _certificate_from_payload(payload: dict) -> MFCertificate:
+def _bloch(value, path: tuple) -> tuple:
+    if type(value) is not list or len(value) != 3 or not all(map(_is_number, value)):
+        raise ValueError(f"plan field {_name(path)!r} must be an array of 3 numbers")
+    return tuple(value)
+
+
+def _is_number(value) -> bool:
+    return type(value) is float or type(value) is int
+
+
+def _certificate_from_payload(payload: dict, path: tuple) -> MFCertificate:
     steps = []
-    for depth, row in enumerate(payload["steps"]):
+    for depth, (here, row) in enumerate(_items(payload, "steps", dict, path)):
+        qubit = _get(row, "qubit", int, here)
         if "uniform_op" in row:
-            op = SingleQubitOp(row["qubit"], tuple(row["uniform_op"]))
+            op = SingleQubitOp(qubit, _bloch(row["uniform_op"], (here, "uniform_op")))
             ops = UniformBranchOps(depth, op)
         else:
+            ops_path = (here, "ops")
             ops = {
-                _prefix_from_key(key): SingleQubitOp(row["qubit"], tuple(bloch))
-                for key, bloch in row["ops"].items()
+                _prefix_from_key(key, ops_path): SingleQubitOp(
+                    qubit, _bloch(bloch, (ops_path, key))
+                )
+                for key, bloch in _get(row, "ops", dict, here).items()
             }
-        steps.append(ReductionStep(row["qubit"], ops))
+        steps.append(ReductionStep(qubit, ops))
     if "terminal_products" in payload:
         terminal = ProductTerminalMap(
             len(steps),
             tuple(
-                (tuple(row["positions"]), row["coeff"])
-                for row in payload["terminal_products"]
+                (
+                    tuple(p for _, p in _items(row, "positions", int, here)),
+                    _get(row, "coeff", float, here),
+                )
+                for here, row in _items(payload, "terminal_products", dict, path)
             ),
         )
     else:
+        values_path = (path, "terminal_values")
         terminal = {
-            _prefix_from_key(key): value
-            for key, value in payload["terminal_values"].items()
+            _prefix_from_key(key, values_path): _check(value, float, (values_path, key))
+            for key, value in _get(payload, "terminal_values", dict, path).items()
         }
-    return MFCertificate(payload["n_qubits"], tuple(steps), terminal)
+    return MFCertificate(_get(payload, "n_qubits", int, path), tuple(steps), terminal)
 
 
 def _entangler_payload(spec: EntanglerSpec) -> dict:
@@ -250,19 +326,31 @@ def _entangler_payload(spec: EntanglerSpec) -> dict:
     }
 
 
-def _entangler_from_payload(payload: dict) -> EntanglerSpec:
-    unitary = np.array(payload["unitary_re"]) + 1j * np.array(payload["unitary_im"])
-    origin_data = payload["origin"]
-    n = origin_data["n_qubits"]
+def _matrix(payload: dict, key: str, path: tuple) -> np.ndarray:
+    value = _get(payload, key, list, path)
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        name = _name((path, key))
+        raise ValueError(f"plan field {name!r} must be a matrix of numbers") from None
+
+
+def _entangler_from_payload(payload: dict, path: tuple) -> EntanglerSpec:
+    unitary = _matrix(payload, "unitary_re", path) + 1j * _matrix(payload, "unitary_im", path)
+    origin_path = (path, "origin")
+    origin_data = _get(payload, "origin", dict, path)
+    n = _get(origin_data, "n_qubits", int, origin_path)
+    coeff_path = (origin_path, "coefficients")
     origin = KQubitOp(
         n,
-        tuple(origin_data["subset"]),
+        tuple(q for _, q in _items(origin_data, "subset", int, origin_path)),
         {
-            _word_from_label(n, label): coeff
-            for label, coeff in origin_data["coefficients"].items()
+            _word_from_label(n, label): _check(coeff, float, (coeff_path, label))
+            for label, coeff in _get(origin_data, "coefficients", dict, origin_path).items()
         },
     )
-    return EntanglerSpec(tuple(payload["subset"]), unitary, origin)
+    subset = tuple(q for _, q in _items(payload, "subset", int, path))
+    return EntanglerSpec(subset, unitary, origin)
 
 
 def serialize_plan(plan: PartitionPlan) -> str:
@@ -288,22 +376,32 @@ def serialize_plan(plan: PartitionPlan) -> str:
 
 
 def parse_plan(text: str) -> PartitionPlan:
+    """Rebuild a plan from :func:`serialize_plan` output.
+
+    A missing or mistyped field raises ValueError naming the field.
+    """
     doc = json.loads(text)
-    if doc.get("format") != "mf-partition-plan":
+    if not isinstance(doc, dict) or doc.get("format") != "mf-partition-plan":
         raise ValueError("not a partition-plan document")
-    n = doc["n_qubits"]
-    fragments = tuple(
-        MFFragment(
-            hamiltonian=_sum_from_payload(n, row["terms"]),
-            certificate=_certificate_from_payload(row["certificate"]),
-            entangler=(
-                None if row["entangler"] is None else _entangler_from_payload(row["entangler"])
-            ),
+    n = _get(doc, "n_qubits", int, ())
+    fragments = []
+    for here, row in _items(doc, "fragments", dict, ()):
+        spec = None
+        # A null entangler is allowed; a missing one is reported by _get.
+        if row.get("entangler", {}) is not None:
+            spec = _entangler_from_payload(_get(row, "entangler", dict, here), (here, "entangler"))
+        certificate = _certificate_from_payload(
+            _get(row, "certificate", dict, here), (here, "certificate")
         )
-        for row in doc["fragments"]
-    )
+        fragments.append(
+            MFFragment(
+                hamiltonian=_sum_from_payload(n, row, "terms", here),
+                certificate=certificate,
+                entangler=spec,
+            )
+        )
     return PartitionPlan(
-        source=_sum_from_payload(n, doc["source_terms"]),
-        fragments=fragments,
-        level=doc["level"],
+        source=_sum_from_payload(n, doc, "source_terms", ()),
+        fragments=tuple(fragments),
+        level=_get(doc, "level", str, ()),
     )

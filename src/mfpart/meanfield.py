@@ -38,7 +38,6 @@ __all__ = [
     "factor_l2",
     "factor_l1",
     "reduce_qubit",
-    "single_op_commutator_norm",
     "UniformBranchOps",
     "ProductTerminalMap",
     "ReductionStep",
@@ -212,8 +211,9 @@ def reduce_qubit(h: PauliSum, op: SingleQubitOp, outcome: int) -> PauliSum:
 
 def _reduction_weights(op: SingleQubitOp) -> tuple[float, float, float, float]:
     """Unit Bloch components keyed by the axis bit pattern x + 2z."""
-    bx, by, bz = op.unit().bloch
-    return (0.0, bx, bz, by)
+    r = op.norm
+    bx, by, bz = op.bloch
+    return (0.0, bx / r, bz / r, by / r)
 
 
 def _reduce_by_weights(
@@ -233,31 +233,6 @@ def _reduce_by_weights(
     return PauliSum(
         h.n_qubits, {w: c for w, c in acc.items() if abs(c) > COEFF_PRUNE}
     )
-
-
-def single_op_commutator_norm(h: PauliSum, op: SingleQubitOp) -> float:
-    """Coefficient-vector norm of [H, op] for a single-qubit op."""
-    dec = decompose_by_qubit(h, op.qubit)
-    parts = dict(zip(AXES, dec.axis_parts()))
-    cross: dict[str, PauliSum] = {}
-    # [h_s * s_k, t_k] = 2i eps(s, t, r) * h_s * r_k for each axis pair.
-    eps = {
-        ("X", "Y"): ("Z", 1.0), ("Y", "X"): ("Z", -1.0),
-        ("Y", "Z"): ("X", 1.0), ("Z", "Y"): ("X", -1.0),
-        ("Z", "X"): ("Y", 1.0), ("X", "Z"): ("Y", -1.0),
-    }
-    weights = dict(zip(AXES, op.bloch))
-    for s in AXES:
-        for t in AXES:
-            if s == t:
-                continue
-            r, sign = eps[(s, t)]
-            contrib = parts[s].scale(2.0 * sign * weights[t])
-            cross[r] = cross.get(r, PauliSum.zero(h.n_qubits)) + contrib
-    total = 0.0
-    for part in cross.values():
-        total += part.norm() ** 2
-    return total ** 0.5
 
 
 class UniformBranchOps(Mapping):

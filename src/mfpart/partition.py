@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from .entangler import (
     MAX_SUBSET_SIZE,
     EntanglerSpec,
+    _build_unentangler,
     apply_unitary,
     build_clifford_unentangler,
-    build_unentangler,
     factorability_check,
     find_commuting_ops,
 )
@@ -123,25 +123,30 @@ def _try_entangler(
         return None
     for pair in itertools.combinations(stuck, 2):
         for op in find_commuting_ops(s, pair):
-            specs: list[EntanglerSpec] = []
+            # The Clifford form goes first; the eigenbasis form is built
+            # only when that fails.
             word = op.dominant_word()
             if word is not None and word.support():
-                specs.append(build_clifford_unentangler(op))
-            try:
-                if factorability_check(s, op).ok:
-                    specs.append(build_unentangler(s, op))
-            except (ValueError, RuntimeError):
-                pass
-            for spec in specs:
+                spec = build_clifford_unentangler(op)
                 cert = verify_mf(apply_unitary(s, spec), tol_scale, max_branches)
                 if cert is not None:
                     return spec, cert
+            try:
+                verdict = factorability_check(s, op)
+                if not verdict.ok:
+                    continue
+                spec, rotated = _build_unentangler(s, op, verdict)
+            except (ValueError, RuntimeError):
+                continue
+            cert = verify_mf(rotated, tol_scale, max_branches)
+            if cert is not None:
+                return spec, cert
     return None
 
 
-def _qwc_fragments(s: PauliSum, tol_scale: float) -> list[MFFragment]:
+def _qwc_fragments(groups: tuple[PauliSum, ...], tol_scale: float) -> list[MFFragment]:
     fragments = []
-    for group in qwc_partition(s).groups:
+    for group in groups:
         cert = verify_mf(group, tol_scale)
         if cert is None:
             raise AssertionError("a qubit-wise commuting group failed verification")
@@ -169,7 +174,7 @@ def _recurse(
     if not candidates:
         # Only reachable when verification hit the branch cap: every qubit
         # is factorable, so QWC groups are a safe way to shrink the problem.
-        return _qwc_fragments(s, tol_scale)
+        return _qwc_fragments(qwc_partition(s).groups, tol_scale)
     k = min(candidates, key=lambda q: (-grams[q].l, q))
 
     parts: list[PauliSum]
@@ -213,7 +218,7 @@ def greedy_partition(
     fragments = _recurse(h, level, tol_scale, max_branches, allow_entangler)
     baseline = qwc_partition(h)
     if len(fragments) > baseline.n_groups:
-        fragments = _qwc_fragments(h, tol_scale)
+        fragments = _qwc_fragments(baseline.groups, tol_scale)
     return PartitionPlan(source=h, fragments=tuple(fragments), level=level)
 
 
@@ -223,8 +228,10 @@ def validate_plan(
     """Check reconstruction and certificates; returns problem descriptions.
 
     Certificate checks walk each outcome branch (up to ``branch_limit``
-    per fragment) and confirm the reductions land on the stored terminal
-    value.
+    per fragment, in the certificate's branch order) and confirm the
+    reductions land on the stored terminal value.  Branches that share an
+    outcome prefix share its reductions: each reduced sum is computed
+    once per fragment and kept under its prefix.
     """
     problems: list[str] = []
     total = PauliSum.zero(plan.source.n_qubits)
@@ -242,11 +249,20 @@ def validate_plan(
         if not set(effective.support()) <= set(cert.qubit_order):
             problems.append(f"fragment {fi}: certificate does not cover the support")
             continue
+        reduced_at: dict[tuple[int, ...], PauliSum] = {(): effective}
         for outcomes in itertools.islice(iter(cert.terminal_values), branch_limit):
-            reduced = effective
-            for si, (step, outcome) in enumerate(zip(cert.steps, outcomes)):
-                op = step.ops[outcomes[:si]]
-                reduced = reduce_qubit(reduced, op, outcome)
+            path = outcomes[: len(cert.steps)]
+            depth = len(path)
+            while path[:depth] not in reduced_at:
+                depth -= 1
+            reduced = reduced_at[path[:depth]]
+            try:
+                for si in range(depth, len(path)):
+                    reduced = reduce_qubit(reduced, cert.steps[si].ops[path[:si]], path[si])
+                    reduced_at[path[: si + 1]] = reduced
+            except KeyError:
+                problems.append(f"fragment {fi}: branch {outcomes} has no op at step {si}")
+                break
             if reduced.support():
                 problems.append(f"fragment {fi}: branch {outcomes} left a non-scalar")
                 break

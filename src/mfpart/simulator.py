@@ -14,6 +14,7 @@ plain operator moments of the certified sum.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -83,15 +84,34 @@ class StateVector:
         return cls(n_qubits, amps / np.linalg.norm(amps))
 
 
+#: Words on at most this many qubits keep their action in a cache of
+#: _WORD_CACHE_SIZE entries, at most 24 KiB each.
+_WORD_CACHE_QUBITS = 10
+_WORD_CACHE_SIZE = 256
+
+
+def _word_action(n: int, x_mask: int, z_mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """Destination index and phase-times-sign factor of each amplitude."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    n_y = (x_mask & z_mask).bit_count()
+    phase = (1j) ** (n_y % 4)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
+    dest, factor = idx ^ x_mask, phase * signs
+    dest.flags.writeable = False
+    factor.flags.writeable = False
+    return dest, factor
+
+
+# lru_cache is thread-safe; threads that miss together build equal arrays.
+_cached_word_action = functools.lru_cache(maxsize=_WORD_CACHE_SIZE)(_word_action)
+
+
 def _apply_word_raw(word: PauliWord, amps: np.ndarray) -> np.ndarray:
     """word |psi> via bit arithmetic; exact fourth-root-of-unity phases."""
-    n = word.n_qubits
-    idx = np.arange(1 << n, dtype=np.int64)
-    n_y = (word.x_mask & word.z_mask).bit_count()
-    phase = (1j) ** (n_y % 4)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & word.z_mask) & 1)
+    action = _cached_word_action if word.n_qubits <= _WORD_CACHE_QUBITS else _word_action
+    dest, factor = action(word.n_qubits, word.x_mask, word.z_mask)
     out = np.empty_like(amps)
-    out[idx ^ word.x_mask] = amps * (phase * signs)
+    out[dest] = amps * factor
     return out
 
 

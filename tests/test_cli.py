@@ -162,3 +162,39 @@ def test_measure_register_mismatch(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def measure_args(plan_path, state_path):
+    return ["measure", "--plan", str(plan_path), "--state", state_path,
+            "--shots", "16", "--seed", "1"]
+
+
+def test_measure_reports_schema_errors(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"format": "mf-partition-plan"}))
+    state_path, _ = write_state(tmp_path, 3)
+    assert main(measure_args(plan_path, state_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert "n_qubits" in lines[0] and str(plan_path) in lines[0]
+
+
+def test_measure_refuses_a_plan_that_fails_validation(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    assert main(["partition", EXAMPLE, "--output", str(plan_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(plan_path.read_text())
+    doc["fragments"][0]["terms"][0]["coeff"] += 0.5
+    plan_path.write_text(json.dumps(doc))
+    state_path, _ = write_state(tmp_path, 3)
+    assert main(measure_args(plan_path, state_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert "fails validation" in lines[0]
+    assert "do not sum to the source" in lines[0]

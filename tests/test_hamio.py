@@ -175,3 +175,57 @@ def test_plan_round_trip_keeps_entangler():
 def test_parse_plan_rejects_other_documents():
     with pytest.raises(ValueError, match="partition-plan"):
         parse_plan(json.dumps({"format": "something-else"}))
+
+
+def plan_doc():
+    plan = greedy_partition(h2_model(np.random.default_rng(77)), level="mf2")
+    return json.loads(serialize_plan(plan))
+
+
+def drop(doc, *path):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    return doc
+
+
+def put(doc, value, *path):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: drop(d, "n_qubits"), "'n_qubits' is missing"),
+        (lambda d: put(d, "4", "n_qubits"), "'n_qubits' must be an integer, not a string"),
+        (lambda d: put(d, True, "n_qubits"), "'n_qubits' must be an integer, not a boolean"),
+        (lambda d: drop(d, "level"), "'level' is missing"),
+        (lambda d: put(d, {}, "fragments"), "'fragments' must be an array, not an object"),
+        (lambda d: drop(d, "source_terms", 0, "coeff"), r"'source_terms\[0\].coeff' is missing"),
+        (lambda d: put(d, None, "fragments", 0, "terms", 1, "word"),
+         r"'fragments\[0\].terms\[1\].word' must be a string, not null"),
+        (lambda d: drop(d, "fragments", 0, "certificate"),
+         r"'fragments\[0\].certificate' is missing"),
+        (lambda d: drop(d, "fragments", 0, "entangler"), r"'fragments\[0\].entangler' is missing"),
+        (lambda d: put(d, "1", "fragments", 0, "certificate", "steps", 0, "qubit"),
+         r"'fragments\[0\].certificate.steps\[0\].qubit' must be an integer"),
+        (lambda d: put(d, [1.0, 0.0], "fragments", 0, "certificate", "steps", 0, "uniform_op"),
+         r"'fragments\[0\].certificate.steps\[0\].uniform_op' must be an array of 3 numbers"),
+        (lambda d: put(d, {"+x": 1.0}, "fragments", 0, "certificate", "terminal_values"),
+         "is not a run of"),
+        (lambda d: put(d, [["a"]], "fragments", 0, "entangler", "unitary_re"),
+         "must be a matrix of numbers"),
+        (lambda d: drop(d, "fragments", 0, "entangler", "origin", "coefficients"),
+         r"'fragments\[0\].entangler.origin.coefficients' is missing"),
+    ],
+)
+def test_parse_plan_names_bad_fields(edit, message):
+    doc = plan_doc()
+    assert parse_plan(json.dumps(doc)).n_fragments == 1
+    with pytest.raises(ValueError, match=message):
+        parse_plan(json.dumps(edit(doc)))

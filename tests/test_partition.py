@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import h2_model, random_sum
-from mfpart.partition import PartitionPlan, greedy_partition, validate_plan
-from mfpart.pauli import PauliSum, PauliWord
+from mfpart.meanfield import ReductionStep, reduce_qubit, verify_mf
+from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
+from mfpart.pauli import PauliSum, PauliWord, SingleQubitOp
 from mfpart.qwc import qwc_partition
 
 
@@ -148,3 +149,79 @@ def test_validate_flags_register_mismatch():
     )
     problems = validate_plan(bad)
     assert any("register size" in p for p in problems)
+
+
+def three_step_plan():
+    """One fragment whose certificate has 3 steps and a per-branch table."""
+    h = sum_on(
+        3,
+        (1.0, {0: "Z"}),
+        (0.5, {0: "Z", 1: "X"}),
+        (0.3, {1: "X", 2: "Z"}),
+        (0.2, {1: "Z"}),
+        (0.4, {2: "Z"}),
+    )
+    cert = verify_mf(h)
+    assert cert.qubit_order == (0, 2, 1)
+    assert isinstance(cert.terminal_values, dict)
+    return PartitionPlan(source=h, fragments=(MFFragment(h, cert),), level="mf1")
+
+
+def with_certificate(plan, **changes):
+    frag = plan.fragments[0]
+    cert = dataclasses.replace(frag.certificate, **changes)
+    return dataclasses.replace(plan, fragments=(dataclasses.replace(frag, certificate=cert),))
+
+
+def root_walk_problems(plan, branch_limit=256):
+    """Certificate problems found by reducing every branch from the root."""
+    problems = []
+    for fi, frag in enumerate(plan.fragments):
+        cert = frag.certificate
+        for outcomes in list(cert.terminal_values)[:branch_limit]:
+            reduced = frag.effective_hamiltonian()
+            for si, (step, outcome) in enumerate(zip(cert.steps, outcomes)):
+                reduced = reduce_qubit(reduced, step.ops[outcomes[:si]], outcome)
+            if reduced.support():
+                problems.append(f"fragment {fi}: branch {outcomes} left a non-scalar")
+                break
+            if abs(reduced.constant_part() - cert.terminal_values[outcomes]) > 1e-9:
+                problems.append(f"fragment {fi}: branch {outcomes} terminal mismatch")
+                break
+    return problems
+
+
+def test_validate_finds_a_deep_terminal_mismatch():
+    plan = three_step_plan()
+    assert validate_plan(plan) == []
+    values = dict(plan.fragments[0].certificate.terminal_values)
+    values[(-1, -1, 1)] += 0.5
+    bad = with_certificate(plan, terminal_values=values)
+    problems = validate_plan(bad)
+    assert problems == ["fragment 0: branch (-1, -1, 1) terminal mismatch"]
+    assert problems == root_walk_problems(bad)
+
+
+def test_validate_finds_a_non_scalar_branch():
+    plan = three_step_plan()
+    steps = list(plan.fragments[0].certificate.steps)
+    last = steps[2]
+    ops = {prefix: last.ops[prefix] for prefix in last.ops}
+    # An op on an already measured qubit leaves qubit 1 unreduced in the
+    # two branches below (-1, +1).
+    ops[(-1, 1)] = SingleQubitOp(0, (0.0, 0.0, 1.0))
+    steps[2] = ReductionStep(last.qubit, ops)
+    bad = with_certificate(plan, steps=tuple(steps))
+    problems = validate_plan(bad)
+    assert problems == ["fragment 0: branch (-1, 1, 1) left a non-scalar"]
+    assert problems == root_walk_problems(bad)
+
+
+def test_validate_skips_branches_beyond_the_limit():
+    plan = three_step_plan()
+    values = dict(plan.fragments[0].certificate.terminal_values)
+    last = list(values)[-1]
+    values[last] += 0.5
+    bad = with_certificate(plan, terminal_values=values)
+    assert validate_plan(bad, branch_limit=7) == []
+    assert validate_plan(bad, branch_limit=8) == [f"fragment 0: branch {last} terminal mismatch"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_sum, embed_on_subset, random_amplitudes, random_sum
+from mfpart import simulator
 from mfpart.partition import MFFragment, PartitionPlan, greedy_partition
 from mfpart.pauli import PauliSum, PauliWord
 from mfpart.meanfield import verify_mf
@@ -236,3 +237,15 @@ def test_estimate_energy_validation():
     empty = PartitionPlan(source=h, fragments=(), level="mf1")
     with pytest.raises(ValueError, match="fragments"):
         estimate_energy(empty, psi, shots=10, seed=1)
+
+
+def test_threaded_estimate_from_a_cold_word_cache_matches_serial():
+    rng = np.random.default_rng(44)
+    h = random_sum(rng, 5, 24)
+    plan = greedy_partition(h, level="mf2")
+    assert plan.n_fragments > 4
+    psi = StateVector(5, random_amplitudes(rng, 5))
+    simulator._cached_word_action.cache_clear()
+    threaded = estimate_energy(plan, psi, shots=300, seed=9, workers=4)
+    simulator._cached_word_action.cache_clear()
+    assert threaded == estimate_energy(plan, psi, shots=300, seed=9)
