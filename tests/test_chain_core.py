@@ -1,0 +1,139 @@
+"""The chain-search core against a dense oracle and against compute_l.
+
+The oracle decides measurability on dense matrices, qubit order by qubit
+order, without any of the library's Gram code: at each step every live
+branch splits as H = sum_s sigma_s (x) A_s + I (x) A_e by partial traces,
+the Frobenius Gram matrix of (A_x, A_y, A_z) must have rank at most one,
+and the branch reduces to A_e + outcome * n . A along the top direction n.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import dense_sum, random_sum
+from mfpart.meanfield import GRAM_TOL_SCALE, _branch_gram, compute_l, decompose_by_qubit, verify_mf
+from mfpart.pauli import PauliSum, PauliWord
+
+_PAULIS = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
+def _split(t, q, n):
+    """(A_e, [A_x, A_y, A_z]) of an n-qubit operator tensor at qubit q."""
+    t = np.moveaxis(t, (n - 1 - q, 2 * n - 1 - q), (0, 1))
+    parts = [0.5 * np.einsum("ba,ab...->...", s, t) for s in _PAULIS]
+    return 0.5 * np.einsum("aa...->...", t), parts
+
+
+def _embed(rest, q, n):
+    """rest (x) identity on qubit q, back as an n-qubit operator tensor."""
+    t = np.einsum("ab,...->ab...", np.eye(2), rest)
+    return np.moveaxis(t, (0, 1), (n - 1 - q, 2 * n - 1 - q))
+
+
+def _reduce_all(branches, q, n):
+    """Both outcomes of every branch at q, or None if some branch is stuck."""
+    out = []
+    for t in branches:
+        rest, parts = _split(t, q, n)
+        dim = rest.size ** 0.5
+        flat = np.array([p.reshape(-1) for p in parts])
+        gram = (flat.conj() @ flat.T).real / dim
+        evals, evecs = np.linalg.eigh(gram)
+        tol = GRAM_TOL_SCALE * max(1.0, float(np.trace(gram)))
+        if evals[1] > tol:
+            return None
+        if evals[2] <= tol:
+            out.append(_embed(rest, q, n))
+            continue
+        along = sum(w * p for w, p in zip(evecs[:, 2], parts))
+        out.extend(_embed(rest + s * along, q, n) for s in (1, -1))
+    return out
+
+
+def _some_order_certifies(branches, remaining, n):
+    """Depth-first over every order of the remaining qubits."""
+    if not remaining:
+        return True
+    for q in remaining:
+        reduced = _reduce_all(branches, q, n)
+        if reduced is not None and _some_order_certifies(
+            reduced, [r for r in remaining if r != q], n
+        ):
+            return True
+    return False
+
+
+def oracle_measurable(h: PauliSum) -> bool:
+    n = h.n_qubits
+    t = dense_sum(h).reshape((2,) * (2 * n))
+    return _some_order_certifies([t], list(h.support()), n)
+
+
+def test_oracle_on_known_cases():
+    def sum_on(n, *terms):
+        return PauliSum.from_terms(n, [(PauliWord.from_axes(n, a), c) for c, a in terms])
+
+    assert oracle_measurable(sum_on(2, (1.0, {1: "X"}), (1.0, {0: "Z", 1: "Y"})))
+    assert not oracle_measurable(sum_on(2, (1.0, {0: "Z", 1: "Z"}), (1.0, {0: "X", 1: "X"})))
+    # Only the order (1, 0) works: qubit 0 starts at l = 1.
+    assert oracle_measurable(sum_on(2, (1.0, {0: "X"}), (0.5, {0: "Z", 1: "Z"})))
+
+
+def test_verify_mf_matches_exhaustive_order_oracle():
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for i in range(1200):
+        n = 2 + i % 3
+        h = random_sum(rng, n, int(rng.integers(2, n + 4)))
+        expected = oracle_measurable(h)
+        assert (verify_mf(h) is not None) == expected, h
+        verdicts.append(expected)
+    # Both verdicts are well represented, so agreement is not vacuous.
+    assert 200 <= sum(verdicts) <= 1000
+
+
+def _near_tolerance_sums():
+    def word(axes):
+        return PauliWord.from_axes(3, axes)
+
+    cases = {}
+    for scale in (0.99, 1.01):
+        # One axis on qubit 0 with Gram eigenvalue scale * 1e-8.
+        cases[f"single-axis-{scale}"] = PauliSum.from_terms(
+            3, [(word({0: "Z", 1: "X"}), scale ** 0.5 * 1e-4)]
+        )
+    for eps in (1.9e-4, 2.1e-4):
+        # Smallest planar eigenvalue about eps^2 / 2 against 1e-8 * trace.
+        cases[f"planar-{eps}"] = PauliSum.from_terms(
+            3,
+            [(word({0: "X", 1: "Z"}), 1.0), (word({0: "Z", 1: "Z"}), 1.0),
+             (word({0: "Z", 2: "X"}), eps)],
+        )
+    cases["single-axis-many-words"] = PauliSum.from_terms(
+        3, [(word({0: "Y", 1: "X"}), 0.5), (word({0: "Y", 2: "Z"}), -1.5), (word({0: "Y"}), 2.0)]
+    )
+    cases["absent-qubit"] = PauliSum.from_terms(3, [(word({1: "X", 2: "Y"}), 1.0)])
+    rng = np.random.default_rng(77)
+    for i in range(6):
+        cases[f"random-{i}"] = random_sum(rng, 3, 3 + i)
+    return cases
+
+
+@pytest.mark.parametrize("tol_scale", [GRAM_TOL_SCALE, 1e-3])
+@pytest.mark.parametrize("name, h", list(_near_tolerance_sums().items()))
+def test_core_l_matches_compute_l(name, h, tol_scale):
+    branch = {(w.x_mask, w.z_mask): c for w, c in h.terms.items()}
+    for k in range(h.n_qubits):
+        expected = compute_l(decompose_by_qubit(h, k), tol_scale).l
+        assert _branch_gram(branch, k, tol_scale)[0] == expected, (name, k)
+
+
+def test_near_tolerance_cases_straddle_the_kernel_bound():
+    cases = _near_tolerance_sums()
+    l_at_0 = {name: compute_l(decompose_by_qubit(h, 0)).l for name, h in cases.items()}
+    assert l_at_0["single-axis-0.99"] == 3 and l_at_0["single-axis-1.01"] == 2
+    assert l_at_0["planar-0.00019"] == 2 and l_at_0["planar-0.00021"] == 1
