@@ -9,34 +9,21 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from . import hamio
 from .entangler import MAX_SUBSET_SIZE
-from .meanfield import GRAM_TOL_SCALE, compute_l, decompose_by_qubit, verify_mf
+from .meanfield import GRAM_TOL_SCALE, _l_values, verify_mf
 from .partition import PartitionPlan, greedy_partition, validate_plan
 from .pauli import PauliSum
 from .qwc import qwc_partition
-from .simulator import StateVector, estimate_energy, expectation, to_dense, variance
+from .simulator import estimate_energy, expectation, to_dense, variance
 
 __all__ = ["main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    hamiltonian_path: str | None
-    plan_path: str | None
-    state_path: str | None
-    level: str
-    shots: int
-    seed: int | None
-    tolerance: float
-    output: str | None
-    max_entangler_qubits: int
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,22 +33,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, hamiltonian=True):
-        if hamiltonian:
-            p.add_argument("hamiltonian", help="Hamiltonian term-list file")
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=GRAM_TOL_SCALE,
-            help="relative tolerance scale for rank and kernel decisions",
-        )
-        p.add_argument("--output", help="write the machine-readable result here")
+    def command(name, summary, tolerance=False):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("hamiltonian", help="Hamiltonian term-list file")
+        if tolerance:
+            p.add_argument(
+                "--tolerance",
+                type=float,
+                default=GRAM_TOL_SCALE,
+                help="relative tolerance scale for rank and kernel decisions",
+            )
+        return p
 
-    add_common(sub.add_parser("info", help="qubit/term counts and the per-qubit l table"))
-    add_common(sub.add_parser("group-qwc", help="qubit-wise commuting grouping"))
+    command("info", "qubit/term counts and the per-qubit l table", tolerance=True)
+    command("group-qwc", "qubit-wise commuting grouping")
 
-    p = sub.add_parser("partition", help="build a mean-field measurement plan")
-    add_common(p)
+    p = command("partition", "build a mean-field measurement plan", tolerance=True)
+    p.add_argument("--output", help="write the plan JSON here")
     p.add_argument("--level", choices=("mf1", "mf2"), default="mf1")
     p.add_argument(
         "--max-entangler-qubits",
@@ -71,10 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="0 disables entangling corrections at level mf2",
     )
 
-    add_common(sub.add_parser("verify-mf", help="check mean-field measurability"))
+    command("verify-mf", "check mean-field measurability", tolerance=True)
 
-    p = sub.add_parser("variance", help="analytic expectation and variance in a state")
-    add_common(p)
+    p = command("variance", "analytic expectation and variance in a state")
     p.add_argument("--state", required=True, help="statevector file")
 
     p = sub.add_parser("measure", help="sample a plan and report estimates")
@@ -84,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--output", help="write the JSON report here")
 
-    add_common(sub.add_parser("spectrum", help="dense eigenvalues (small registers)"))
+    command("spectrum", "dense eigenvalues (small registers)")
     return parser
 
 
@@ -98,33 +85,30 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _load_hamiltonian(cfg: RunConfig) -> PauliSum:
+def _parse(parse, path: str):
+    """parse(text of the file); parse errors name the file."""
     try:
-        return hamio.parse_hamiltonian(_read(cfg.hamiltonian_path))
-    except ValueError as exc:
-        raise ValueError(f"{cfg.hamiltonian_path}: {exc}") from None
-
-
-def _load_state(path: str) -> StateVector:
-    try:
-        return hamio.parse_state(_read(path))
+        return parse(_read(path))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _cmd_info(cfg: RunConfig) -> int:
-    h = _load_hamiltonian(cfg)
+def _load_hamiltonian(args: argparse.Namespace) -> PauliSum:
+    return _parse(hamio.parse_hamiltonian, args.hamiltonian)
+
+
+def _cmd_info(args: argparse.Namespace) -> int:
+    h = _load_hamiltonian(args)
     print(f"qubits: {h.n_qubits}")
     print(f"terms: {h.n_terms}")
     print("qubit  l")
-    for q in range(h.n_qubits):
-        gram = compute_l(decompose_by_qubit(h, q), cfg.tolerance)
-        print(f"{q:5d}  {gram.l}")
+    for q, l in _l_values(h, range(h.n_qubits), args.tolerance).items():
+        print(f"{q:5d}  {l}")
     return 0
 
 
-def _cmd_group_qwc(cfg: RunConfig) -> int:
-    h = _load_hamiltonian(cfg)
+def _cmd_group_qwc(args: argparse.Namespace) -> int:
+    h = _load_hamiltonian(args)
     grouping = qwc_partition(h)
     print(f"groups: {grouping.n_groups}")
     for gi, group in enumerate(grouping.groups):
@@ -133,13 +117,13 @@ def _cmd_group_qwc(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_partition(cfg: RunConfig) -> int:
-    h = _load_hamiltonian(cfg)
+def _cmd_partition(args: argparse.Namespace) -> int:
+    h = _load_hamiltonian(args)
     plan = greedy_partition(
         h,
-        level=cfg.level,
-        tol_scale=cfg.tolerance,
-        max_entangler_qubits=cfg.max_entangler_qubits,
+        level=args.level,
+        tol_scale=args.tolerance,
+        max_entangler_qubits=args.max_entangler_qubits,
     )
     problems = validate_plan(plan)
     baseline = qwc_partition(h)
@@ -149,9 +133,9 @@ def _cmd_partition(cfg: RunConfig) -> int:
         tag = " (entangled subset %s)" % (frag.entangler.subset,) if frag.entangler else ""
         order = ",".join(map(str, frag.certificate.qubit_order))
         print(f"fragment {fi}: {frag.hamiltonian.n_terms} terms, chain [{order}]{tag}")
-    if cfg.output:
-        _write(cfg.output, hamio.serialize_plan(plan))
-        print(f"plan written to {cfg.output}")
+    if args.output:
+        _write(args.output, hamio.serialize_plan(plan))
+        print(f"plan written to {args.output}")
     if problems:
         for problem in problems:
             print(f"validation: {problem}", file=sys.stderr)
@@ -159,9 +143,9 @@ def _cmd_partition(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify_mf(cfg: RunConfig) -> int:
-    h = _load_hamiltonian(cfg)
-    cert = verify_mf(h, cfg.tolerance)
+def _cmd_verify_mf(args: argparse.Namespace) -> int:
+    h = _load_hamiltonian(args)
+    cert = verify_mf(h, args.tolerance)
     if cert is None:
         print("mean-field measurable: no")
         return 1
@@ -172,35 +156,35 @@ def _cmd_verify_mf(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_variance(cfg: RunConfig) -> int:
-    h = _load_hamiltonian(cfg)
-    psi = _load_state(cfg.state_path)
+def _cmd_variance(args: argparse.Namespace) -> int:
+    h = _load_hamiltonian(args)
+    psi = _parse(hamio.parse_state, args.state)
     print(f"expectation: {expectation(h, psi)!r}")
     print(f"variance: {variance(h, psi)!r}")
     return 0
 
 
 def _load_plan(path: str) -> PartitionPlan:
-    """A parsed plan that passes validate_plan, so samples follow checked certificates."""
-    try:
-        plan = hamio.parse_plan(_read(path))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    problems = validate_plan(plan)
+    """A parsed plan that passes validate_plan on every branch.
+
+    Samples then follow checked certificates only.
+    """
+    plan = _parse(hamio.parse_plan, path)
+    problems = validate_plan(plan, branch_limit=None)
     if problems:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
         raise ValueError(f"{path}: plan fails validation: {problems[0]}{more}")
     return plan
 
 
-def _cmd_measure(cfg: RunConfig) -> int:
-    plan = _load_plan(cfg.plan_path)
-    psi = _load_state(cfg.state_path)
+def _cmd_measure(args: argparse.Namespace) -> int:
+    plan = _load_plan(args.plan)
+    psi = _parse(hamio.parse_state, args.state)
     if plan.source.n_qubits != psi.n_qubits:
         raise ValueError(
             f"plan acts on {plan.source.n_qubits} qubits, state on {psi.n_qubits}"
         )
-    report = estimate_energy(plan, psi, cfg.shots, cfg.seed)
+    report = estimate_energy(plan, psi, args.shots, args.seed)
     print(f"shots per fragment: {report.shots}")
     print("frag      mean       var     exact  exact var")
     for est in report.fragments:
@@ -212,16 +196,14 @@ def _cmd_measure(cfg: RunConfig) -> int:
     print(f"summed variance: {report.summed_variance!r}")
     print(f"analytic expectation: {report.analytic_expectation!r}")
     print(f"analytic summed variance: {report.analytic_summed_variance!r}")
-    if cfg.output:
-        import json
-
-        _write(cfg.output, json.dumps(asdict(report), indent=2) + "\n")
-        print(f"report written to {cfg.output}")
+    if args.output:
+        _write(args.output, json.dumps(asdict(report), indent=2) + "\n")
+        print(f"report written to {args.output}")
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    h = _load_hamiltonian(cfg)
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    h = _load_hamiltonian(args)
     evals = np.linalg.eigvalsh(to_dense(h))
     for value in evals:
         print(repr(float(value)))
@@ -241,20 +223,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        hamiltonian_path=getattr(args, "hamiltonian", None),
-        plan_path=getattr(args, "plan", None),
-        state_path=getattr(args, "state", None),
-        level=getattr(args, "level", "mf1"),
-        shots=getattr(args, "shots", 0),
-        seed=getattr(args, "seed", None),
-        tolerance=getattr(args, "tolerance", GRAM_TOL_SCALE),
-        output=getattr(args, "output", None),
-        max_entangler_qubits=getattr(args, "max_entangler_qubits", MAX_SUBSET_SIZE),
-    )
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,8 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .meanfield import _sign_fix, compute_l, decompose_by_qubit
-from .pauli import PauliSum, PauliWord, multiply_words
+from .meanfield import _l_values, _sign_fix
+from .pauli import PauliSum, PauliWord, commutes, multiply_words
 
 __all__ = [
     "MAX_SUBSET_SIZE",
@@ -91,12 +91,19 @@ def _dense_on_subset(word: PauliWord, subset: tuple[int, ...]) -> np.ndarray:
     return _dense_axes(tuple(word.axis(q) for q in subset))
 
 
-@functools.lru_cache(maxsize=256)
-def _dense_axes(axes: tuple[str, ...]) -> np.ndarray:
-    # Subsets of up to MAX_SUBSET_SIZE qubits need 21 distinct keys.
+def _kron_axes(axes: tuple[str, ...]) -> np.ndarray:
+    """Dense matrix of a word given by its axes, axes[0] on the low bit."""
     out = np.array([[1.0 + 0.0j]])
     for axis in axes:
         out = np.kron(_AXIS_MATRIX[axis], out)
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _dense_axes(axes: tuple[str, ...]) -> np.ndarray:
+    """:func:`_kron_axes`, shared between calls and read-only."""
+    # Subsets of up to MAX_SUBSET_SIZE qubits need 21 distinct keys.
+    out = _kron_axes(axes)
     out.flags.writeable = False
     return out
 
@@ -200,14 +207,16 @@ class EntanglerSpec:
 class FactorabilityVerdict:
     """Outcome of the degenerate-eigenspace block analysis.
 
-    ``spectrum`` is the operator's eigendecomposition the analysis used;
-    it takes no part in comparisons.
+    ``spectrum`` is the operator's eigendecomposition the analysis used,
+    and ``blocks`` the sum grouped by its factor outside the subset (set
+    for degenerate spectra); neither takes part in comparisons.
     """
 
     status: str  # nondegenerate_ok | degenerate_ok | fails
     eigenspace: int | None = None
     residual: float | None = None
     spectrum: SpectrumReport | None = field(default=None, repr=False, compare=False)
+    blocks: dict[PauliWord, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -219,9 +228,7 @@ def _commutator_terms(h: PauliSum, o: PauliSum) -> dict[PauliWord, complex]:
     acc: dict[PauliWord, complex] = {}
     for wu, cu in h.terms.items():
         for wo, co in o.terms.items():
-            overlap_x = (wu.x_mask & wo.z_mask).bit_count()
-            overlap_z = (wu.z_mask & wo.x_mask).bit_count()
-            if (overlap_x + overlap_z) % 2 == 0:
+            if commutes(wu, wo):
                 continue
             phase, prod = multiply_words(wu, wo)
             acc[prod] = acc.get(prod, 0.0) + 2.0 * cu * co * phase
@@ -357,10 +364,10 @@ def factorability_check(h: PauliSum, o: KQubitOp) -> FactorabilityVerdict:
     groups = report.degenerate_groups()
     if all(g.stop - g.start == 1 for g in groups):
         return FactorabilityVerdict(status="nondegenerate_ok", spectrum=report)
-    if set(h.support()) <= set(o.subset):
-        return FactorabilityVerdict(status="degenerate_ok", spectrum=report)
-
     blocks = _rest_blocks(h, o.subset)
+    if set(h.support()) <= set(o.subset):
+        return FactorabilityVerdict(status="degenerate_ok", spectrum=report, blocks=blocks)
+
     rest_words = sorted(blocks, key=lambda w: w.sort_key())
     for gi, g in enumerate(groups):
         d = g.stop - g.start
@@ -379,9 +386,9 @@ def factorability_check(h: PauliSum, o: KQubitOp) -> FactorabilityVerdict:
         if len(sing) < 2 or sing[1] <= _BLOCK_TOL * max(sing[0], 1.0):
             continue
         return FactorabilityVerdict(
-            status="fails", eigenspace=gi, residual=float(sing[1]), spectrum=report
+            status="fails", eigenspace=gi, residual=float(sing[1]), spectrum=report, blocks=blocks
         )
-    return FactorabilityVerdict(status="degenerate_ok", spectrum=report)
+    return FactorabilityVerdict(status="degenerate_ok", spectrum=report, blocks=blocks)
 
 
 def _computational_label(column: np.ndarray) -> int:
@@ -420,13 +427,15 @@ def _build_unentangler(
         )
 
     report = verdict.spectrum
-    blocks = _rest_blocks(h, o.subset)
-    rest_words = sorted(blocks, key=lambda w: w.sort_key())
+    blocks = verdict.blocks
     columns: list[np.ndarray] = []
     for g in report.degenerate_groups():
         basis = report.eigenvectors[:, g]
         d = g.stop - g.start
         if d > 1:
+            if blocks is None:
+                blocks = _rest_blocks(h, o.subset)
+            rest_words = sorted(blocks, key=lambda w: w.sort_key())
             per_word = [basis.conj().T @ blocks[r] @ basis for r in rest_words]
             off = [np.linalg.norm(b - np.diag(np.diag(b))) for b in per_word]
             if max(off) > _BLOCK_TOL:
@@ -440,8 +449,8 @@ def _build_unentangler(
     spec = EntanglerSpec(subset=o.subset, unitary=unitary, origin=o)
 
     transformed = apply_unitary(h, spec)
-    for q in o.subset:
-        if compute_l(decompose_by_qubit(transformed, q)).l < 2:
+    for q, l in _l_values(transformed, o.subset).items():
+        if l < 2:
             raise RuntimeError(f"transform left qubit {q} non-factorable")
     return spec, transformed
 

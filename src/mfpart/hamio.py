@@ -48,6 +48,20 @@ def _strip(raw: str) -> str:
     return raw.split("#", 1)[0].strip()
 
 
+def _factors(tokens: list[str]) -> dict[int, str]:
+    """Qubit-to-axis map of factor tokens such as ``['X0', 'z3']``."""
+    axes: dict[int, str] = {}
+    for tok in tokens:
+        factor = _FACTOR_RE.match(tok)
+        if factor is None:
+            raise ValueError(f"malformed factor {tok!r}")
+        qubit = int(factor.group(2))
+        if qubit in axes:
+            raise ValueError(f"qubit {qubit} repeated in one term")
+        axes[qubit] = factor.group(1).upper()
+    return axes
+
+
 def parse_hamiltonian(text: str) -> PauliSum:
     """Parse a Hamiltonian term list; errors carry 1-based line numbers."""
     declared: int | None = None
@@ -71,15 +85,10 @@ def parse_hamiltonian(text: str) -> PauliSum:
             raise ValueError(f"line {ln}: malformed coefficient {tokens[0]!r}") from None
         if not math.isfinite(coeff):
             raise ValueError(f"line {ln}: coefficient {tokens[0]!r} is not finite")
-        axes: dict[int, str] = {}
-        for tok in tokens[1:]:
-            factor = _FACTOR_RE.match(tok)
-            if factor is None:
-                raise ValueError(f"line {ln}: malformed factor {tok!r}")
-            qubit = int(factor.group(2))
-            if qubit in axes:
-                raise ValueError(f"line {ln}: qubit {qubit} repeated in one term")
-            axes[qubit] = factor.group(1).upper()
+        try:
+            axes = _factors(tokens[1:])
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
         parsed.append((ln, coeff, axes))
     if not parsed:
         raise ValueError("no terms found")
@@ -216,23 +225,20 @@ def _terms_payload(h: PauliSum) -> list[dict]:
 
 
 def _sum_from_payload(n_qubits: int, doc: dict, key: str, path: tuple) -> PauliSum:
-    terms = [
-        (_word_from_label(n_qubits, _get(row, "word", str, here)), _get(row, "coeff", float, here))
-        for here, row in _items(doc, key, dict, path)
-    ]
+    terms = []
+    for here, row in _items(doc, key, dict, path):
+        word = _word_from_label(n_qubits, _get(row, "word", str, here), (here, "word"))
+        terms.append((word, _get(row, "coeff", float, here)))
     return PauliSum.from_terms(n_qubits, terms, prune=None)
 
 
-def _word_from_label(n_qubits: int, label: str) -> PauliWord:
+def _word_from_label(n_qubits: int, label: str, path: tuple) -> PauliWord:
     if label == "I":
         return PauliWord.identity(n_qubits)
-    axes = {}
-    for tok in label.split():
-        factor = _FACTOR_RE.match(tok)
-        if factor is None:
-            raise ValueError(f"malformed word label {label!r}")
-        axes[int(factor.group(2))] = factor.group(1).upper()
-    return PauliWord.from_axes(n_qubits, axes)
+    try:
+        return PauliWord.from_axes(n_qubits, _factors(label.split()))
+    except ValueError as exc:
+        raise ValueError(f"plan field {_name(path)!r}: word {label!r}: {exc}") from None
 
 
 def _step_payload(step: ReductionStep) -> dict:
@@ -345,7 +351,9 @@ def _entangler_from_payload(payload: dict, path: tuple) -> EntanglerSpec:
         n,
         tuple(q for _, q in _items(origin_data, "subset", int, origin_path)),
         {
-            _word_from_label(n, label): _check(coeff, float, (coeff_path, label))
+            _word_from_label(n, label, (coeff_path, label)): _check(
+                coeff, float, (coeff_path, label)
+            )
             for label, coeff in _get(origin_data, "coefficients", dict, origin_path).items()
         },
     )

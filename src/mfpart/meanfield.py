@@ -17,17 +17,24 @@ The central quantity is the per-qubit kernel dimension ``l``:
 factors out exactly; ``l = 1`` means they span a plane and H splits into
 two factorable parts; ``l = 0`` leaves only the three-way axis split.
 A qubit outside the support reports ``l = 3``.
+
+One core, on sums held as mask-keyed dicts ``{(x_mask, z_mask): coeff}``,
+makes every ``l`` decision and reduction: :func:`_branch_gram` (through
+:func:`_gram_spectrum`, the one eigendecomposition) and
+:func:`_reduce_branch`, walked by :func:`verify_mf`, :func:`_l_values` and
+:func:`_stuck_support`.  :func:`compute_l` (the full :class:`GramData`
+for the factorizations) and :func:`reduce_qubit` are thin wrappers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .pauli import AXES, COEFF_PRUNE, PauliSum, PauliWord, SingleQubitOp
+from .pauli import COEFF_PRUNE, PauliSum, PauliWord, SingleQubitOp, _set_bits
 
 __all__ = [
     "GRAM_TOL_SCALE",
@@ -94,22 +101,11 @@ def decompose_by_qubit(h: PauliSum, qubit: int) -> ComplementDecomposition:
     """Split a sum by the factor carried on one qubit."""
     if not 0 <= qubit < h.n_qubits:
         raise ValueError(f"qubit {qubit} outside register of {h.n_qubits}")
-    parts: dict[str, list[tuple[PauliWord, float]]] = {a: [] for a in AXES}
-    rest: list[tuple[PauliWord, float]] = []
+    parts: dict[str, list[tuple[PauliWord, float]]] = {a: [] for a in "XYZI"}
     for word, coeff in h.terms.items():
-        axis = word.axis(qubit)
-        if axis == "I":
-            rest.append((word, coeff))
-        else:
-            parts[axis].append((word.drop_qubit(qubit), coeff))
-    n = h.n_qubits
-    return ComplementDecomposition(
-        qubit=qubit,
-        h_x=PauliSum.from_terms(n, parts["X"], prune=None),
-        h_y=PauliSum.from_terms(n, parts["Y"], prune=None),
-        h_z=PauliSum.from_terms(n, parts["Z"], prune=None),
-        h_e=PauliSum.from_terms(n, rest, prune=None),
-    )
+        parts[word.axis(qubit)].append((word.drop_qubit(qubit), coeff))
+    h_x, h_y, h_z, h_e = (PauliSum.from_terms(h.n_qubits, parts[a], prune=None) for a in "XYZI")
+    return ComplementDecomposition(qubit, h_x, h_y, h_z, h_e)
 
 
 def _sign_fix(v: np.ndarray) -> np.ndarray:
@@ -117,26 +113,34 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
     return -v if v[idx] < 0 else v
 
 
-def compute_l(dec: ComplementDecomposition, tol_scale: float = GRAM_TOL_SCALE) -> GramData:
-    """Gram matrix, spectrum and kernel dimension for one qubit."""
-    basis_words = sorted(
-        {w for part in dec.axis_parts() for w in part.terms},
-        key=lambda w: w.sort_key(),
-    )
-    index = {w: i for i, w in enumerate(basis_words)}
-    a = np.zeros((len(basis_words), 3))
-    for col, part in enumerate(dec.axis_parts()):
-        for word, coeff in part.terms.items():
-            a[index[word], col] = coeff
+def _gram_spectrum(
+    a: np.ndarray, tol_scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
+    """Gram matrix of an M-by-3 complement matrix, its spectrum, l and tolerance.
+
+    Eigenvalues descending; only the leading eigenvector is sign-fixed.
+    """
     gram = a.T @ a
     evals, evecs = np.linalg.eigh(gram)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
-    for col in range(3):
-        evecs[:, col] = _sign_fix(evecs[:, col])
+    evecs[:, 0] = _sign_fix(evecs[:, 0])
     tol = tol_scale * max(1.0, float(np.trace(gram)))
-    l = int(np.sum(evals <= tol))
+    return gram, evals, evecs, int(np.sum(evals <= tol)), tol
+
+
+def compute_l(dec: ComplementDecomposition, tol_scale: float = GRAM_TOL_SCALE) -> GramData:
+    """Gram matrix, spectrum and kernel dimension for one qubit."""
+    rows: dict[PauliWord, list[float]] = {}
+    for col, part in enumerate(dec.axis_parts()):
+        for word, coeff in part.terms.items():
+            rows.setdefault(word, [0.0, 0.0, 0.0])[col] = coeff
+    basis_words = sorted(rows, key=lambda w: w.sort_key())
+    a = np.array([rows[w] for w in basis_words]).reshape(-1, 3)
+    gram, evals, evecs, l, tol = _gram_spectrum(a, tol_scale)
+    for col in (1, 2):
+        evecs[:, col] = _sign_fix(evecs[:, col])
     return GramData(
         qubit=dec.qubit,
         basis=tuple(basis_words),
@@ -148,13 +152,16 @@ def compute_l(dec: ComplementDecomposition, tol_scale: float = GRAM_TOL_SCALE) -
     )
 
 
-def _combine(dec: ComplementDecomposition, weights: np.ndarray, n: int) -> PauliSum:
-    """The complement sum matching a Bloch direction: sum_s w_s * h_s."""
-    acc = PauliSum.zero(n)
-    for weight, part in zip(weights, dec.axis_parts()):
+def _factor(
+    dec: ComplementDecomposition, gram: GramData, col: int
+) -> tuple[SingleQubitOp, PauliSum]:
+    """The op along one Gram eigenvector v and its complement sum_s v_s * h_s."""
+    v = gram.eigenvectors[:, col]
+    acc = PauliSum.zero(dec.h_e.n_qubits)
+    for weight, part in zip(v, dec.axis_parts()):
         if abs(weight) > 0.0:
             acc = acc + part.scale(float(weight))
-    return acc
+    return SingleQubitOp(gram.qubit, (float(v[0]), float(v[1]), float(v[2]))), acc
 
 
 def factor_l2(
@@ -170,9 +177,7 @@ def factor_l2(
     if gram.l != 2:
         raise ValueError(f"qubit {gram.qubit} has l={gram.l}, need l=2")
     dec = decompose_by_qubit(h, gram.qubit)
-    v = gram.eigenvectors[:, 0]
-    op = SingleQubitOp(gram.qubit, (float(v[0]), float(v[1]), float(v[2])))
-    complement = _combine(dec, v, h.n_qubits)
+    op, complement = _factor(dec, gram, 0)
     return op, complement, dec.h_e
 
 
@@ -187,12 +192,7 @@ def factor_l1(
     if gram.l != 1:
         raise ValueError(f"qubit {gram.qubit} has l={gram.l}, need l=1")
     dec = decompose_by_qubit(h, gram.qubit)
-    out: list[tuple[SingleQubitOp, PauliSum]] = []
-    for col in range(2):
-        v = gram.eigenvectors[:, col]
-        op = SingleQubitOp(gram.qubit, (float(v[0]), float(v[1]), float(v[2])))
-        out.append((op, _combine(dec, v, h.n_qubits)))
-    (op1, c1), (op2, c2) = out
+    (op1, c1), (op2, c2) = _factor(dec, gram, 0), _factor(dec, gram, 1)
     return op1, c1, op2, c2, dec.h_e
 
 
@@ -206,7 +206,9 @@ def reduce_qubit(h: PauliSum, op: SingleQubitOp, outcome: int) -> PauliSum:
     """
     if outcome not in (1, -1):
         raise ValueError("outcome must be +1 or -1")
-    return _reduce_by_weights(h, op.qubit, _reduction_weights(op), outcome)
+    n = h.n_qubits
+    reduced = _reduce_branch(_branch_of(h), op.qubit, _reduction_weights(op), outcome)
+    return PauliSum(n, {PauliWord(n, x, z): c for (x, z), c in reduced.items()})
 
 
 def _reduction_weights(op: SingleQubitOp) -> tuple[float, float, float, float]:
@@ -214,25 +216,6 @@ def _reduction_weights(op: SingleQubitOp) -> tuple[float, float, float, float]:
     r = op.norm
     bx, by, bz = op.bloch
     return (0.0, bx / r, bz / r, by / r)
-
-
-def _reduce_by_weights(
-    h: PauliSum,
-    k: int,
-    weights: tuple[float, float, float, float],
-    outcome: int,
-) -> PauliSum:
-    acc: dict[PauliWord, float] = {}
-    for word, coeff in h.terms.items():
-        sel = ((word.x_mask >> k) & 1) + 2 * ((word.z_mask >> k) & 1)
-        if sel == 0:
-            acc[word] = acc.get(word, 0.0) + coeff
-        else:
-            dropped = word.drop_qubit(k)
-            acc[dropped] = acc.get(dropped, 0.0) + coeff * outcome * weights[sel]
-    return PauliSum(
-        h.n_qubits, {w: c for w, c in acc.items() if abs(c) > COEFF_PRUNE}
-    )
 
 
 class UniformBranchOps(Mapping):
@@ -382,10 +365,10 @@ def _branch_gram(
 ) -> tuple[int, tuple[float, float, float] | None]:
     """Kernel dimension and leading Gram eigenvector for one branch qubit.
 
-    Mirrors :func:`compute_l` without any intermediate sums: complement
-    vectors are bucketed in one pass, and a qubit carried on a single
-    axis takes a closed-form shortcut whose leading eigenvector is an
-    exact axis vector.  The vector is None when ``l < 2``.
+    Complement vectors are bucketed in one pass, rows in the word order
+    :func:`compute_l` uses, and a qubit carried on a single axis takes a
+    closed-form shortcut whose leading eigenvector is an exact axis
+    vector.  The vector is None when ``l < 2``.
     """
     vectors: dict[tuple[int, int], list[float]] = {}
     seen = 0
@@ -415,16 +398,10 @@ def _branch_gram(
         top = [0.0, 0.0, 0.0]
         top[col] = 1.0
         return 2, (top[0], top[1], top[2])
-    a = np.array([vectors[key] for key in order])
-    gram = a.T @ a
-    evals, evecs = np.linalg.eigh(gram)
-    idx = np.argsort(evals)[::-1]
-    tol = tol_scale * max(1.0, float(np.trace(gram)))
-    l = int(np.sum(evals[idx] <= tol))
+    _, _, evecs, l, _ = _gram_spectrum(np.array([vectors[key] for key in order]), tol_scale)
     if l < 2:
         return l, None
-    top = _sign_fix(evecs[:, idx[0]])
-    return l, (float(top[0]), float(top[1]), float(top[2]))
+    return l, (float(evecs[0, 0]), float(evecs[1, 0]), float(evecs[2, 0]))
 
 
 def _reduce_branch(
@@ -433,6 +410,7 @@ def _reduce_branch(
     weights: tuple[float, float, float, float],
     outcome: int,
 ) -> dict[tuple[int, int], float]:
+    """The branch in an outcome eigenstate on qubit k; see :func:`reduce_qubit`."""
     keep = ~(1 << k)
     acc: dict[tuple[int, int], float] = {}
     for key, coeff in branch.items():
@@ -444,6 +422,42 @@ def _reduce_branch(
             dropped = (x & keep, z & keep)
             acc[dropped] = acc.get(dropped, 0.0) + coeff * outcome * weights[sel]
     return {key: c for key, c in acc.items() if abs(c) > COEFF_PRUNE}
+
+
+def _branch_of(h: PauliSum) -> dict[tuple[int, int], float]:
+    """The sum as a mask-keyed branch dict."""
+    return {(w.x_mask, w.z_mask): c for w, c in h.terms.items()}
+
+
+def _l_values(
+    h: PauliSum, qubits: Iterable[int], tol_scale: float = GRAM_TOL_SCALE
+) -> dict[int, int]:
+    """Kernel dimension ``l`` of each listed qubit, as compute_l reports it."""
+    branch = _branch_of(h)
+    return {k: _branch_gram(branch, k, tol_scale)[0] for k in qubits}
+
+
+def _stuck_support(h: PauliSum, tol_scale: float = GRAM_TOL_SCALE) -> tuple[int, ...]:
+    """Support left where the +1 chain through factorable qubits gets stuck.
+
+    Each round measures the lowest-indexed qubit at l = 2 and keeps the +1
+    outcome; the qubits that remain are the ones a pair symmetry would
+    have to rescue.
+    """
+    branch = _branch_of(h)
+    while True:
+        mask = 0
+        for x, z in branch:
+            mask |= x | z
+        support = _set_bits(mask)
+        for k in support:
+            l, top = _branch_gram(branch, k, tol_scale)
+            if l == 2:
+                weights = _reduction_weights(SingleQubitOp(k, top))
+                branch = _reduce_branch(branch, k, weights, 1)
+                break
+        else:
+            return support
 
 
 def verify_mf(
@@ -472,9 +486,7 @@ def verify_mf(
     if axes is not None:
         return _pure_axis_certificate(h, axes)
 
-    branches: dict[tuple[int, ...], dict[tuple[int, int], float]] = {
-        (): {(w.x_mask, w.z_mask): c for w, c in h.terms.items()}
-    }
+    branches: dict[tuple[int, ...], dict[tuple[int, int], float]] = {(): _branch_of(h)}
     remaining = list(support)
     steps: list[ReductionStep] = []
     while remaining:

@@ -36,6 +36,8 @@ from .meanfield import (
     MAX_BRANCHES,
     MFCertificate,
     SingleQubitOp,
+    _l_values,
+    _stuck_support,
     compute_l,
     decompose_by_qubit,
     factor_l1,
@@ -93,32 +95,10 @@ def _attach_op(complement: PauliSum, op: SingleQubitOp) -> PauliSum:
     return acc
 
 
-def _reduction_probe(s: PauliSum, tol_scale: float) -> PauliSum:
-    """Chase the +1 chain through every factorable qubit.
-
-    The result is where a measurement pass first gets stuck; its support
-    names the qubits a pair symmetry would have to rescue.
-    """
-    current = s
-    while True:
-        support = current.support()
-        target = None
-        for k in support:
-            gram = compute_l(decompose_by_qubit(current, k), tol_scale)
-            if gram.l == 2:
-                v = gram.eigenvectors[:, 0]
-                target = SingleQubitOp(k, (float(v[0]), float(v[1]), float(v[2])))
-                break
-        if target is None:
-            return current
-        current = reduce_qubit(current, target, 1)
-
-
 def _try_entangler(
     s: PauliSum, tol_scale: float, max_branches: int
 ) -> tuple[EntanglerSpec, MFCertificate] | None:
-    probe = _reduction_probe(s, tol_scale)
-    stuck = probe.support()
+    stuck = _stuck_support(s, tol_scale)
     if len(stuck) < 2:
         return None
     for pair in itertools.combinations(stuck, 2):
@@ -167,19 +147,17 @@ def _recurse(
             spec, tcert = found
             return [MFFragment(hamiltonian=s, certificate=tcert, entangler=spec)]
 
-    grams = {
-        k: compute_l(decompose_by_qubit(s, k), tol_scale) for k in s.support()
-    }
-    candidates = [k for k, g in grams.items() if g.l <= 1]
+    ls = _l_values(s, s.support(), tol_scale)
+    candidates = [k for k, l in ls.items() if l <= 1]
     if not candidates:
         # Only reachable when verification hit the branch cap: every qubit
         # is factorable, so QWC groups are a safe way to shrink the problem.
         return _qwc_fragments(qwc_partition(s).groups, tol_scale)
-    k = min(candidates, key=lambda q: (-grams[q].l, q))
+    k = min(candidates, key=lambda q: (-ls[q], q))
 
     parts: list[PauliSum]
-    if grams[k].l == 1:
-        _, _, o2, c2, _ = factor_l1(s, grams[k])
+    if ls[k] == 1:
+        _, _, o2, c2, _ = factor_l1(s, compute_l(decompose_by_qubit(s, k), tol_scale))
         prime_part = _attach_op(c2, o2)
         parts = [prime_part, s - prime_part]
     else:
@@ -223,12 +201,13 @@ def greedy_partition(
 
 
 def validate_plan(
-    plan: PartitionPlan, atol: float = 1e-10, branch_limit: int = 256
+    plan: PartitionPlan, atol: float = 1e-10, branch_limit: int | None = 256
 ) -> list[str]:
     """Check reconstruction and certificates; returns problem descriptions.
 
     Certificate checks walk each outcome branch (up to ``branch_limit``
-    per fragment, in the certificate's branch order) and confirm the
+    per fragment, in the certificate's branch order; None walks them all,
+    at a cost that doubles with each chain step) and confirm the
     reductions land on the stored terminal value.  Branches that share an
     outcome prefix share its reductions: each reduced sum is computed
     once per fragment and kept under its prefix.

@@ -31,14 +31,19 @@ AXES = ("X", "Y", "Z")
 #: Coefficients at or below this magnitude are dropped by canonicalize().
 COEFF_PRUNE = 1e-12
 
-# Single-qubit products sigma_a * sigma_b -> (power of i, result axis).
-# Axes are encoded as (x bit, z bit): X=(1,0), Y=(1,1), Z=(0,1), I=(0,0).
-_PHASE_EXP = {
-    ("X", "Y"): 1, ("Y", "Z"): 1, ("Z", "X"): 1,
-    ("Y", "X"): 3, ("Z", "Y"): 3, ("X", "Z"): 3,
-}
-
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def _set_bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of a qubit mask, ascending."""
+    out = []
+    k = 0
+    while mask:
+        if mask & 1:
+            out.append(k)
+        mask >>= 1
+        k += 1
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,15 +110,7 @@ class PauliWord:
 
     def support(self) -> tuple[int, ...]:
         """Qubits carrying a non-identity factor, ascending."""
-        mask = self.x_mask | self.z_mask
-        out = []
-        k = 0
-        while mask:
-            if mask & 1:
-                out.append(k)
-            mask >>= 1
-            k += 1
-        return tuple(out)
+        return _set_bits(self.x_mask | self.z_mask)
 
     def touches(self, qubit: int) -> bool:
         return bool((self.x_mask | self.z_mask) >> qubit & 1)
@@ -145,20 +142,19 @@ class PauliWord:
 
 
 def multiply_words(a: PauliWord, b: PauliWord) -> tuple[complex, PauliWord]:
-    """Product a*b as (phase, word) with phase in {1, i, -1, -i}."""
+    """Product a*b as (phase, word) with phase in {1, i, -1, -i}.
+
+    With Y = i X Z on every qubit a word is i^(#Y) X^x Z^z, so moving b's
+    X block past a's Z block and regrouping gives the power of i below.
+    """
     if a.n_qubits != b.n_qubits:
         raise ValueError("qubit count mismatch")
-    exp = 0
-    overlap = (a.x_mask | a.z_mask) & (b.x_mask | b.z_mask)
-    k = 0
-    while overlap >> k:
-        if (overlap >> k) & 1:
-            pa, pb = a.axis(k), b.axis(k)
-            if pa != pb:
-                exp += _PHASE_EXP[(pa, pb)]
-        k += 1
-    word = PauliWord(a.n_qubits, a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask)
-    return _I_POWERS[exp % 4], word
+    x, z = a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask
+    exp = (
+        (a.x_mask & a.z_mask).bit_count() + (b.x_mask & b.z_mask).bit_count()
+        + 2 * (a.z_mask & b.x_mask).bit_count() - (x & z).bit_count()
+    )
+    return _I_POWERS[exp % 4], PauliWord(a.n_qubits, x, z)
 
 
 def commutes(a: PauliWord, b: PauliWord) -> bool:
@@ -237,14 +233,7 @@ class PauliSum:
         mask = 0
         for word in self.terms:
             mask |= word.x_mask | word.z_mask
-        out = []
-        k = 0
-        while mask:
-            if mask & 1:
-                out.append(k)
-            mask >>= 1
-            k += 1
-        return tuple(out)
+        return _set_bits(mask)
 
     def sorted_terms(self) -> list[tuple[PauliWord, float]]:
         """Terms in canonical word order (stable across runs)."""

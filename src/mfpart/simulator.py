@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entangler import _kron_axes
 from .partition import MFFragment, PartitionPlan
 from .pauli import AXES, PauliSum, PauliWord, SingleQubitOp
 
@@ -47,14 +48,6 @@ STATE_QUBIT_CAP = 24
 #: Fragments with at most this many outcome branches are sampled through
 #: an exact branch distribution; larger ones fall back to per-shot collapse.
 _CDF_BRANCH_LIMIT = 4096
-
-_AXIS_MATRIX = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -134,10 +127,7 @@ def to_dense(h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     dim = 1 << h.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     for word, coeff in h.sorted_terms():
-        m = np.array([[1.0 + 0.0j]])
-        for k in range(h.n_qubits - 1, -1, -1):
-            m = np.kron(m, _AXIS_MATRIX[word.axis(k)])
-        out += coeff * m
+        out += coeff * _kron_axes(tuple(word.axis(k) for k in range(h.n_qubits)))
     return out
 
 

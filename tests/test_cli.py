@@ -198,3 +198,51 @@ def test_measure_refuses_a_plan_that_fails_validation(tmp_path, capsys):
     assert lines[0].startswith("error:")
     assert "fails validation" in lines[0]
     assert "do not sum to the source" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", EXAMPLE, "--output", "x.json"],
+        ["group-qwc", EXAMPLE, "--tolerance", "1e-6"],
+        ["group-qwc", EXAMPLE, "--output", "x.json"],
+        ["verify-mf", EXAMPLE, "--output", "x.json"],
+        ["variance", EXAMPLE, "--state", "s.txt", "--tolerance", "1e-6"],
+        ["variance", EXAMPLE, "--state", "s.txt", "--output", "x.json"],
+        ["spectrum", EXAMPLE, "--tolerance", "1e-6"],
+        ["spectrum", EXAMPLE, "--output", "x.json"],
+    ],
+)
+def test_flags_a_command_ignores_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_measure_checks_every_branch_of_a_loaded_plan(tmp_path, capsys):
+    # Qubit 0 carries X and Z, so the 9-step chain keeps a branch table.
+    lines = ["1.0 X0"] + [f"0.{q + 1} Z{q} Z{q + 1}" for q in range(8)]
+    model = tmp_path / "h.txt"
+    model.write_text("\n".join(lines) + "\n")
+    plan_path = tmp_path / "plan.json"
+    assert main(["partition", str(model), "--output", str(plan_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(plan_path.read_text())
+    assert len(doc["fragments"]) == 1
+    values = doc["fragments"][0]["certificate"]["terminal_values"]
+    assert len(values) == 512
+    state_path, _ = write_state(tmp_path, 9)
+    assert main(measure_args(plan_path, state_path)) == 0
+    capsys.readouterr()
+
+    late = list(values)[300]
+    values[late] += 0.5
+    plan_path.write_text(json.dumps(doc))
+    assert main(measure_args(plan_path, state_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert "terminal mismatch" in lines[0]

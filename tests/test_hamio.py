@@ -222,6 +222,8 @@ def put(doc, value, *path):
          "must be a matrix of numbers"),
         (lambda d: drop(d, "fragments", 0, "entangler", "origin", "coefficients"),
          r"'fragments\[0\].entangler.origin.coefficients' is missing"),
+        (lambda d: put(d, "X0 Z0", "fragments", 0, "terms", 1, "word"),
+         r"'fragments\[0\].terms\[1\].word': word 'X0 Z0': qubit 0 repeated in one term"),
     ],
 )
 def test_parse_plan_names_bad_fields(edit, message):
