@@ -437,7 +437,7 @@ def _l_values(
     return {k: _branch_gram(branch, k, tol_scale)[0] for k in qubits}
 
 
-def _stuck_support(h: PauliSum, tol_scale: float = GRAM_TOL_SCALE) -> tuple[int, ...]:
+def _stuck_support(h: PauliSum, tol_scale: float) -> tuple[int, ...]:
     """Support left where the +1 chain through factorable qubits gets stuck.
 
     Each round measures the lowest-indexed qubit at l = 2 and keeps the +1
