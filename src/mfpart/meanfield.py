@@ -126,8 +126,8 @@ def _gram_spectrum(
     evals = evals[order]
     evecs = evecs[:, order]
     evecs[:, 0] = _sign_fix(evecs[:, 0])
-    tol = tol_scale * max(1.0, float(np.trace(gram)))
-    return gram, evals, evecs, int(np.sum(evals <= tol)), tol
+    tol = tol_scale * max(1.0, float(gram.trace()))
+    return gram, evals, evecs, int((evals <= tol).sum()), tol
 
 
 def compute_l(dec: ComplementDecomposition, tol_scale: float = GRAM_TOL_SCALE) -> GramData:
