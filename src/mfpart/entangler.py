@@ -428,14 +428,13 @@ def _build_unentangler(
 
     report = verdict.spectrum
     blocks = verdict.blocks
+    # A verdict carries blocks exactly when the spectrum has a degenerate group.
+    rest_words = sorted(blocks, key=lambda w: w.sort_key()) if blocks is not None else []
     columns: list[np.ndarray] = []
     for g in report.degenerate_groups():
         basis = report.eigenvectors[:, g]
         d = g.stop - g.start
         if d > 1:
-            if blocks is None:
-                blocks = _rest_blocks(h, o.subset)
-            rest_words = sorted(blocks, key=lambda w: w.sort_key())
             per_word = [basis.conj().T @ blocks[r] @ basis for r in rest_words]
             off = [np.linalg.norm(b - np.diag(np.diag(b))) for b in per_word]
             if max(off) > _BLOCK_TOL:
