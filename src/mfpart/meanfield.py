@@ -351,6 +351,41 @@ def _pure_axis_certificate(h: PauliSum, axes: dict[int, set[str]]) -> MFCertific
     )
 
 
+def _product_certificate_holds(h: PauliSum, cert: MFCertificate, tol: float) -> bool:
+    """Whether a certificate of uniform ops and outcome products holds on every branch.
+
+    Under one op per step, each word of h reduces to its coefficient and
+    the op weights on its factors times the product of the outcomes at
+    its steps.  Summed per set of steps and compared with the stored
+    products, the absolute differences bound the terminal error of any
+    branch, so no branch is enumerated.  False too when the certificate
+    has another form; h's support must lie in the chain.
+    """
+    tv = cert.terminal_values
+    if not isinstance(tv, ProductTerminalMap) or tv.n_steps != len(cert.steps):
+        return False
+    at: dict[int, tuple[int, tuple[float, float, float, float]]] = {}
+    for i, step in enumerate(cert.steps):
+        ops = step.ops
+        if not isinstance(ops, UniformBranchOps) or (ops.depth, ops.op.qubit) != (i, step.qubit):
+            return False
+        # A repeated qubit is reduced at its first step only.
+        at.setdefault(step.qubit, (i, _reduction_weights(ops.op)))
+    diff: dict[tuple[int, ...], float] = {}
+    for word, coeff in h.terms.items():
+        steps = tuple(sorted(at[k][0] for k in word.support()))
+        for k in word.support():
+            coeff *= at[k][1][((word.x_mask >> k) & 1) + 2 * ((word.z_mask >> k) & 1)]
+        diff[steps] = diff.get(steps, 0.0) + coeff
+    for positions, coeff in tv.terms:
+        if not all(0 <= p < tv.n_steps for p in positions):
+            return False
+        # Outcomes square to one, so only odd multiplicities count.
+        odd = tuple(sorted(p for p in set(positions) if positions.count(p) % 2))
+        diff[odd] = diff.get(odd, 0.0) - coeff
+    return sum(map(abs, diff.values())) <= tol
+
+
 # The chain search keeps every outcome branch as a plain mask-keyed dict
 # {(x_mask, z_mask): coeff}; words are only materialized at the
 # certificate boundary.  Gram column per axis bit pattern x + 2z:

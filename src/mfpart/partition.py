@@ -37,6 +37,7 @@ from .meanfield import (
     MFCertificate,
     SingleQubitOp,
     _l_values,
+    _product_certificate_holds,
     _stuck_support,
     compute_l,
     decompose_by_qubit,
@@ -206,11 +207,13 @@ def validate_plan(
     """Check reconstruction and certificates; returns problem descriptions.
 
     Certificate checks walk each outcome branch (up to ``branch_limit``
-    per fragment, in the certificate's branch order; None walks them all,
-    at a cost that doubles with each chain step) and confirm the
-    reductions land on the stored terminal value.  Branches that share an
-    outcome prefix share its reductions: each reduced sum is computed
-    once per fragment and kept under its prefix.
+    per fragment, in the certificate's branch order) and confirm the
+    reductions land on the stored terminal value.  Consecutive branches
+    share the reductions of their common outcome prefix; only the
+    current branch's reduced sums are kept.  With ``branch_limit`` None a
+    certificate of uniform ops and outcome products is first checked
+    from its word data, which covers every branch at once; the walk
+    then runs only if that check fails, to name the first bad branch.
     """
     problems: list[str] = []
     total = PauliSum.zero(plan.source.n_qubits)
@@ -228,24 +231,30 @@ def validate_plan(
         if not set(effective.support()) <= set(cert.qubit_order):
             problems.append(f"fragment {fi}: certificate does not cover the support")
             continue
-        reduced_at: dict[tuple[int, ...], PauliSum] = {(): effective}
+        # Half the walk's 1e-9 tolerance leaves room for its rounding.
+        if branch_limit is None and _product_certificate_holds(effective, cert, 5e-10):
+            continue
+        # reduced[d] is the sum reduced along the first d outcomes of path.
+        reduced = [effective]
+        path: tuple[int, ...] = ()
         for outcomes in itertools.islice(iter(cert.terminal_values), branch_limit):
-            path = outcomes[: len(cert.steps)]
-            depth = len(path)
-            while path[:depth] not in reduced_at:
-                depth -= 1
-            reduced = reduced_at[path[:depth]]
+            prev, path = path, outcomes[: len(cert.steps)]
+            depth = 0
+            while depth < min(len(prev), len(path)) and prev[depth] == path[depth]:
+                depth += 1
+            del reduced[depth + 1 :]
             try:
                 for si in range(depth, len(path)):
-                    reduced = reduce_qubit(reduced, cert.steps[si].ops[path[:si]], path[si])
-                    reduced_at[path[: si + 1]] = reduced
+                    reduced.append(
+                        reduce_qubit(reduced[si], cert.steps[si].ops[path[:si]], path[si])
+                    )
             except KeyError:
                 problems.append(f"fragment {fi}: branch {outcomes} has no op at step {si}")
                 break
-            if reduced.support():
+            if reduced[-1].support():
                 problems.append(f"fragment {fi}: branch {outcomes} left a non-scalar")
                 break
-            if abs(reduced.constant_part() - cert.terminal_values[outcomes]) > 1e-9:
+            if abs(reduced[-1].constant_part() - cert.terminal_values[outcomes]) > 1e-9:
                 problems.append(f"fragment {fi}: branch {outcomes} terminal mismatch")
                 break
     return problems

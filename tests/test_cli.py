@@ -246,3 +246,28 @@ def test_measure_checks_every_branch_of_a_loaded_plan(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error:")
     assert "terminal mismatch" in lines[0]
+
+
+def test_measure_checks_a_product_plan_beyond_the_branch_table(tmp_path, capsys):
+    n = 13
+    model = tmp_path / "h.txt"
+    model.write_text("".join(f"1.0 Z{q}\n" for q in range(n)))
+    plan_path = tmp_path / "plan.json"
+    assert main(["partition", str(model), "--output", str(plan_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(plan_path.read_text())
+    assert len(doc["fragments"]) == 1
+    assert len(doc["fragments"][0]["certificate"]["qubit_order"]) == n
+    state_path, _ = write_state(tmp_path, n)
+    assert main(measure_args(plan_path, state_path)) == 0
+    assert "energy estimate:" in capsys.readouterr().out
+
+    doc["fragments"][0]["certificate"]["terminal_products"][5]["coeff"] += 0.5
+    plan_path.write_text(json.dumps(doc))
+    assert main(measure_args(plan_path, state_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert f"branch {(1,) * n} terminal mismatch" in lines[0]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import h2_model, random_sum
-from mfpart.meanfield import ReductionStep, reduce_qubit, verify_mf
+from mfpart import partition
+from mfpart.meanfield import ProductTerminalMap, ReductionStep, reduce_qubit, verify_mf
 from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
 from mfpart.pauli import PauliSum, PauliWord, SingleQubitOp
 from mfpart.qwc import qwc_partition
@@ -225,3 +226,65 @@ def test_validate_skips_branches_beyond_the_limit():
     bad = with_certificate(plan, terminal_values=values)
     assert validate_plan(bad, branch_limit=7) == []
     assert validate_plan(bad, branch_limit=8) == [f"fragment 0: branch {last} terminal mismatch"]
+
+
+def test_validate_walk_does_not_depend_on_branch_order():
+    plan = three_step_plan()
+    values = dict(plan.fragments[0].certificate.terminal_values)
+    shuffled = {o: values[o] for o in sorted(values, key=lambda o: (o[2], o[0], o[1]))}
+    assert validate_plan(with_certificate(plan, terminal_values=shuffled)) == []
+    shuffled[(1, -1, -1)] += 0.5
+    bad = with_certificate(plan, terminal_values=shuffled)
+    problems = validate_plan(bad)
+    assert problems == ["fragment 0: branch (1, -1, -1) terminal mismatch"]
+    assert problems == root_walk_problems(bad)
+
+
+def product_plan(n_qubits, seed):
+    """One fragment certified by outcome products: one axis per qubit."""
+    rng = np.random.default_rng(seed)
+    axis = {q: "XYZ"[q % 3] for q in range(n_qubits)}
+    terms = [(float(rng.normal()), {q: axis[q]}) for q in range(n_qubits)]
+    terms += [
+        (float(rng.normal()), {q: axis[q], q + 1: axis[q + 1]}) for q in range(n_qubits - 1)
+    ]
+    h = sum_on(n_qubits, (0.25, {}), *terms)
+    cert = verify_mf(h)
+    assert isinstance(cert.terminal_values, ProductTerminalMap)
+    return PartitionPlan(source=h, fragments=(MFFragment(h, cert),), level="mf1")
+
+
+def with_products(plan, terms):
+    cert = plan.fragments[0].certificate
+    return with_certificate(
+        plan, terminal_values=ProductTerminalMap(cert.terminal_values.n_steps, terms)
+    )
+
+
+def test_full_validation_of_a_product_certificate_walks_no_branch(monkeypatch):
+    plan = product_plan(40, seed=3)
+
+    def no_walk(*args):
+        raise AssertionError("walked a branch")
+
+    monkeypatch.setattr(partition, "reduce_qubit", no_walk)
+    assert validate_plan(plan, branch_limit=None) == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_full_validation_of_product_certificates_matches_the_walk(seed):
+    plan = product_plan(6, seed)
+    assert validate_plan(plan, branch_limit=None) == root_walk_problems(plan, None) == []
+    terms = plan.fragments[0].certificate.terminal_values.terms
+    # A repeated position squares away: (p, p) is the constant term.
+    same = with_products(plan, terms + (((2, 2), 0.75), ((), -0.75)))
+    assert validate_plan(same, branch_limit=None) == root_walk_problems(same, None) == []
+    for i in (0, 3, len(terms) - 1):
+        positions, coeff = terms[i]
+        tampered = terms[:i] + ((positions, coeff + 1e-6),) + terms[i + 1 :]
+        bad = with_products(plan, tampered)
+        problems = validate_plan(bad, branch_limit=None)
+        assert problems and problems == root_walk_problems(bad, None)
+    # A term on a position outside the chain falls back to the walk.
+    outside = with_products(plan, terms + (((-1,), 0.0),))
+    assert validate_plan(outside, branch_limit=None) == root_walk_problems(outside, None) == []
