@@ -295,16 +295,14 @@ def _certificate_from_payload(payload: dict, path: tuple) -> MFCertificate:
             }
         steps.append(ReductionStep(qubit, ops))
     if "terminal_products" in payload:
-        terminal = ProductTerminalMap(
-            len(steps),
-            tuple(
-                (
-                    tuple(p for _, p in _items(row, "positions", int, here)),
-                    _get(row, "coeff", float, here),
-                )
-                for here, row in _items(payload, "terminal_products", dict, path)
-            ),
-        )
+        products = []
+        for here, row in _items(payload, "terminal_products", dict, path):
+            positions = tuple(p for _, p in _items(row, "positions", int, here))
+            if not all(0 <= p < len(steps) for p in positions):
+                name = _name((here, "positions"))
+                raise ValueError(f"plan field {name!r} names a step outside the {len(steps)} steps")
+            products.append((positions, _get(row, "coeff", float, here)))
+        terminal = ProductTerminalMap(len(steps), tuple(products))
     else:
         values_path = (path, "terminal_values")
         terminal = {

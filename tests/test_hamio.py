@@ -224,6 +224,9 @@ def put(doc, value, *path):
          r"'fragments\[0\].entangler.origin.coefficients' is missing"),
         (lambda d: put(d, "X0 Z0", "fragments", 0, "terms", 1, "word"),
          r"'fragments\[0\].terms\[1\].word': word 'X0 Z0': qubit 0 repeated in one term"),
+        (lambda d: put(d, [{"positions": [0, 99], "coeff": 1.0}],
+                       "fragments", 0, "certificate", "terminal_products"),
+         r"'fragments\[0\].certificate.terminal_products\[0\].positions' names a step outside"),
     ],
 )
 def test_parse_plan_names_bad_fields(edit, message):

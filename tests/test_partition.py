@@ -5,7 +5,13 @@ import pytest
 
 from conftest import h2_model, random_sum
 from mfpart import partition
-from mfpart.meanfield import ProductTerminalMap, ReductionStep, reduce_qubit, verify_mf
+from mfpart.meanfield import (
+    ProductTerminalMap,
+    ReductionStep,
+    UniformBranchOps,
+    reduce_qubit,
+    verify_mf,
+)
 from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
 from mfpart.pauli import PauliSum, PauliWord, SingleQubitOp
 from mfpart.qwc import qwc_partition
@@ -288,3 +294,11 @@ def test_full_validation_of_product_certificates_matches_the_walk(seed):
     # A term on a position outside the chain falls back to the walk.
     outside = with_products(plan, terms + (((-1,), 0.0),))
     assert validate_plan(outside, branch_limit=None) == root_walk_problems(outside, None) == []
+    # An op placed on another qubit than its step leaves qubit 1 unreduced.
+    steps = list(plan.fragments[0].certificate.steps)
+    assert steps[1].qubit == 1
+    steps[1] = ReductionStep(1, UniformBranchOps(1, SingleQubitOp(0, (0.0, 1.0, 0.0))))
+    moved = with_certificate(plan, steps=tuple(steps))
+    problems = validate_plan(moved, branch_limit=None)
+    assert problems == root_walk_problems(moved, None)
+    assert problems and "left a non-scalar" in problems[0]
