@@ -195,8 +195,11 @@ def _json_type(value) -> str:
 
 
 def _check(value, kind: type, path: tuple):
-    """The value, if it has the JSON type ``kind`` (float: any number)."""
+    """The value, if it has the JSON type ``kind`` (float: any finite number)."""
     if type(value) is kind or (kind is float and type(value) is int):
+        # json reads NaN, Infinity and overflowing literals such as 1e999.
+        if type(value) is float and not math.isfinite(value):
+            raise ValueError(f"plan field {_name(path)!r} must be finite, not {value!r}")
         return value
     expected = dict(_JSON_TYPES)[kind]
     raise ValueError(f"plan field {_name(path)!r} must be {expected}, not {_json_type(value)}")
@@ -269,13 +272,9 @@ def _certificate_payload(cert: MFCertificate) -> dict:
 
 
 def _bloch(value, path: tuple) -> tuple:
-    if type(value) is not list or len(value) != 3 or not all(map(_is_number, value)):
+    if type(value) is not list or len(value) != 3:
         raise ValueError(f"plan field {_name(path)!r} must be an array of 3 numbers")
-    return tuple(value)
-
-
-def _is_number(value) -> bool:
-    return type(value) is float or type(value) is int
+    return tuple(_check(v, float, (path, i)) for i, v in enumerate(value))
 
 
 def _certificate_from_payload(payload: dict, path: tuple) -> MFCertificate:
@@ -332,11 +331,14 @@ def _entangler_payload(spec: EntanglerSpec) -> dict:
 
 def _matrix(payload: dict, key: str, path: tuple) -> np.ndarray:
     value = _get(payload, key, list, path)
+    name = _name((path, key))
     try:
-        return np.array(value, dtype=float)
+        matrix = np.array(value, dtype=float)
     except (TypeError, ValueError):
-        name = _name((path, key))
         raise ValueError(f"plan field {name!r} must be a matrix of numbers") from None
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"plan field {name!r} must be a matrix of finite numbers")
+    return matrix
 
 
 def _entangler_from_payload(payload: dict, path: tuple) -> EntanglerSpec:

@@ -369,8 +369,7 @@ def _product_certificate_holds(h: PauliSum, cert: MFCertificate, tol: float) -> 
         ops = step.ops
         if not isinstance(ops, UniformBranchOps) or (ops.depth, ops.op.qubit) != (i, step.qubit):
             return False
-        # A repeated qubit is reduced at its first step only.
-        at.setdefault(step.qubit, (i, _reduction_weights(ops.op)))
+        at[step.qubit] = (i, _reduction_weights(ops.op))
     diff: dict[tuple[int, ...], float] = {}
     for word, coeff in h.terms.items():
         steps = tuple(sorted(at[k][0] for k in word.support()))

@@ -201,6 +201,26 @@ def greedy_partition(
     return PartitionPlan(source=h, fragments=tuple(fragments), level=level)
 
 
+def _chain_shape_problem(cert: MFCertificate) -> str | None:
+    """What keeps the outcome bits of a chain from naming its branches, if anything.
+
+    Each step measures its own register qubit, and the terminal values
+    are keyed by exactly the 2^m outcome sequences of the m steps.
+    """
+    order = cert.qubit_order
+    for i, q in enumerate(order):
+        if q >= cert.n_qubits:
+            return f"measures qubit {q} outside the register"
+        if q in order[:i]:
+            return f"measures qubit {q} twice"
+    tv = cert.terminal_values
+    if len(tv) != cert.n_branches or (
+        isinstance(tv, dict) and any(len(o) != len(order) for o in tv)
+    ):
+        return f"does not give one terminal value per branch of its {len(order)} steps"
+    return None
+
+
 def validate_plan(
     plan: PartitionPlan, atol: float = 1e-10, branch_limit: int | None = 256
 ) -> list[str]:
@@ -228,6 +248,10 @@ def validate_plan(
         if cert.n_qubits != plan.source.n_qubits:
             problems.append(f"fragment {fi}: certificate register size mismatch")
             continue
+        shape = _chain_shape_problem(cert)
+        if shape:
+            problems.append(f"fragment {fi}: certificate {shape}")
+            continue
         if not set(effective.support()) <= set(cert.qubit_order):
             problems.append(f"fragment {fi}: certificate does not cover the support")
             continue
@@ -238,7 +262,7 @@ def validate_plan(
         reduced = [effective]
         path: tuple[int, ...] = ()
         for outcomes in itertools.islice(iter(cert.terminal_values), branch_limit):
-            prev, path = path, outcomes[: len(cert.steps)]
+            prev, path = path, outcomes
             depth = 0
             while depth < min(len(prev), len(path)) and prev[depth] == path[depth]:
                 depth += 1
@@ -254,7 +278,8 @@ def validate_plan(
             if reduced[-1].support():
                 problems.append(f"fragment {fi}: branch {outcomes} left a non-scalar")
                 break
-            if abs(reduced[-1].constant_part() - cert.terminal_values[outcomes]) > 1e-9:
+            # Written so that a NaN terminal value counts as a mismatch.
+            if not abs(reduced[-1].constant_part() - cert.terminal_values[outcomes]) <= 1e-9:
                 problems.append(f"fragment {fi}: branch {outcomes} terminal mismatch")
                 break
     return problems

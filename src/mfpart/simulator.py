@@ -4,23 +4,26 @@ Amplitude indexing is little-endian: basis index i assigns qubit k the
 bit (i >> k) & 1, so the dense form of a word is the Kronecker product
 taken from the highest qubit down.
 
-Sampling follows a fragment's certificate step by step: each qubit is
-measured in the branch's stored basis with Born probabilities and the
-state is collapsed, so the returned sample is exactly the certificate's
-terminal value for the realized outcome sequence.  An exact eigenvalue
-is drawn each shot, which is why the analytic per-fragment moments are
+Sampling follows a fragment's certificate: the energy sample of a shot
+is the certificate's terminal value for its outcome sequence.  Shots
+are drawn by inverse CDF from the exact branch distribution, which one
+pass over the state yields by deferred measurement; ``measure_fragment``
+is the same measurement as a per-shot collapse.  An exact eigenvalue is
+drawn each shot, which is why the analytic per-fragment moments are
 plain operator moments of the certified sum.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entangler import _kron_axes
+from .entangler import _AXIS_MATRIX, _kron_axes
+from .meanfield import UniformBranchOps
 from .partition import MFFragment, PartitionPlan
 from .pauli import AXES, PauliSum, PauliWord, SingleQubitOp
 
@@ -44,10 +47,6 @@ __all__ = [
 
 DENSE_QUBIT_CAP = 12
 STATE_QUBIT_CAP = 24
-
-#: Fragments with at most this many outcome branches are sampled through
-#: an exact branch distribution; larger ones fall back to per-shot collapse.
-_CDF_BRANCH_LIMIT = 4096
 
 @dataclass(frozen=True)
 class StateVector:
@@ -253,39 +252,43 @@ def measure_fragment(
     return float(cert.terminal_values[outcomes]), outcomes
 
 
+_PAULIS = np.array([_AXIS_MATRIX[axis] for axis in AXES])
+
+
+def _z_rotations(blochs: np.ndarray) -> np.ndarray:
+    """Unitaries taking each Bloch op onto Z: rows are its +1 and -1 eigenbras."""
+    _, vecs = np.linalg.eigh(np.tensordot(blochs, _PAULIS, 1))
+    return vecs[..., ::-1].conj().swapaxes(-1, -2)
+
+
 def branch_distribution(
-    frag: MFFragment, psi: StateVector, max_branches: int = 1 << 16
+    frag: MFFragment, psi: StateVector
 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """Exact outcome-branch probabilities and terminal values.
 
-    Enumerates all 2^m branches of the certificate (m chain steps), in
-    the certificate's own branch order.
+    One pass over one copy of the state: the chain qubits are moved to
+    the front in step order, and step d rotates its qubit onto Z under
+    all 2^d outcome prefixes at once, bit 0 standing for outcome +1.  A
+    branch's probability is the squared weight of its bit pattern.
+    Branches come in the certificate's own order.
     """
     cert = frag.certificate
     if cert.n_qubits != psi.n_qubits:
         raise ValueError("certificate register size does not match the state")
-    if cert.n_branches > max_branches:
-        raise ValueError(f"{cert.n_branches} branches exceed the cap of {max_branches}")
-    start = _prepare_fragment_state(frag, psi)
-    leaves: dict[tuple[int, ...], float] = {}
-
-    def walk(prefix: tuple[int, ...], amps: np.ndarray, prob: float):
-        depth = len(prefix)
-        if depth == len(cert.steps):
-            leaves[prefix] = prob
-            return
-        op = cert.steps[depth].ops[prefix]
-        rotated = _bloch_apply(op, amps, psi.n_qubits)
-        for outcome in (1, -1):
-            branch = 0.5 * (amps + outcome * rotated)
-            p = float(np.vdot(branch, branch).real)
-            if p <= 1e-15:
-                continue
-            walk(prefix + (outcome,), branch / np.sqrt(p), prob * p)
-
-    walk((), start, 1.0)
-    order = list(iter(cert.terminal_values))
-    probs = np.array([leaves.get(o, 0.0) for o in order])
+    n, m = psi.n_qubits, len(cert.steps)
+    axes = [n - 1 - q for q in cert.qubit_order]
+    axes += [a for a in range(n) if a not in axes]
+    amps = _prepare_fragment_state(frag, psi).reshape((2,) * n).transpose(axes)
+    for d, step in enumerate(cert.steps):
+        if isinstance(step.ops, UniformBranchOps):
+            blochs = step.ops.op.bloch
+        else:
+            blochs = [step.ops[p].bloch for p in itertools.product((1, -1), repeat=d)]
+        amps = _z_rotations(np.array(blochs)) @ amps.reshape(1 << d, 2, -1)
+    weights = np.square(np.abs(amps.reshape(1 << m, -1))).sum(axis=1)
+    order = list(cert.terminal_values)
+    minus = np.array(order, dtype=np.int8).reshape(len(order), m) < 0
+    probs = weights[minus @ (1 << np.arange(m - 1, -1, -1))]
     values = np.array([cert.terminal_values[o] for o in order])
     return order, probs, values
 
@@ -327,16 +330,11 @@ def _estimate_fragment(
     exact_mean = expectation(eff, eff_state)
     exact_var = variance(eff, eff_state)
 
-    if frag.certificate.n_branches <= _CDF_BRANCH_LIMIT:
-        _, probs, values = branch_distribution(frag, psi, max_branches=_CDF_BRANCH_LIMIT)
-        cdf = np.cumsum(probs)
-        cdf[-1] = max(cdf[-1], 1.0)
-        uniforms = np.random.default_rng([seed, fi]).random(shots)
-        samples = values[np.searchsorted(cdf, uniforms, side="right")]
-    else:
-        samples = np.empty(shots)
-        for s in range(shots):
-            samples[s], _ = measure_fragment(frag, psi, [seed, fi, s])
+    _, probs, values = branch_distribution(frag, psi)
+    cdf = np.cumsum(probs)
+    cdf[-1] = max(cdf[-1], 1.0)
+    uniforms = np.random.default_rng([seed, fi]).random(shots)
+    samples = values[np.searchsorted(cdf, uniforms, side="right")]
 
     return FragmentEstimate(
         index=fi,

@@ -271,3 +271,41 @@ def test_measure_checks_a_product_plan_beyond_the_branch_table(tmp_path, capsys)
     assert len(lines) == 1
     assert lines[0].startswith("error:")
     assert f"branch {(1,) * n} terminal mismatch" in lines[0]
+
+
+def repeat_first_step(doc):
+    cert = doc["fragments"][0]["certificate"]
+    cert["steps"].append({"qubit": 0, "uniform_op": [0.0, 0.0, 1.0]})
+    cert["qubit_order"].append(0)
+
+
+def nan_product_coeff(doc):
+    doc["fragments"][0]["certificate"]["terminal_products"][0]["coeff"] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (repeat_first_step, "fragment 0: certificate measures qubit 0 twice"),
+        (nan_product_coeff,
+         "'fragments[0].certificate.terminal_products[0].coeff' must be finite, not nan"),
+    ],
+)
+def test_measure_refuses_a_tampered_product_plan(tmp_path, capsys, edit, message):
+    model = tmp_path / "h.txt"
+    model.write_text("1.0 Z0 Z1\n0.5 Z1\n0.3 Z2\n")
+    plan_path = tmp_path / "plan.json"
+    assert main(["partition", str(model), "--output", str(plan_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(plan_path.read_text())
+    assert "terminal_products" in doc["fragments"][0]["certificate"]
+    edit(doc)
+    plan_path.write_text(json.dumps(doc))
+    state_path, _ = write_state(tmp_path, 3)
+    assert main(measure_args(plan_path, state_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert message in lines[0]

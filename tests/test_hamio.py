@@ -227,6 +227,9 @@ def put(doc, value, *path):
         (lambda d: put(d, [{"positions": [0, 99], "coeff": 1.0}],
                        "fragments", 0, "certificate", "terminal_products"),
          r"'fragments\[0\].certificate.terminal_products\[0\].positions' names a step outside"),
+        (lambda d: put(d, [{"positions": [0], "coeff": float("nan")}],
+                       "fragments", 0, "certificate", "terminal_products"),
+         r"'fragments\[0\].certificate.terminal_products\[0\].coeff' must be finite, not nan"),
     ],
 )
 def test_parse_plan_names_bad_fields(edit, message):

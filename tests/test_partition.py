@@ -267,6 +267,67 @@ def with_products(plan, terms):
     )
 
 
+def test_validate_refuses_a_certificate_that_measures_a_qubit_twice():
+    plan = product_plan(3, seed=0)
+    cert = plan.fragments[0].certificate
+    again = ReductionStep(0, UniformBranchOps(3, SingleQubitOp(0, (0.0, 0.0, 1.0))))
+    twice = with_certificate(
+        plan,
+        steps=cert.steps + (again,),
+        terminal_values=ProductTerminalMap(4, cert.terminal_values.terms),
+    )
+    expected = ["fragment 0: certificate measures qubit 0 twice"]
+    assert validate_plan(twice) == expected
+    assert validate_plan(twice, branch_limit=None) == expected
+
+    plan = three_step_plan()
+    cert = plan.fragments[0].certificate
+    ops = {o: SingleQubitOp(2, (1.0, 0.0, 0.0)) for o in cert.terminal_values}
+    values = {o + (s,): v for o, v in cert.terminal_values.items() for s in (1, -1)}
+    twice = with_certificate(
+        plan, steps=cert.steps + (ReductionStep(2, ops),), terminal_values=values
+    )
+    problems = validate_plan(twice, branch_limit=None)
+    assert problems == ["fragment 0: certificate measures qubit 2 twice"]
+
+
+def test_validate_refuses_a_chain_whose_bits_do_not_name_its_branches():
+    plan = three_step_plan()
+    cert = plan.fragments[0].certificate
+    values = dict(cert.terminal_values)
+    outside = ReductionStep(5, UniformBranchOps(3, SingleQubitOp(5, (0.0, 0.0, 1.0))))
+    wide = with_certificate(
+        plan,
+        steps=cert.steps + (outside,),
+        terminal_values={o + (s,): v for o, v in values.items() for s in (1, -1)},
+    )
+    assert validate_plan(wide) == ["fragment 0: certificate measures qubit 5 outside the register"]
+    uncovered = [
+        "fragment 0: certificate does not give one terminal value per branch of its 3 steps"
+    ]
+    missing = dict(values)
+    del missing[(1, -1, 1)]
+    assert validate_plan(with_certificate(plan, terminal_values=missing)) == uncovered
+    longer = dict(missing)
+    longer[(1, -1, 1, 1)] = values[(1, -1, 1)]
+    assert validate_plan(with_certificate(plan, terminal_values=longer)) == uncovered
+
+
+def test_validate_counts_a_nan_terminal_value_as_a_mismatch():
+    plan = three_step_plan()
+    values = dict(plan.fragments[0].certificate.terminal_values)
+    values[(1, 1, -1)] = float("nan")
+    bad = with_certificate(plan, terminal_values=values)
+    assert validate_plan(bad) == ["fragment 0: branch (1, 1, -1) terminal mismatch"]
+
+    plan = product_plan(4, seed=1)
+    terms = plan.fragments[0].certificate.terminal_values.terms
+    bad = with_products(plan, ((terms[0][0], float("nan")),) + terms[1:])
+    assert validate_plan(bad, branch_limit=None) == [
+        f"fragment 0: branch {(1,) * 4} terminal mismatch"
+    ]
+
+
 def test_full_validation_of_a_product_certificate_walks_no_branch(monkeypatch):
     plan = product_plan(40, seed=3)
 

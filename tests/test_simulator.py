@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
 
-from conftest import dense_sum, embed_on_subset, random_amplitudes, random_sum
+from conftest import (
+    dense_sum,
+    dense_word,
+    embed_on_subset,
+    h2_model,
+    random_amplitudes,
+    random_sum,
+)
 from mfpart import simulator
-from mfpart.partition import MFFragment, PartitionPlan, greedy_partition
-from mfpart.pauli import PauliSum, PauliWord
-from mfpart.meanfield import verify_mf
+from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
+from mfpart.pauli import PauliSum, PauliWord, SingleQubitOp
+from mfpart.meanfield import (
+    MFCertificate,
+    ProductTerminalMap,
+    ReductionStep,
+    UniformBranchOps,
+    verify_mf,
+)
 from mfpart.simulator import (
     DENSE_QUBIT_CAP,
     StateVector,
@@ -186,11 +199,95 @@ def test_branch_distribution_reproduces_expectation(seed):
     assert total == pytest.approx(expectation(h, psi), abs=1e-9)
 
 
-def test_branch_distribution_respects_cap():
-    frag = single_fragment(sum_on(2, (1.0, {0: "Z"}), (0.5, {1: "Z"})))
-    psi = StateVector.computational(2)
-    with pytest.raises(ValueError, match="cap"):
-        branch_distribution(frag, psi, max_branches=2)
+def dense_branch_probability(frag, amps, outcomes):
+    """||P_m ... P_1 U^dagger psi||^2 with every projector built densely."""
+    n = frag.certificate.n_qubits
+    if frag.entangler is not None:
+        u = embed_on_subset(frag.entangler.unitary, frag.entangler.subset, n)
+        amps = u.conj().T @ amps
+    for i, (step, outcome) in enumerate(zip(frag.certificate.steps, outcomes)):
+        op = step.ops[outcomes[:i]].unit()
+        assert op.qubit == step.qubit
+        bloch = sum(
+            weight * dense_word(PauliWord.from_axes(n, {op.qubit: axis}))
+            for axis, weight in zip("XYZ", op.bloch)
+        )
+        amps = 0.5 * (amps + outcome * (bloch @ amps))
+    return float(np.vdot(amps, amps).real)
+
+
+def reordered_product_fragment(order):
+    """A pure-Z chain measured in the given qubit order, uniform ops throughout."""
+    n = len(order)
+    h = sum_on(n, *[(0.5 + q, {q: "Z", (q + 1) % n: "Z"}) for q in range(n)])
+    position = {q: i for i, q in enumerate(order)}
+    steps = tuple(
+        ReductionStep(q, UniformBranchOps(i, SingleQubitOp(q, (0.0, 0.0, 1.0))))
+        for i, q in enumerate(order)
+    )
+    terms = tuple(
+        (tuple(position[k] for k in word.support()), coeff) for word, coeff in h.sorted_terms()
+    )
+    cert = MFCertificate(n, steps, ProductTerminalMap(n, terms))
+    return PartitionPlan(source=h, fragments=(MFFragment(h, cert),), level="mf1")
+
+
+def test_branch_distribution_matches_dense_projectors():
+    rng = np.random.default_rng(1717)
+    plans = []
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            h = random_sum(rng, n, int(rng.integers(3, 12)))
+            plans += [greedy_partition(h, level="mf1"), greedy_partition(h, level="mf2")]
+    pure = sum_on(4, (1.0, {0: "X", 2: "X"}), (0.5, {1: "Y"}), (0.3, {2: "X", 3: "Z"}))
+    plans += [greedy_partition(h2_model(rng), level="mf2"), greedy_partition(pure)]
+    plans += [reordered_product_fragment((1, 2, 0, 3)), reordered_product_fragment((2, 0, 1))]
+    seen = set()
+    for plan in plans:
+        assert validate_plan(plan, branch_limit=None) == []
+        n = plan.source.n_qubits
+        psi = StateVector(n, random_amplitudes(rng, n))
+        for frag in plan.fragments:
+            cert = frag.certificate
+            order, probs, values = branch_distribution(frag, psi)
+            assert order == list(cert.terminal_values)
+            assert list(values) == [cert.terminal_values[o] for o in order]
+            for outcomes, prob in zip(order, probs):
+                expected = dense_branch_probability(frag, psi.amplitudes, outcomes)
+                assert prob == pytest.approx(expected, abs=1e-12)
+            steps = cert.steps
+            if any(isinstance(st.ops, dict) and len(set(st.ops.values())) > 1 for st in steps):
+                seen.add("per-prefix ops")
+            if any(isinstance(st.ops, UniformBranchOps) and st.ops.depth >= 1 for st in steps):
+                seen.add("uniform ops below the root")
+            if list(cert.qubit_order) != sorted(cert.qubit_order):
+                seen.add("non-ascending chain")
+            if frag.entangler is not None:
+                seen.add("entangled")
+    assert seen == {
+        "per-prefix ops", "uniform ops below the root", "non-ascending chain", "entangled"
+    }
+
+
+def test_estimate_energy_samples_a_wide_branch_table():
+    # X0 with a Z chain keeps a per-prefix table; the 13-step fragment
+    # has 2^13 outcome branches.
+    n = 13
+    terms = [(1.0, {0: "X"})] + [(0.1 * (q + 1), {q: "Z", q + 1: "Z"}) for q in range(n - 1)]
+    terms += [(0.3, {q: "X"}) for q in range(1, n, 3)]
+    h = sum_on(n, *terms)
+    plan = greedy_partition(h)
+    wide = max(plan.fragments, key=lambda f: f.certificate.n_branches)
+    assert wide.certificate.n_branches == 1 << n
+    assert isinstance(wide.certificate.steps[-1].ops, dict)
+    rng = np.random.default_rng(13)
+    psi = StateVector(n, random_amplitudes(rng, n))
+    shots = 2000
+    report = estimate_energy(plan, psi, shots=shots, seed=5)
+    assert report.analytic_expectation == pytest.approx(expectation(h, psi), abs=1e-9)
+    sigma = (report.analytic_summed_variance / shots) ** 0.5
+    assert abs(report.energy_estimate - report.analytic_expectation) <= 5.0 * sigma
+    assert estimate_energy(plan, psi, shots=shots, seed=5, workers=2) == report
 
 
 def test_estimate_energy_totals_and_determinism():
