@@ -16,7 +16,6 @@ from dataclasses import asdict
 import numpy as np
 
 from . import hamio
-from .entangler import MAX_SUBSET_SIZE
 from .meanfield import GRAM_TOL_SCALE, _l_values, verify_mf
 from .partition import PartitionPlan, greedy_partition, validate_plan
 from .pauli import PauliSum
@@ -51,13 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("partition", "build a mean-field measurement plan", tolerance=True)
     p.add_argument("--output", help="write the plan JSON here")
     p.add_argument("--level", choices=("mf1", "mf2"), default="mf1")
-    p.add_argument(
-        "--max-entangler-qubits",
-        type=int,
-        choices=(0, MAX_SUBSET_SIZE),
-        default=MAX_SUBSET_SIZE,
-        help="0 disables entangling corrections at level mf2",
-    )
 
     command("verify-mf", "check mean-field measurability", tolerance=True)
 
@@ -119,12 +111,7 @@ def _cmd_group_qwc(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     h = _load_hamiltonian(args)
-    plan = greedy_partition(
-        h,
-        level=args.level,
-        tol_scale=args.tolerance,
-        max_entangler_qubits=args.max_entangler_qubits,
-    )
+    plan = greedy_partition(h, level=args.level, tol_scale=args.tolerance)
     problems = validate_plan(plan)
     baseline = qwc_partition(h)
     print(f"fragments: {plan.n_fragments}")

@@ -132,6 +132,8 @@ def parse_state(text: str) -> StateVector:
             rows.append(complex(float(parts[0]), float(parts[1])))
         except ValueError:
             raise ValueError(f"line {ln}: malformed amplitude {line!r}") from None
+        if not np.isfinite(rows[-1]):
+            raise ValueError(f"line {ln}: amplitude {line!r} is not finite")
     if not rows:
         raise ValueError("no amplitudes found")
     n_qubits = (len(rows) - 1).bit_length()

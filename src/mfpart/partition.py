@@ -20,10 +20,9 @@ instead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .entangler import (
-    MAX_SUBSET_SIZE,
     EntanglerSpec,
     _build_unentangler,
     apply_unitary,
@@ -62,18 +61,27 @@ class MFFragment:
 
     With an entangler present the certificate describes the conjugated
     sum U†HU; ``hamiltonian`` always stores the untransformed summand so
-    fragments add up to the source directly.
+    fragments add up to the source directly.  The conjugated sum is kept
+    once known: the partitioner stores the sum it certified, and any
+    other fragment (parsed, hand-built or copied with
+    ``dataclasses.replace``) conjugates its own ``hamiltonian`` on the
+    first call to :meth:`effective_hamiltonian`.  The kept sum is not a
+    constructor argument and takes no part in comparisons.
     """
 
     hamiltonian: PauliSum
     certificate: MFCertificate
     entangler: EntanglerSpec | None = None
+    _rotated: PauliSum | None = field(default=None, init=False, repr=False, compare=False)
 
     def effective_hamiltonian(self) -> PauliSum:
         """The sum the certificate actually certifies."""
         if self.entangler is None:
             return self.hamiltonian
-        return apply_unitary(self.hamiltonian, self.entangler)
+        if self._rotated is None:
+            # Threads that miss together store equal sums.
+            object.__setattr__(self, "_rotated", apply_unitary(self.hamiltonian, self.entangler))
+        return self._rotated
 
 
 @dataclass(frozen=True)
@@ -98,7 +106,8 @@ def _attach_op(complement: PauliSum, op: SingleQubitOp) -> PauliSum:
 
 def _try_entangler(
     s: PauliSum, tol_scale: float, max_branches: int
-) -> tuple[EntanglerSpec, MFCertificate] | None:
+) -> tuple[EntanglerSpec, MFCertificate, PauliSum] | None:
+    """A rotation of s, its certificate and the rotated sum it certifies."""
     stuck = _stuck_support(s, tol_scale)
     if len(stuck) < 2:
         return None
@@ -109,9 +118,10 @@ def _try_entangler(
             word = op.dominant_word()
             if word is not None and word.support():
                 spec = build_clifford_unentangler(op)
-                cert = verify_mf(apply_unitary(s, spec), tol_scale, max_branches)
+                rotated = apply_unitary(s, spec)
+                cert = verify_mf(rotated, tol_scale, max_branches)
                 if cert is not None:
-                    return spec, cert
+                    return spec, cert, rotated
             try:
                 verdict = factorability_check(s, op)
                 if not verdict.ok:
@@ -121,7 +131,7 @@ def _try_entangler(
                 continue
             cert = verify_mf(rotated, tol_scale, max_branches)
             if cert is not None:
-                return spec, cert
+                return spec, cert, rotated
     return None
 
 
@@ -135,18 +145,18 @@ def _qwc_fragments(groups: tuple[PauliSum, ...], tol_scale: float) -> list[MFFra
     return fragments
 
 
-def _recurse(
-    s: PauliSum, level: str, tol_scale: float, max_branches: int, allow_entangler: bool
-) -> list[MFFragment]:
+def _recurse(s: PauliSum, level: str, tol_scale: float, max_branches: int) -> list[MFFragment]:
     cert = verify_mf(s, tol_scale, max_branches)
     if cert is not None:
         return [MFFragment(hamiltonian=s, certificate=cert)]
 
-    if level == "mf2" and allow_entangler:
+    if level == "mf2":
         found = _try_entangler(s, tol_scale, max_branches)
         if found is not None:
-            spec, tcert = found
-            return [MFFragment(hamiltonian=s, certificate=tcert, entangler=spec)]
+            spec, tcert, rotated = found
+            frag = MFFragment(hamiltonian=s, certificate=tcert, entangler=spec)
+            object.__setattr__(frag, "_rotated", rotated)
+            return [frag]
 
     ls = _l_values(s, s.support(), tol_scale)
     candidates = [k for k, l in ls.items() if l <= 1]
@@ -171,7 +181,7 @@ def _recurse(
     for part in parts:
         if part.is_zero:
             continue
-        out.extend(_recurse(part, level, tol_scale, max_branches, allow_entangler))
+        out.extend(_recurse(part, level, tol_scale, max_branches))
     return out
 
 
@@ -180,21 +190,18 @@ def greedy_partition(
     level: str = "mf1",
     tol_scale: float = GRAM_TOL_SCALE,
     max_branches: int = MAX_BRANCHES,
-    max_entangler_qubits: int = MAX_SUBSET_SIZE,
 ) -> PartitionPlan:
     """Partition h so every fragment carries a measurement certificate.
 
     ``level`` selects how hard to fight before splitting: "mf1" uses only
     single-qubit reductions, "mf2" additionally tries two-qubit commuting
-    operators with unentangling rotations.  ``max_entangler_qubits`` of 0
-    disables the rotations even at mf2.
+    operators with unentangling rotations.
     """
     if level not in ("mf1", "mf2"):
         raise ValueError(f"unknown level {level!r}")
     if h.is_zero:
         raise ValueError("cannot partition an empty Hamiltonian")
-    allow_entangler = max_entangler_qubits >= 2
-    fragments = _recurse(h, level, tol_scale, max_branches, allow_entangler)
+    fragments = _recurse(h, level, tol_scale, max_branches)
     baseline = qwc_partition(h)
     if len(fragments) > baseline.n_groups:
         fragments = _qwc_fragments(baseline.groups, tol_scale)

@@ -28,7 +28,7 @@ __all__ = [
 
 AXES = ("X", "Y", "Z")
 
-#: Coefficients at or below this magnitude are dropped by canonicalize().
+#: Coefficients at or below this magnitude are dropped when a sum is built.
 COEFF_PRUNE = 1e-12
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -238,9 +238,6 @@ class PauliSum:
     def sorted_terms(self) -> list[tuple[PauliWord, float]]:
         """Terms in canonical word order (stable across runs)."""
         return sorted(self.terms.items(), key=lambda it: it[0].sort_key())
-
-    def canonicalize(self, prune: float = COEFF_PRUNE) -> "PauliSum":
-        return PauliSum.from_terms(self.n_qubits, self.terms.items(), prune=prune)
 
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector."""

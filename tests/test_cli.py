@@ -63,7 +63,7 @@ def test_partition_entanglers_can_be_disabled(tmp_path, capsys):
     rng = np.random.default_rng(22)
     path = tmp_path / "h2.txt"
     path.write_text(serialize_hamiltonian(h2_model(rng)))
-    assert main(["partition", str(path), "--level", "mf2", "--max-entangler-qubits", "0"]) == 0
+    assert main(["partition", str(path), "--level", "mf1"]) == 0
     out = capsys.readouterr().out
     assert "fragments: 3" in out
     assert "entangled subset" not in out
@@ -211,6 +211,7 @@ def test_measure_refuses_a_plan_that_fails_validation(tmp_path, capsys):
         ["variance", EXAMPLE, "--state", "s.txt", "--output", "x.json"],
         ["spectrum", EXAMPLE, "--tolerance", "1e-6"],
         ["spectrum", EXAMPLE, "--output", "x.json"],
+        ["partition", EXAMPLE, "--max-entangler-qubits", "0"],
     ],
 )
 def test_flags_a_command_ignores_are_usage_errors(argv, capsys):
@@ -309,3 +310,18 @@ def test_measure_refuses_a_tampered_product_plan(tmp_path, capsys, edit, message
     assert len(lines) == 1
     assert lines[0].startswith("error:")
     assert message in lines[0]
+
+
+def test_measure_refuses_a_nan_amplitude(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    assert main(["partition", EXAMPLE, "--output", str(plan_path)]) == 0
+    capsys.readouterr()
+    state_path = tmp_path / "state.txt"
+    state_path.write_text("nan 0\n" + "0 0\n" * 7)
+    assert main(measure_args(plan_path, str(state_path))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert "line 1: amplitude 'nan 0' is not finite" in lines[0]

@@ -106,6 +106,7 @@ def test_state_renormalization_warns():
         ("x y\n0.0 0.0", "malformed amplitude"),
         ("1.0 0.0\n0.0 0.0\n0.0 0.0", "power of two"),
         ("0.5 0.0\n0.5 0.0", "too far from 1"),
+        ("nan 0.0\n0.0 0.0", "line 1: amplitude 'nan 0.0' is not finite"),
         ("# empty", "no amplitudes"),
     ],
 )

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import h2_model, random_sum
 from mfpart import partition
+from mfpart.entangler import apply_unitary
+from mfpart.hamio import parse_plan, serialize_plan
 from mfpart.meanfield import (
     ProductTerminalMap,
     ReductionStep,
@@ -106,12 +108,43 @@ def test_exchange_model_is_rescued_at_mf2():
     assert validate_plan(plan2) == []
 
 
-def test_entangler_can_be_disabled():
-    h = exchange_model()
-    plan1 = greedy_partition(h, level="mf1")
-    plan0 = greedy_partition(h, level="mf2", max_entangler_qubits=0)
-    assert plan0.n_fragments == plan1.n_fragments
-    assert all(frag.entangler is None for frag in plan0.fragments)
+def rotated_sum(frag):
+    """U†HU of the fragment's own terms, as (word, coefficient) pairs in order."""
+    return list(apply_unitary(frag.hamiltonian, frag.entangler).terms.items())
+
+
+def test_entangled_fragments_keep_the_sum_they_certified(monkeypatch):
+    models = [h2_model(np.random.default_rng(500 + seed)) for seed in range(3)]
+    plans = [greedy_partition(h, level="mf2") for h in models + [exchange_model()]]
+    entangled = [f for plan in plans for f in plan.fragments if f.entangler is not None]
+    assert len(entangled) == len(plans)
+    expected = [rotated_sum(frag) for frag in entangled]
+
+    calls = []
+    monkeypatch.setattr(partition, "apply_unitary", lambda *a: calls.append(a))
+    for frag, terms in zip(entangled, expected):
+        eff = frag.effective_hamiltonian()
+        assert list(eff.terms.items()) == terms
+        assert frag.effective_hamiltonian() is eff
+        assert MFFragment(frag.hamiltonian, frag.certificate, frag.entangler) == frag
+    assert calls == []
+
+
+def test_a_replaced_fragment_rotates_its_own_terms():
+    frag = greedy_partition(exchange_model(), level="mf2").fragments[0]
+    frag.effective_hamiltonian()
+    copy = dataclasses.replace(frag, hamiltonian=frag.hamiltonian.scale(2.0))
+    eff = copy.effective_hamiltonian()
+    assert list(eff.terms.items()) == rotated_sum(copy)
+    assert eff.allclose(frag.effective_hamiltonian().scale(2.0), atol=1e-12)
+    assert copy.effective_hamiltonian() is eff
+
+
+def test_a_loaded_plan_rotates_the_loaded_terms():
+    plan = greedy_partition(exchange_model(), level="mf2")
+    frag = parse_plan(serialize_plan(plan)).fragments[0]
+    assert frag.entangler is not None
+    assert list(frag.effective_hamiltonian().terms.items()) == rotated_sum(frag)
 
 
 @pytest.mark.parametrize("seed", range(3))

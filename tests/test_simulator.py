@@ -59,6 +59,8 @@ def test_state_vector_validation():
         StateVector(2, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="cap"):
         StateVector(25, np.array([1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(1, np.array([np.nan, 0.0]))
     psi = StateVector.computational(3, index=5)
     assert psi.amplitudes[5] == 1.0
     psi = StateVector.normalized(1, [3.0, 4.0])
