@@ -152,12 +152,13 @@ def _cmd_variance(args: argparse.Namespace) -> int:
 
 
 def _load_plan(path: str) -> PartitionPlan:
-    """A parsed plan that passes validate_plan on every branch.
+    """A parsed plan that passes validate_plan.
 
-    Samples then follow checked certificates only.
+    validate_plan checks every branch, so samples follow checked
+    certificates only.
     """
     plan = _parse(hamio.parse_plan, path)
-    problems = validate_plan(plan, branch_limit=None)
+    problems = validate_plan(plan)
     if problems:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
         raise ValueError(f"{path}: plan fails validation: {problems[0]}{more}")

@@ -494,11 +494,7 @@ def _stuck_support(h: PauliSum, tol_scale: float) -> tuple[int, ...]:
             return support
 
 
-def verify_mf(
-    h: PauliSum,
-    tol_scale: float = GRAM_TOL_SCALE,
-    max_branches: int = MAX_BRANCHES,
-) -> MFCertificate | None:
+def verify_mf(h: PauliSum, tol_scale: float = GRAM_TOL_SCALE) -> MFCertificate | None:
     """Search for a full reduction chain, exploring every outcome branch.
 
     At each step the lowest-indexed remaining support qubit that is
@@ -506,7 +502,8 @@ def verify_mf(
     both outcomes of every branch are then reduced and the search recurses.
     Absent qubits get a Z placeholder op whose outcome cannot change the
     terminal value.  Returns None when no step qubit qualifies, or when
-    the live branch count would exceed ``max_branches``.
+    the live branch count would exceed ``MAX_BRANCHES``, read at call
+    time.
     """
     support = h.support()
     if not support:
@@ -540,7 +537,7 @@ def verify_mf(
                 break
         if chosen is None:
             return None
-        if 2 * len(branches) > max_branches:
+        if 2 * len(branches) > MAX_BRANCHES:
             return None
         k, ops = chosen
         remaining.remove(k)

@@ -32,7 +32,6 @@ from .entangler import (
 )
 from .meanfield import (
     GRAM_TOL_SCALE,
-    MAX_BRANCHES,
     MFCertificate,
     SingleQubitOp,
     _l_values,
@@ -105,7 +104,7 @@ def _attach_op(complement: PauliSum, op: SingleQubitOp) -> PauliSum:
 
 
 def _try_entangler(
-    s: PauliSum, tol_scale: float, max_branches: int
+    s: PauliSum, tol_scale: float
 ) -> tuple[EntanglerSpec, MFCertificate, PauliSum] | None:
     """A rotation of s, its certificate and the rotated sum it certifies."""
     stuck = _stuck_support(s, tol_scale)
@@ -119,7 +118,7 @@ def _try_entangler(
             if word is not None and word.support():
                 spec = build_clifford_unentangler(op)
                 rotated = apply_unitary(s, spec)
-                cert = verify_mf(rotated, tol_scale, max_branches)
+                cert = verify_mf(rotated, tol_scale)
                 if cert is not None:
                     return spec, cert, rotated
             try:
@@ -129,7 +128,7 @@ def _try_entangler(
                 spec, rotated = _build_unentangler(s, op, verdict)
             except (ValueError, RuntimeError):
                 continue
-            cert = verify_mf(rotated, tol_scale, max_branches)
+            cert = verify_mf(rotated, tol_scale)
             if cert is not None:
                 return spec, cert, rotated
     return None
@@ -145,13 +144,13 @@ def _qwc_fragments(groups: tuple[PauliSum, ...], tol_scale: float) -> list[MFFra
     return fragments
 
 
-def _recurse(s: PauliSum, level: str, tol_scale: float, max_branches: int) -> list[MFFragment]:
-    cert = verify_mf(s, tol_scale, max_branches)
+def _recurse(s: PauliSum, level: str, tol_scale: float) -> list[MFFragment]:
+    cert = verify_mf(s, tol_scale)
     if cert is not None:
         return [MFFragment(hamiltonian=s, certificate=cert)]
 
     if level == "mf2":
-        found = _try_entangler(s, tol_scale, max_branches)
+        found = _try_entangler(s, tol_scale)
         if found is not None:
             spec, tcert, rotated = found
             frag = MFFragment(hamiltonian=s, certificate=tcert, entangler=spec)
@@ -181,7 +180,7 @@ def _recurse(s: PauliSum, level: str, tol_scale: float, max_branches: int) -> li
     for part in parts:
         if part.is_zero:
             continue
-        out.extend(_recurse(part, level, tol_scale, max_branches))
+        out.extend(_recurse(part, level, tol_scale))
     return out
 
 
@@ -189,104 +188,91 @@ def greedy_partition(
     h: PauliSum,
     level: str = "mf1",
     tol_scale: float = GRAM_TOL_SCALE,
-    max_branches: int = MAX_BRANCHES,
 ) -> PartitionPlan:
     """Partition h so every fragment carries a measurement certificate.
 
     ``level`` selects how hard to fight before splitting: "mf1" uses only
     single-qubit reductions, "mf2" additionally tries two-qubit commuting
-    operators with unentangling rotations.
+    operators with unentangling rotations.  A sum whose chain would need
+    more than ``MAX_BRANCHES`` live branches is split further.
     """
     if level not in ("mf1", "mf2"):
         raise ValueError(f"unknown level {level!r}")
     if h.is_zero:
         raise ValueError("cannot partition an empty Hamiltonian")
-    fragments = _recurse(h, level, tol_scale, max_branches)
+    fragments = _recurse(h, level, tol_scale)
     baseline = qwc_partition(h)
     if len(fragments) > baseline.n_groups:
         fragments = _qwc_fragments(baseline.groups, tol_scale)
     return PartitionPlan(source=h, fragments=tuple(fragments), level=level)
 
 
-def _chain_shape_problem(cert: MFCertificate) -> str | None:
-    """What keeps the outcome bits of a chain from naming its branches, if anything.
-
-    Each step measures its own register qubit, and the terminal values
-    are keyed by exactly the 2^m outcome sequences of the m steps.
-    """
+def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str | None:
+    """The first thing wrong with a certificate of h, over all its branches, if any."""
+    if cert.n_qubits != n_qubits:
+        return "certificate register size mismatch"
+    # Each step measures its own register qubit, and the terminal values
+    # are keyed by exactly the 2^m outcome sequences of the m steps.
     order = cert.qubit_order
     for i, q in enumerate(order):
-        if q >= cert.n_qubits:
-            return f"measures qubit {q} outside the register"
+        if q >= n_qubits:
+            return f"certificate measures qubit {q} outside the register"
         if q in order[:i]:
-            return f"measures qubit {q} twice"
+            return f"certificate measures qubit {q} twice"
     tv = cert.terminal_values
     if len(tv) != cert.n_branches or (
         isinstance(tv, dict) and any(len(o) != len(order) for o in tv)
     ):
-        return f"does not give one terminal value per branch of its {len(order)} steps"
+        return f"certificate does not give one terminal value per branch of its {len(order)} steps"
+    if not set(h.support()) <= set(order):
+        return "certificate does not cover the support"
+    # Half the walk's 1e-9 tolerance leaves room for its rounding.
+    if _product_certificate_holds(h, cert, 5e-10):
+        return None
+    # reduced[d] is h reduced along the first d outcomes of path.
+    reduced = [h]
+    path: tuple[int, ...] = ()
+    for outcomes in tv:
+        prev, path = path, outcomes
+        depth = 0
+        while depth < min(len(prev), len(path)) and prev[depth] == path[depth]:
+            depth += 1
+        del reduced[depth + 1 :]
+        for si in range(depth, len(path)):
+            op = cert.steps[si].ops.get(path[:si])
+            if op is None:
+                return f"branch {outcomes} has no op at step {si}"
+            reduced.append(reduce_qubit(reduced[si], op, path[si]))
+        if reduced[-1].support():
+            return f"branch {outcomes} left a non-scalar"
+        # Written so that a NaN terminal value counts as a mismatch.
+        if not abs(reduced[-1].constant_part() - tv[outcomes]) <= 1e-9:
+            return f"branch {outcomes} terminal mismatch"
     return None
 
 
-def validate_plan(
-    plan: PartitionPlan, atol: float = 1e-10, branch_limit: int | None = 256
-) -> list[str]:
-    """Check reconstruction and certificates; returns problem descriptions.
+def validate_plan(plan: PartitionPlan) -> list[str]:
+    """Check reconstruction and every branch of every certificate; returns problems.
 
-    Certificate checks walk each outcome branch (up to ``branch_limit``
-    per fragment, in the certificate's branch order) and confirm the
-    reductions land on the stored terminal value.  Consecutive branches
-    share the reductions of their common outcome prefix; only the
-    current branch's reduced sums are kept.  With ``branch_limit`` None a
-    certificate of uniform ops and outcome products is first checked
-    from its word data, which covers every branch at once; the walk
-    then runs only if that check fails, to name the first bad branch.
+    A certificate of uniform ops and outcome products is first checked
+    from its word data, which covers every branch at once.  Any other
+    certificate, or one that fails that check, is walked over all its
+    branches in its branch order, and the reductions must land on the
+    stored terminal values.  Consecutive branches share the reductions
+    of their common outcome prefix.  A partitioner certificate that is
+    not a product chain has at most ``MAX_BRANCHES`` branches, and a
+    loaded one no more than the table its file lists.
     """
     problems: list[str] = []
     total = PauliSum.zero(plan.source.n_qubits)
     for frag in plan.fragments:
         total = total + frag.hamiltonian
-    if not total.allclose(plan.source, atol=atol):
+    if not total.allclose(plan.source, atol=1e-10):
         problems.append("fragments do not sum to the source Hamiltonian")
-
     for fi, frag in enumerate(plan.fragments):
-        effective = frag.effective_hamiltonian()
-        cert = frag.certificate
-        if cert.n_qubits != plan.source.n_qubits:
-            problems.append(f"fragment {fi}: certificate register size mismatch")
-            continue
-        shape = _chain_shape_problem(cert)
-        if shape:
-            problems.append(f"fragment {fi}: certificate {shape}")
-            continue
-        if not set(effective.support()) <= set(cert.qubit_order):
-            problems.append(f"fragment {fi}: certificate does not cover the support")
-            continue
-        # Half the walk's 1e-9 tolerance leaves room for its rounding.
-        if branch_limit is None and _product_certificate_holds(effective, cert, 5e-10):
-            continue
-        # reduced[d] is the sum reduced along the first d outcomes of path.
-        reduced = [effective]
-        path: tuple[int, ...] = ()
-        for outcomes in itertools.islice(iter(cert.terminal_values), branch_limit):
-            prev, path = path, outcomes
-            depth = 0
-            while depth < min(len(prev), len(path)) and prev[depth] == path[depth]:
-                depth += 1
-            del reduced[depth + 1 :]
-            try:
-                for si in range(depth, len(path)):
-                    reduced.append(
-                        reduce_qubit(reduced[si], cert.steps[si].ops[path[:si]], path[si])
-                    )
-            except KeyError:
-                problems.append(f"fragment {fi}: branch {outcomes} has no op at step {si}")
-                break
-            if reduced[-1].support():
-                problems.append(f"fragment {fi}: branch {outcomes} left a non-scalar")
-                break
-            # Written so that a NaN terminal value counts as a mismatch.
-            if not abs(reduced[-1].constant_part() - cert.terminal_values[outcomes]) <= 1e-9:
-                problems.append(f"fragment {fi}: branch {outcomes} terminal mismatch")
-                break
+        problem = _certificate_problem(
+            frag.effective_hamiltonian(), frag.certificate, plan.source.n_qubits
+        )
+        if problem:
+            problems.append(f"fragment {fi}: {problem}")
     return problems

@@ -105,6 +105,12 @@ def h2_model(rng) -> PauliSum:
     return PauliSum.from_terms(4, terms)
 
 
+def wide_table_model() -> PauliSum:
+    """X0 on a 9-qubit Z chain: one fragment with a 512-branch table."""
+    lines = ["1.0 X0"] + [f"0.{q + 1} Z{q} Z{q + 1}" for q in range(8)]
+    return parse_hamiltonian("\n".join(lines) + "\n")
+
+
 @pytest.fixture(scope="session")
 def collinear3() -> PauliSum:
     return parse_hamiltonian((DATA_DIR / "collinear3.txt").read_text())

@@ -125,7 +125,7 @@ def test_acceptance_1_collinear_factorization_goldens(collinear3):
         failures.append("planar reconstruction error above 1e-10")
 
     plan = greedy_partition(h)
-    problems = validate_plan(plan, atol=1e-10)
+    problems = validate_plan(plan)
     if problems:
         failures.append(f"plan validation: {problems}")
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, h2_model, random_amplitudes
+from conftest import DATA_DIR, h2_model, random_amplitudes, wide_table_model
 from mfpart.cli import main
 from mfpart.hamio import parse_plan, serialize_hamiltonian, serialize_state
 from mfpart.simulator import StateVector, estimate_energy, expectation, variance
@@ -223,9 +223,8 @@ def test_flags_a_command_ignores_are_usage_errors(argv, capsys):
 
 def test_measure_checks_every_branch_of_a_loaded_plan(tmp_path, capsys):
     # Qubit 0 carries X and Z, so the 9-step chain keeps a branch table.
-    lines = ["1.0 X0"] + [f"0.{q + 1} Z{q} Z{q + 1}" for q in range(8)]
     model = tmp_path / "h.txt"
-    model.write_text("\n".join(lines) + "\n")
+    model.write_text(serialize_hamiltonian(wide_table_model()))
     plan_path = tmp_path / "plan.json"
     assert main(["partition", str(model), "--output", str(plan_path)]) == 0
     capsys.readouterr()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_sum, random_sum
+from mfpart import meanfield
 from mfpart.meanfield import (
     ProductTerminalMap,
     UniformBranchOps,
@@ -230,9 +231,11 @@ def test_verify_rejects_entangled_pair():
     assert verify_mf(h) is None
 
 
-def test_verify_respects_branch_cap():
+def test_verify_respects_branch_cap(monkeypatch):
     h = sum_on(2, (1.0, {1: "X"}), (1.0, {0: "Z", 1: "Y"}))
-    assert verify_mf(h, max_branches=1) is None
+    assert verify_mf(h) is not None
+    monkeypatch.setattr(meanfield, "MAX_BRANCHES", 1)
+    assert verify_mf(h) is None
 
 
 def test_uniform_branch_ops_mapping():

@@ -1,10 +1,11 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
-from conftest import h2_model, random_sum
-from mfpart import partition
+from conftest import h2_model, random_sum, wide_table_model
+from mfpart import meanfield, partition
 from mfpart.entangler import apply_unitary
 from mfpart.hamio import parse_plan, serialize_plan
 from mfpart.meanfield import (
@@ -161,9 +162,11 @@ def test_h2_like_model_collapses_to_one_fragment(seed):
     assert validate_plan(plan2) == []
 
 
-def test_branch_cap_falls_back_to_qwc_groups():
+def test_branch_cap_falls_back_to_qwc_groups(monkeypatch):
     h = sum_on(2, (1.0, {0: "Z", 1: "X"}), (0.5, {0: "Z", 1: "Y"}))
-    plan = greedy_partition(h, max_branches=2)
+    assert greedy_partition(h).n_fragments == 1
+    monkeypatch.setattr(meanfield, "MAX_BRANCHES", 2)
+    plan = greedy_partition(h)
     assert plan.n_fragments == qwc_partition(h).n_groups == 2
     assert validate_plan(plan) == []
 
@@ -213,12 +216,12 @@ def with_certificate(plan, **changes):
     return dataclasses.replace(plan, fragments=(dataclasses.replace(frag, certificate=cert),))
 
 
-def root_walk_problems(plan, branch_limit=256):
+def root_walk_problems(plan):
     """Certificate problems found by reducing every branch from the root."""
     problems = []
     for fi, frag in enumerate(plan.fragments):
         cert = frag.certificate
-        for outcomes in list(cert.terminal_values)[:branch_limit]:
+        for outcomes in cert.terminal_values:
             reduced = frag.effective_hamiltonian()
             for si, (step, outcome) in enumerate(zip(cert.steps, outcomes)):
                 reduced = reduce_qubit(reduced, step.ops[outcomes[:si]], outcome)
@@ -257,14 +260,25 @@ def test_validate_finds_a_non_scalar_branch():
     assert problems == root_walk_problems(bad)
 
 
-def test_validate_skips_branches_beyond_the_limit():
-    plan = three_step_plan()
+def test_validate_checks_every_branch_of_a_wide_table():
+    plan = greedy_partition(wide_table_model())
+    assert plan.n_fragments == 1
     values = dict(plan.fragments[0].certificate.terminal_values)
-    last = list(values)[-1]
-    values[last] += 0.5
+    assert len(values) == 512
+    assert validate_plan(plan) == []
+    late = list(values)[300]
+    values[late] += 0.5
     bad = with_certificate(plan, terminal_values=values)
-    assert validate_plan(bad, branch_limit=7) == []
-    assert validate_plan(bad, branch_limit=8) == [f"fragment 0: branch {last} terminal mismatch"]
+    assert validate_plan(bad) == [f"fragment 0: branch {late} terminal mismatch"]
+
+
+def test_the_plan_functions_take_no_branch_options():
+    def options(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert options(validate_plan) == ["plan"]
+    assert options(greedy_partition) == ["h", "level", "tol_scale"]
+    assert options(verify_mf) == ["h", "tol_scale"]
 
 
 def test_validate_walk_does_not_depend_on_branch_order():
@@ -311,7 +325,6 @@ def test_validate_refuses_a_certificate_that_measures_a_qubit_twice():
     )
     expected = ["fragment 0: certificate measures qubit 0 twice"]
     assert validate_plan(twice) == expected
-    assert validate_plan(twice, branch_limit=None) == expected
 
     plan = three_step_plan()
     cert = plan.fragments[0].certificate
@@ -320,7 +333,7 @@ def test_validate_refuses_a_certificate_that_measures_a_qubit_twice():
     twice = with_certificate(
         plan, steps=cert.steps + (ReductionStep(2, ops),), terminal_values=values
     )
-    problems = validate_plan(twice, branch_limit=None)
+    problems = validate_plan(twice)
     assert problems == ["fragment 0: certificate measures qubit 2 twice"]
 
 
@@ -356,9 +369,7 @@ def test_validate_counts_a_nan_terminal_value_as_a_mismatch():
     plan = product_plan(4, seed=1)
     terms = plan.fragments[0].certificate.terminal_values.terms
     bad = with_products(plan, ((terms[0][0], float("nan")),) + terms[1:])
-    assert validate_plan(bad, branch_limit=None) == [
-        f"fragment 0: branch {(1,) * 4} terminal mismatch"
-    ]
+    assert validate_plan(bad) == [f"fragment 0: branch {(1,) * 4} terminal mismatch"]
 
 
 def test_full_validation_of_a_product_certificate_walks_no_branch(monkeypatch):
@@ -368,31 +379,31 @@ def test_full_validation_of_a_product_certificate_walks_no_branch(monkeypatch):
         raise AssertionError("walked a branch")
 
     monkeypatch.setattr(partition, "reduce_qubit", no_walk)
-    assert validate_plan(plan, branch_limit=None) == []
+    assert validate_plan(plan) == []
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_full_validation_of_product_certificates_matches_the_walk(seed):
     plan = product_plan(6, seed)
-    assert validate_plan(plan, branch_limit=None) == root_walk_problems(plan, None) == []
+    assert validate_plan(plan) == root_walk_problems(plan) == []
     terms = plan.fragments[0].certificate.terminal_values.terms
     # A repeated position squares away: (p, p) is the constant term.
     same = with_products(plan, terms + (((2, 2), 0.75), ((), -0.75)))
-    assert validate_plan(same, branch_limit=None) == root_walk_problems(same, None) == []
+    assert validate_plan(same) == root_walk_problems(same) == []
     for i in (0, 3, len(terms) - 1):
         positions, coeff = terms[i]
         tampered = terms[:i] + ((positions, coeff + 1e-6),) + terms[i + 1 :]
         bad = with_products(plan, tampered)
-        problems = validate_plan(bad, branch_limit=None)
-        assert problems and problems == root_walk_problems(bad, None)
+        problems = validate_plan(bad)
+        assert problems and problems == root_walk_problems(bad)
     # A term on a position outside the chain falls back to the walk.
     outside = with_products(plan, terms + (((-1,), 0.0),))
-    assert validate_plan(outside, branch_limit=None) == root_walk_problems(outside, None) == []
+    assert validate_plan(outside) == root_walk_problems(outside) == []
     # An op placed on another qubit than its step leaves qubit 1 unreduced.
     steps = list(plan.fragments[0].certificate.steps)
     assert steps[1].qubit == 1
     steps[1] = ReductionStep(1, UniformBranchOps(1, SingleQubitOp(0, (0.0, 1.0, 0.0))))
     moved = with_certificate(plan, steps=tuple(steps))
-    problems = validate_plan(moved, branch_limit=None)
-    assert problems == root_walk_problems(moved, None)
+    problems = validate_plan(moved)
+    assert problems == root_walk_problems(moved)
     assert problems and "left a non-scalar" in problems[0]

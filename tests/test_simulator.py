@@ -246,7 +246,7 @@ def test_branch_distribution_matches_dense_projectors():
     plans += [reordered_product_fragment((1, 2, 0, 3)), reordered_product_fragment((2, 0, 1))]
     seen = set()
     for plan in plans:
-        assert validate_plan(plan, branch_limit=None) == []
+        assert validate_plan(plan) == []
         n = plan.source.n_qubits
         psi = StateVector(n, random_amplitudes(rng, n))
         for frag in plan.fragments:
@@ -313,7 +313,7 @@ def test_estimate_energy_totals_and_determinism():
     assert other != report
 
 
-def test_estimate_energy_covers_per_shot_path():
+def test_estimate_energy_samples_a_13_step_product_chain():
     n = 13
     h = PauliSum.from_terms(
         n, [(PauliWord.from_axes(n, {q: "Z"}), 1.0) for q in range(n)]
