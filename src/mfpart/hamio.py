@@ -295,6 +295,11 @@ def _certificate_from_payload(payload: dict, path: tuple) -> MFCertificate:
                 for key, bloch in _get(row, "ops", dict, here).items()
             }
         steps.append(ReductionStep(qubit, ops))
+    order = [q for _, q in _items(payload, "qubit_order", int, path)]
+    measured = [step.qubit for step in steps]
+    if order != measured:
+        name = _name((path, "qubit_order"))
+        raise ValueError(f"plan field {name!r} is {order}, but the steps measure {measured}")
     if "terminal_products" in payload:
         products = []
         for here, row in _items(payload, "terminal_products", dict, path):
@@ -388,12 +393,20 @@ def serialize_plan(plan: PartitionPlan) -> str:
 def parse_plan(text: str) -> PartitionPlan:
     """Rebuild a plan from :func:`serialize_plan` output.
 
-    A missing or mistyped field raises ValueError naming the field.
+    A missing or mistyped field, or a header that contradicts the rest
+    of the plan (version, level, fragment count, a chain's qubit order),
+    raises ValueError naming the field.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != "mf-partition-plan":
         raise ValueError("not a partition-plan document")
     n = _get(doc, "n_qubits", int, ())
+    version = _get(doc, "version", int, ())
+    if version != 1:
+        raise ValueError(f"plan field 'version' must be 1, not {version}")
+    level = _get(doc, "level", str, ())
+    if level not in ("mf1", "mf2"):
+        raise ValueError(f"plan field 'level' must be 'mf1' or 'mf2', not {level!r}")
     fragments = []
     for here, row in _items(doc, "fragments", dict, ()):
         spec = None
@@ -410,8 +423,8 @@ def parse_plan(text: str) -> PartitionPlan:
                 entangler=spec,
             )
         )
-    return PartitionPlan(
-        source=_sum_from_payload(n, doc, "source_terms", ()),
-        fragments=tuple(fragments),
-        level=_get(doc, "level", str, ()),
-    )
+    listed = _get(doc, "n_fragments", int, ())
+    if listed != len(fragments):
+        raise ValueError(f"plan field 'n_fragments' is {listed}, but {len(fragments)} are listed")
+    source = _sum_from_payload(n, doc, "source_terms", ())
+    return PartitionPlan(source=source, fragments=tuple(fragments), level=level)

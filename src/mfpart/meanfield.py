@@ -201,8 +201,8 @@ def reduce_qubit(h: PauliSum, op: SingleQubitOp, outcome: int) -> PauliSum:
 
     Each word's factor on the op's qubit is replaced by ``outcome`` times
     the matching component of the unit Bloch vector; the result no longer
-    touches that qubit.  The op's identity shift and overall scale do not
-    affect its eigenstates and are ignored.
+    touches that qubit.  The op's overall scale does not affect its
+    eigenstates and is ignored.
     """
     if outcome not in (1, -1):
         raise ValueError("outcome must be +1 or -1")
@@ -359,7 +359,9 @@ def _product_certificate_holds(h: PauliSum, cert: MFCertificate, tol: float) -> 
     its steps.  Summed per set of steps and compared with the stored
     products, the absolute differences bound the terminal error of any
     branch, so no branch is enumerated.  False too when the certificate
-    has another form; h's support must lie in the chain.
+    has another form, or when some factor on an op's qubit is not along
+    the op, which the op would then not commute with; h's support must
+    lie in the chain.
     """
     tv = cert.terminal_values
     if not isinstance(tv, ProductTerminalMap) or tv.n_steps != len(cert.steps):
@@ -374,7 +376,10 @@ def _product_certificate_holds(h: PauliSum, cert: MFCertificate, tol: float) -> 
     for word, coeff in h.terms.items():
         steps = tuple(sorted(at[k][0] for k in word.support()))
         for k in word.support():
-            coeff *= at[k][1][((word.x_mask >> k) & 1) + 2 * ((word.z_mask >> k) & 1)]
+            weight = at[k][1][((word.x_mask >> k) & 1) + 2 * ((word.z_mask >> k) & 1)]
+            if abs(weight) != 1.0:
+                return False
+            coeff *= weight
         diff[steps] = diff.get(steps, 0.0) + coeff
     for positions, coeff in tv.terms:
         if not all(0 <= p < tv.n_steps for p in positions):
@@ -392,19 +397,11 @@ def _product_certificate_holds(h: PauliSum, cert: MFCertificate, tol: float) -> 
 _COLUMN_BY_BITS = (-1, 0, 2, 1)
 
 
-def _branch_gram(
-    branch: dict[tuple[int, int], float],
-    qubit: int,
-    tol_scale: float,
-) -> tuple[int, tuple[float, float, float] | None]:
-    """Kernel dimension and leading Gram eigenvector for one branch qubit.
-
-    Complement vectors are bucketed in one pass, rows in the word order
-    :func:`compute_l` uses, and a qubit carried on a single axis takes a
-    closed-form shortcut whose leading eigenvector is an exact axis
-    vector.  The vector is None when ``l < 2``.
-    """
-    vectors: dict[tuple[int, int], list[float]] = {}
+def _complement_rows(
+    branch: dict[tuple[int, int], float], qubit: int
+) -> tuple[dict[tuple[int, int], list[float]], int]:
+    """(X, Y, Z) coefficients on one qubit per rest word, and a bit per Gram column seen."""
+    rows: dict[tuple[int, int], list[float]] = {}
     seen = 0
     keep = ~(1 << qubit)
     for (x, z), coeff in branch.items():
@@ -414,12 +411,26 @@ def _branch_gram(
         col = _COLUMN_BY_BITS[sel]
         seen |= 1 << col
         dropped = (x & keep, z & keep)
-        row = vectors.get(dropped)
+        row = rows.get(dropped)
         if row is None:
             row = [0.0, 0.0, 0.0]
-            vectors[dropped] = row
+            rows[dropped] = row
         row[col] += coeff
+    return rows, seen
 
+
+def _branch_gram(
+    branch: dict[tuple[int, int], float],
+    qubit: int,
+    tol_scale: float,
+) -> tuple[int, tuple[float, float, float] | None]:
+    """Kernel dimension and leading Gram eigenvector for one branch qubit.
+
+    Rows are taken in the word order :func:`compute_l` uses, and a qubit
+    carried on a single axis takes a closed-form shortcut whose leading
+    eigenvector is an exact axis vector.  The vector is None when ``l < 2``.
+    """
+    vectors, seen = _complement_rows(branch, qubit)
     if seen == 0:
         return 3, None
     order = sorted(vectors, key=lambda key: (key[0] | key[1], key[0], key[1]))
@@ -436,6 +447,25 @@ def _branch_gram(
     if l < 2:
         return l, None
     return l, (float(evecs[0, 0]), float(evecs[1, 0]), float(evecs[2, 0]))
+
+
+def _branch_commutes(branch: dict[tuple[int, int], float], op: SingleQubitOp) -> bool:
+    """Whether op commutes with the branch sum, within what an l = 2 verdict allows.
+
+    With v_r the row of rest word r and n the op's unit Bloch vector,
+    the squared commutator norm per dimension is 4 * sum_r |v_r x n|^2,
+    and sum_r |v_r x n|^2 = trace(S) - n^T S n is the two smaller Gram
+    eigenvalues when n leads, each at most the kernel tolerance.  Twice
+    that sum is allowed, for rounding.
+    """
+    rows, _ = _complement_rows(branch, op.qubit)
+    r = op.norm
+    nx, ny, nz = (b / r for b in op.bloch)
+    cross = total = 0.0
+    for vx, vy, vz in rows.values():
+        cross += (vy * nz - vz * ny) ** 2 + (vz * nx - vx * nz) ** 2 + (vx * ny - vy * nx) ** 2
+        total += vx * vx + vy * vy + vz * vz
+    return cross <= 4 * GRAM_TOL_SCALE * max(1.0, total)
 
 
 def _reduce_branch(

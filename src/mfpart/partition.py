@@ -34,6 +34,8 @@ from .meanfield import (
     GRAM_TOL_SCALE,
     MFCertificate,
     SingleQubitOp,
+    _branch_commutes,
+    _branch_of,
     _l_values,
     _product_certificate_holds,
     _stuck_support,
@@ -233,15 +235,18 @@ def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str
     reduced = [h]
     path: tuple[int, ...] = ()
     for outcomes in tv:
-        prev, path = path, outcomes
+        # Every key has one outcome per step (checked above).
         depth = 0
-        while depth < min(len(prev), len(path)) and prev[depth] == path[depth]:
+        while depth < len(path) and path[depth] == outcomes[depth]:
             depth += 1
+        path = outcomes
         del reduced[depth + 1 :]
         for si in range(depth, len(path)):
             op = cert.steps[si].ops.get(path[:si])
             if op is None:
                 return f"branch {outcomes} has no op at step {si}"
+            if not _branch_commutes(_branch_of(reduced[si]), op):
+                return f"branch {outcomes} op at step {si} does not commute"
             reduced.append(reduce_qubit(reduced[si], op, path[si]))
         if reduced[-1].support():
             return f"branch {outcomes} left a non-scalar"
@@ -257,11 +262,12 @@ def validate_plan(plan: PartitionPlan) -> list[str]:
     A certificate of uniform ops and outcome products is first checked
     from its word data, which covers every branch at once.  Any other
     certificate, or one that fails that check, is walked over all its
-    branches in its branch order, and the reductions must land on the
-    stored terminal values.  Consecutive branches share the reductions
-    of their common outcome prefix.  A partitioner certificate that is
-    not a product chain has at most ``MAX_BRANCHES`` branches, and a
-    loaded one no more than the table its file lists.
+    branches in its branch order: each op must commute with the sum it
+    is measured on, and the reductions must land on the stored terminal
+    values.  Consecutive branches share the reductions of their common
+    outcome prefix, so each prefix's op is checked once.  A partitioner
+    certificate that is not a product chain has at most ``MAX_BRANCHES``
+    branches, and a loaded one no more than the table its file lists.
     """
     problems: list[str] = []
     total = PauliSum.zero(plan.source.n_qubits)

@@ -293,11 +293,10 @@ class PauliSum:
 
 @dataclass(frozen=True)
 class SingleQubitOp:
-    """A single-qubit operator a*X + b*Y + c*Z (+ optional identity shift)."""
+    """A single-qubit operator a*X + b*Y + c*Z."""
 
     qubit: int
     bloch: tuple[float, float, float]
-    identity_part: float = 0.0
 
     def __post_init__(self) -> None:
         if self.qubit < 0:
@@ -311,7 +310,7 @@ class SingleQubitOp:
         return (a * a + b * b + c * c) ** 0.5
 
     def unit(self) -> "SingleQubitOp":
-        """The same direction with unit Bloch vector and no identity shift."""
+        """The same direction with unit Bloch vector."""
         r = self.norm
         a, b, c = self.bloch
         return SingleQubitOp(self.qubit, (a / r, b / r, c / r))
@@ -323,6 +322,4 @@ class SingleQubitOp:
         for axis, weight in zip(AXES, self.bloch):
             if abs(weight) > COEFF_PRUNE:
                 terms.append((PauliWord.from_axes(n_qubits, {self.qubit: axis}), weight))
-        if abs(self.identity_part) > COEFF_PRUNE:
-            terms.append((PauliWord.identity(n_qubits), self.identity_part))
         return PauliSum.from_terms(n_qubits, terms)

@@ -15,6 +15,16 @@ from mfpart.pauli import PauliSum, PauliWord
 
 DATA_DIR = Path(__file__).parent / "data"
 
+#: The model of the README's command-line section.
+README_MODEL = """# three-site toy model
+qubits: 3
+ 0.50 Z0 Z1
+ 0.25 X0
+ 0.70 X1 X2
+ 0.70 Y1 Y2
+-1.00
+"""
+
 _SIGMA = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),

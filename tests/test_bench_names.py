@@ -12,6 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import README_MODEL
+from mfpart import partition
+from mfpart.hamio import parse_hamiltonian
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -41,3 +45,21 @@ def _traced_names():
 def test_traced_name_is_callable(layer, name):
     module = importlib.import_module(f"mfpart.{layer}")
     assert callable(getattr(module, name, None)), f"mfpart.{layer}.{name}"
+
+
+def test_tracer_sees_validate_plan_check_every_branch():
+    plan = partition.greedy_partition(parse_hamiltonian(README_MODEL), level="mf2")
+    original = partition.validate_plan
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        # The tracer swaps in a wrapper that reads the call's arguments.
+        assert partition.validate_plan is not original
+        assert partition.validate_plan(plan) == []
+    finally:
+        tracer.uninstall()
+    assert partition.validate_plan is original
+    summary = tracer.summary()
+    assert tracer.absent == []
+    assert summary["validate_plan.coverage"] == 1.0
+    assert summary["validate_plan.reduce_calls"] > 0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, h2_model, random_amplitudes, wide_table_model
+from conftest import DATA_DIR, README_MODEL, h2_model, random_amplitudes, wide_table_model
 from mfpart.cli import main
 from mfpart.hamio import parse_plan, serialize_hamiltonian, serialize_state
 from mfpart.simulator import StateVector, estimate_energy, expectation, variance
@@ -283,12 +283,37 @@ def nan_product_coeff(doc):
     doc["fragments"][0]["certificate"]["terminal_products"][0]["coeff"] = float("nan")
 
 
+def measure_x_on_a_z_qubit(doc):
+    # X on qubit 0 zeroes Z0 Z1; the products left match that wrong chain.
+    cert = doc["fragments"][0]["certificate"]
+    cert["steps"][0]["uniform_op"] = [1.0, 0.0, 0.0]
+    products = cert["terminal_products"]
+    cert["terminal_products"] = [p for p in products if p["positions"] != [0, 1]]
+    assert len(cert["terminal_products"]) == len(products) - 1
+
+
+def put_header(key, value):
+    return lambda doc: doc.update({key: value})
+
+
+def reverse_qubit_order(doc):
+    cert = doc["fragments"][0]["certificate"]
+    cert["qubit_order"] = cert["qubit_order"][::-1]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (repeat_first_step, "fragment 0: certificate measures qubit 0 twice"),
         (nan_product_coeff,
          "'fragments[0].certificate.terminal_products[0].coeff' must be finite, not nan"),
+        (measure_x_on_a_z_qubit, "fragment 0: branch (1, 1, 1) op at step 0 does not commute"),
+        (put_header("version", 99), "plan field 'version' must be 1, not 99"),
+        (put_header("n_fragments", 7), "plan field 'n_fragments' is 7, but 1 are listed"),
+        (put_header("level", "banana"), "plan field 'level' must be 'mf1' or 'mf2', not 'banana'"),
+        (reverse_qubit_order,
+         "plan field 'fragments[0].certificate.qubit_order' is [2, 1, 0], "
+         "but the steps measure [0, 1, 2]"),
     ],
 )
 def test_measure_refuses_a_tampered_product_plan(tmp_path, capsys, edit, message):
@@ -324,3 +349,16 @@ def test_measure_refuses_a_nan_amplitude(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error:")
     assert "line 1: amplitude 'nan 0' is not finite" in lines[0]
+
+
+def test_partition_refuses_a_plan_certified_at_a_loose_tolerance(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text(README_MODEL)
+    assert main(["partition", str(model), "--level", "mf2"]) == 0
+    capsys.readouterr()
+    assert main(["partition", str(model), "--tolerance", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "fragments: 1" in captured.out
+    assert captured.err.splitlines() == [
+        "validation: fragment 0: branch (1, 1, 1) op at step 0 does not commute"
+    ]

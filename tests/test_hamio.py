@@ -231,6 +231,16 @@ def put(doc, value, *path):
         (lambda d: put(d, [{"positions": [0], "coeff": float("nan")}],
                        "fragments", 0, "certificate", "terminal_products"),
          r"'fragments\[0\].certificate.terminal_products\[0\].coeff' must be finite, not nan"),
+        (lambda d: put(d, 99, "version"), "'version' must be 1, not 99"),
+        (lambda d: drop(d, "version"), "'version' is missing"),
+        (lambda d: put(d, 7, "n_fragments"), "'n_fragments' is 7, but 1 are listed"),
+        (lambda d: drop(d, "n_fragments"), "'n_fragments' is missing"),
+        (lambda d: put(d, "banana", "level"), "'level' must be 'mf1' or 'mf2', not 'banana'"),
+        (lambda d: put(d, [1, 3, 2, 0], "fragments", 0, "certificate", "qubit_order"),
+         r"'fragments\[0\].certificate.qubit_order' is \[1, 3, 2, 0\], "
+         r"but the steps measure \[0, 2, 3, 1\]"),
+        (lambda d: drop(d, "fragments", 0, "certificate", "qubit_order"),
+         r"'fragments\[0\].certificate.qubit_order' is missing"),
     ],
 )
 def test_parse_plan_names_bad_fields(edit, message):

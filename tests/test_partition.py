@@ -1,14 +1,17 @@
 import dataclasses
+import functools
 import inspect
 
 import numpy as np
 import pytest
 
-from conftest import h2_model, random_sum, wide_table_model
+from conftest import dense_word, h2_model, random_sum, wide_table_model
 from mfpart import meanfield, partition
 from mfpart.entangler import apply_unitary
 from mfpart.hamio import parse_plan, serialize_plan
 from mfpart.meanfield import (
+    GRAM_TOL_SCALE,
+    MFCertificate,
     ProductTerminalMap,
     ReductionStep,
     UniformBranchOps,
@@ -216,22 +219,49 @@ def with_certificate(plan, **changes):
     return dataclasses.replace(plan, fragments=(dataclasses.replace(frag, certificate=cert),))
 
 
+@functools.lru_cache(maxsize=None)
+def word_matrix(word):
+    return dense_word(word)
+
+
+def dense_commutes(h, op):
+    """validate_plan's commute decision, made on dense matrices.
+
+    The squared commutator norm per dimension may reach 16 * GRAM_TOL_SCALE
+    * max(1, |H_k|^2 per dimension), where H_k, the part of h acting on
+    the op's qubit, is what averaging over the four Paulis there removes.
+    """
+    n, k = h.n_qubits, op.qubit
+    dim = 1 << n
+    hm = sum((c * word_matrix(w) for w, c in h.terms.items()), np.zeros((dim, dim), complex))
+    paulis = [word_matrix(PauliWord.from_axes(n, {k: axis})) for axis in "XYZ"]
+    om = sum(b / op.norm * p for b, p in zip(op.bloch, paulis))
+    commutator = np.linalg.norm(hm @ om - om @ hm) ** 2 / dim
+    on_k = np.linalg.norm(hm - (hm + sum(p @ hm @ p for p in paulis)) / 4) ** 2 / dim
+    return commutator <= 16 * GRAM_TOL_SCALE * max(1.0, on_k)
+
+
+def root_walk_problem(frag):
+    """The first bad branch, reducing each from the root with dense commute checks."""
+    cert = frag.certificate
+    for outcomes in cert.terminal_values:
+        reduced = frag.effective_hamiltonian()
+        for si, (step, outcome) in enumerate(zip(cert.steps, outcomes)):
+            op = step.ops[outcomes[:si]]
+            if not dense_commutes(reduced, op):
+                return f"branch {outcomes} op at step {si} does not commute"
+            reduced = reduce_qubit(reduced, op, outcome)
+        if reduced.support():
+            return f"branch {outcomes} left a non-scalar"
+        if abs(reduced.constant_part() - cert.terminal_values[outcomes]) > 1e-9:
+            return f"branch {outcomes} terminal mismatch"
+    return None
+
+
 def root_walk_problems(plan):
-    """Certificate problems found by reducing every branch from the root."""
-    problems = []
-    for fi, frag in enumerate(plan.fragments):
-        cert = frag.certificate
-        for outcomes in cert.terminal_values:
-            reduced = frag.effective_hamiltonian()
-            for si, (step, outcome) in enumerate(zip(cert.steps, outcomes)):
-                reduced = reduce_qubit(reduced, step.ops[outcomes[:si]], outcome)
-            if reduced.support():
-                problems.append(f"fragment {fi}: branch {outcomes} left a non-scalar")
-                break
-            if abs(reduced.constant_part() - cert.terminal_values[outcomes]) > 1e-9:
-                problems.append(f"fragment {fi}: branch {outcomes} terminal mismatch")
-                break
-    return problems
+    """Certificate problems found by walking every branch of every fragment."""
+    found = [(fi, root_walk_problem(frag)) for fi, frag in enumerate(plan.fragments)]
+    return [f"fragment {fi}: {problem}" for fi, problem in found if problem]
 
 
 def test_validate_finds_a_deep_terminal_mismatch():
@@ -279,6 +309,65 @@ def test_the_plan_functions_take_no_branch_options():
     assert options(validate_plan) == ["plan"]
     assert options(greedy_partition) == ["h", "level", "tol_scale"]
     assert options(verify_mf) == ["h", "tol_scale"]
+
+
+def test_validate_refuses_an_op_that_does_not_commute():
+    h = sum_on(2, (1.0, {0: "X", 1: "Z"}), (0.5, {1: "Z"}))
+    z0, z1 = SingleQubitOp(0, (0.0, 0.0, 1.0)), SingleQubitOp(1, (0.0, 0.0, 1.0))
+    assert not dense_commutes(h, z0)
+    # Z on qubit 0 zeroes X0 Z1, and the table holds that wrong chain's
+    # values, so only the commute check objects.
+    steps = (ReductionStep(0, {(): z0}), ReductionStep(1, {(1,): z1, (-1,): z1}))
+    values = {(a, b): 0.5 * b for a in (1, -1) for b in (1, -1)}
+    plan = PartitionPlan(h, (MFFragment(h, MFCertificate(2, steps, values)),), "mf1")
+    problems = validate_plan(plan)
+    assert problems == ["fragment 0: branch (1, 1) op at step 0 does not commute"]
+    assert problems == root_walk_problems(plan)
+
+    good = greedy_partition(h)
+    assert good.fragments[0].certificate.steps[0].ops[()].bloch == (1.0, 0.0, 0.0)
+    assert validate_plan(good) == root_walk_problems(good) == []
+
+
+def test_word_check_leaves_an_op_off_a_factor_axis_to_the_walk():
+    plan = product_plan(4, seed=2)
+    cert = plan.fragments[0].certificate
+    assert cert.qubit_order == (0, 1, 2, 3)
+    # Qubit 1 carries Y; Z there zeroes every word on it, and the products
+    # left out match that wrong chain.
+    steps = list(cert.steps)
+    steps[1] = ReductionStep(1, UniformBranchOps(1, SingleQubitOp(1, (0.0, 0.0, 1.0))))
+    kept = tuple(t for t in cert.terminal_values.terms if 1 not in t[0])
+    bad = with_certificate(plan, steps=tuple(steps), terminal_values=ProductTerminalMap(4, kept))
+    problems = validate_plan(bad)
+    assert problems == [f"fragment 0: branch {(1,) * 4} op at step 1 does not commute"]
+    assert problems == root_walk_problems(bad)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_certified_op_commutes_with_its_branch_sum(seed):
+    rng = np.random.default_rng(900 + seed)
+    h = random_sum(rng, 4, 12)
+    plans = [greedy_partition(h), greedy_partition(h, level="mf2")]
+    plans.append(greedy_partition(h2_model(rng), level="mf2"))
+    for plan in plans:
+        assert validate_plan(plan) == root_walk_problems(plan) == []
+
+
+def test_a_plan_certified_at_a_loose_tolerance_fails_validation():
+    h = sum_on(
+        3,
+        (0.5, {0: "Z", 1: "Z"}),
+        (0.25, {0: "X"}),
+        (0.7, {1: "X", 2: "X"}),
+        (0.7, {1: "Y", 2: "Y"}),
+        (-1.0, {}),
+    )
+    assert validate_plan(greedy_partition(h)) == []
+    loose = greedy_partition(h, tol_scale=1.0)
+    problems = validate_plan(loose)
+    assert problems == root_walk_problems(loose)
+    assert problems == ["fragment 0: branch (1, 1, 1) op at step 0 does not commute"]
 
 
 def test_validate_walk_does_not_depend_on_branch_order():

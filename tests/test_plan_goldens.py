@@ -12,21 +12,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, random_sum
+from conftest import DATA_DIR, README_MODEL, random_sum
 from mfpart.hamio import parse_hamiltonian, serialize_plan
 from mfpart.partition import greedy_partition
 
 DIGESTS = json.loads((DATA_DIR / "plan_digests.json").read_text())
-
-README_MODEL = """# three-site toy model
-qubits: 3
- 0.50 Z0 Z1
- 0.25 X0
- 0.70 X1 X2
- 0.70 Y1 Y2
--1.00
-"""
-
 
 def digest(plan) -> str:
     return hashlib.sha256(serialize_plan(plan).encode()).hexdigest()
