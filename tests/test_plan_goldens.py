@@ -18,6 +18,7 @@ from mfpart.partition import greedy_partition
 
 DIGESTS = json.loads((DATA_DIR / "plan_digests.json").read_text())
 
+
 def digest(plan) -> str:
     return hashlib.sha256(serialize_plan(plan).encode()).hexdigest()
 
