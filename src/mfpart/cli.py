@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import hamio
-from .meanfield import GRAM_TOL_SCALE, _l_values, verify_mf
+from .meanfield import _l_values, verify_mf
 from .partition import PartitionPlan, greedy_partition, validate_plan
 from .pauli import PauliSum
 from .qwc import qwc_partition
@@ -32,26 +32,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, tolerance=False):
+    def command(name, summary):
         p = sub.add_parser(name, help=summary)
         p.add_argument("hamiltonian", help="Hamiltonian term-list file")
-        if tolerance:
-            p.add_argument(
-                "--tolerance",
-                type=float,
-                default=GRAM_TOL_SCALE,
-                help="relative tolerance scale for rank and kernel decisions",
-            )
         return p
 
-    command("info", "qubit/term counts and the per-qubit l table", tolerance=True)
+    command("info", "qubit/term counts and the per-qubit l table")
     command("group-qwc", "qubit-wise commuting grouping")
 
-    p = command("partition", "build a mean-field measurement plan", tolerance=True)
+    p = command("partition", "build a mean-field measurement plan")
     p.add_argument("--output", help="write the plan JSON here")
     p.add_argument("--level", choices=("mf1", "mf2"), default="mf1")
 
-    command("verify-mf", "check mean-field measurability", tolerance=True)
+    command("verify-mf", "check mean-field measurability")
 
     p = command("variance", "analytic expectation and variance in a state")
     p.add_argument("--state", required=True, help="statevector file")
@@ -94,7 +87,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"qubits: {h.n_qubits}")
     print(f"terms: {h.n_terms}")
     print("qubit  l")
-    for q, l in _l_values(h, range(h.n_qubits), args.tolerance).items():
+    for q, l in _l_values(h, range(h.n_qubits)).items():
         print(f"{q:5d}  {l}")
     return 0
 
@@ -111,7 +104,7 @@ def _cmd_group_qwc(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     h = _load_hamiltonian(args)
-    plan = greedy_partition(h, level=args.level, tol_scale=args.tolerance)
+    plan = greedy_partition(h, level=args.level)
     problems = validate_plan(plan)
     baseline = qwc_partition(h)
     print(f"fragments: {plan.n_fragments}")
@@ -132,7 +125,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_verify_mf(args: argparse.Namespace) -> int:
     h = _load_hamiltonian(args)
-    cert = verify_mf(h, args.tolerance)
+    cert = verify_mf(h)
     if cert is None:
         print("mean-field measurable: no")
         return 1

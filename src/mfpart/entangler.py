@@ -138,11 +138,11 @@ class KQubitOp:
             out += coeff * _dense_on_subset(word, self.subset)
         return out
 
-    def dominant_word(self, rel_tol: float = 1e-8) -> PauliWord | None:
+    def dominant_word(self) -> PauliWord | None:
         """The single word this operator consists of, or None if it mixes."""
         ranked = sorted(self.coefficients.items(), key=lambda kv: -abs(kv[1]))
         top_word, top = ranked[0]
-        if any(abs(c) > rel_tol * abs(top) for _, c in ranked[1:]):
+        if any(abs(c) > 1e-8 * abs(top) for _, c in ranked[1:]):
             return None
         return top_word
 
@@ -159,11 +159,10 @@ class SpectrumReport:
         if not np.allclose(gram, np.eye(len(self.eigenvalues)), atol=1e-10):
             raise ValueError("eigenvectors not orthonormal")
 
-    def degenerate_groups(self, tol: float | None = None) -> list[slice]:
+    def degenerate_groups(self) -> list[slice]:
         """Index ranges of equal eigenvalues, in stored (descending) order."""
         ev = self.eigenvalues
-        if tol is None:
-            tol = 1e-8 * max(1.0, float(np.max(np.abs(ev))) if len(ev) else 1.0)
+        tol = 1e-8 * max(1.0, float(np.max(np.abs(ev))) if len(ev) else 1.0)
         groups: list[slice] = []
         start = 0
         for i in range(1, len(ev) + 1):

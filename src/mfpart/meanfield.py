@@ -52,7 +52,7 @@ __all__ = [
     "verify_mf",
 ]
 
-#: Gram kernel tolerance is GRAM_TOL_SCALE * max(1, trace(S)).
+#: The one kernel tolerance, GRAM_TOL_SCALE * max(1, trace(S)), read at call time.
 GRAM_TOL_SCALE = 1e-8
 
 #: Live-branch cap for the exhaustive chain search in verify_mf.
@@ -113,9 +113,7 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
     return -v if v[idx] < 0 else v
 
 
-def _gram_spectrum(
-    a: np.ndarray, tol_scale: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
+def _gram_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
     """Gram matrix of an M-by-3 complement matrix, its spectrum, l and tolerance.
 
     Eigenvalues descending; only the leading eigenvector is sign-fixed.
@@ -126,19 +124,19 @@ def _gram_spectrum(
     evals = evals[order]
     evecs = evecs[:, order]
     evecs[:, 0] = _sign_fix(evecs[:, 0])
-    tol = tol_scale * max(1.0, float(gram.trace()))
+    tol = GRAM_TOL_SCALE * max(1.0, float(gram.trace()))
     return gram, evals, evecs, int((evals <= tol).sum()), tol
 
 
-def compute_l(dec: ComplementDecomposition, tol_scale: float = GRAM_TOL_SCALE) -> GramData:
-    """Gram matrix, spectrum and kernel dimension for one qubit."""
+def compute_l(dec: ComplementDecomposition) -> GramData:
+    """Gram matrix, spectrum and kernel dimension for one qubit at ``GRAM_TOL_SCALE``."""
     rows: dict[PauliWord, list[float]] = {}
     for col, part in enumerate(dec.axis_parts()):
         for word, coeff in part.terms.items():
             rows.setdefault(word, [0.0, 0.0, 0.0])[col] = coeff
     basis_words = sorted(rows, key=lambda w: w.sort_key())
     a = np.array([rows[w] for w in basis_words]).reshape(-1, 3)
-    gram, evals, evecs, l, tol = _gram_spectrum(a, tol_scale)
+    gram, evals, evecs, l, tol = _gram_spectrum(a)
     for col in (1, 2):
         evecs[:, col] = _sign_fix(evecs[:, col])
     return GramData(
@@ -351,26 +349,25 @@ def _pure_axis_certificate(h: PauliSum, axes: dict[int, set[str]]) -> MFCertific
     )
 
 
-def _product_certificate_holds(h: PauliSum, cert: MFCertificate, tol: float) -> bool:
-    """Whether a certificate of uniform ops and outcome products holds on every branch.
+def _product_differences(h: PauliSum, cert: MFCertificate) -> dict[tuple[int, ...], float] | None:
+    """Terminal error of a certificate of uniform ops and outcome products, per set of steps.
 
     Under one op per step, each word of h reduces to its coefficient and
     the op weights on its factors times the product of the outcomes at
-    its steps.  Summed per set of steps and compared with the stored
-    products, the absolute differences bound the terminal error of any
-    branch, so no branch is enumerated.  False too when the certificate
-    has another form, or when some factor on an op's qubit is not along
-    the op, which the op would then not commute with; h's support must
-    lie in the chain.
+    its steps.  With every weight +1 or -1, every op commutes with every
+    branch sum, and branch s ends off by the sum over step sets S of
+    ``d[S] * prod(s[p] for p in S)``.  None when the certificate has
+    another form, a weight is not +1 or -1, or a stored product names a
+    position outside the chain; h's support must lie in the chain.
     """
     tv = cert.terminal_values
     if not isinstance(tv, ProductTerminalMap) or tv.n_steps != len(cert.steps):
-        return False
+        return None
     at: dict[int, tuple[int, tuple[float, float, float, float]]] = {}
     for i, step in enumerate(cert.steps):
         ops = step.ops
         if not isinstance(ops, UniformBranchOps) or (ops.depth, ops.op.qubit) != (i, step.qubit):
-            return False
+            return None
         at[step.qubit] = (i, _reduction_weights(ops.op))
     diff: dict[tuple[int, ...], float] = {}
     for word, coeff in h.terms.items():
@@ -378,16 +375,16 @@ def _product_certificate_holds(h: PauliSum, cert: MFCertificate, tol: float) -> 
         for k in word.support():
             weight = at[k][1][((word.x_mask >> k) & 1) + 2 * ((word.z_mask >> k) & 1)]
             if abs(weight) != 1.0:
-                return False
+                return None
             coeff *= weight
         diff[steps] = diff.get(steps, 0.0) + coeff
     for positions, coeff in tv.terms:
         if not all(0 <= p < tv.n_steps for p in positions):
-            return False
+            return None
         # Outcomes square to one, so only odd multiplicities count.
         odd = tuple(sorted(p for p in set(positions) if positions.count(p) % 2))
         diff[odd] = diff.get(odd, 0.0) - coeff
-    return sum(map(abs, diff.values())) <= tol
+    return diff
 
 
 # The chain search keeps every outcome branch as a plain mask-keyed dict
@@ -420,9 +417,7 @@ def _complement_rows(
 
 
 def _branch_gram(
-    branch: dict[tuple[int, int], float],
-    qubit: int,
-    tol_scale: float,
+    branch: dict[tuple[int, int], float], qubit: int
 ) -> tuple[int, tuple[float, float, float] | None]:
     """Kernel dimension and leading Gram eigenvector for one branch qubit.
 
@@ -438,12 +433,12 @@ def _branch_gram(
         # One axis present; the Gram spectrum is (sum of squares, 0, 0).
         col = seen.bit_length() - 1
         lam = sum(vectors[key][col] ** 2 for key in order)
-        if lam <= tol_scale * max(1.0, lam):
+        if lam <= GRAM_TOL_SCALE * max(1.0, lam):
             return 3, None
         top = [0.0, 0.0, 0.0]
         top[col] = 1.0
         return 2, (top[0], top[1], top[2])
-    _, _, evecs, l, _ = _gram_spectrum(np.array([vectors[key] for key in order]), tol_scale)
+    _, _, evecs, l, _ = _gram_spectrum(np.array([vectors[key] for key in order]))
     if l < 2:
         return l, None
     return l, (float(evecs[0, 0]), float(evecs[1, 0]), float(evecs[2, 0]))
@@ -493,15 +488,13 @@ def _branch_of(h: PauliSum) -> dict[tuple[int, int], float]:
     return {(w.x_mask, w.z_mask): c for w, c in h.terms.items()}
 
 
-def _l_values(
-    h: PauliSum, qubits: Iterable[int], tol_scale: float = GRAM_TOL_SCALE
-) -> dict[int, int]:
+def _l_values(h: PauliSum, qubits: Iterable[int]) -> dict[int, int]:
     """Kernel dimension ``l`` of each listed qubit, as compute_l reports it."""
     branch = _branch_of(h)
-    return {k: _branch_gram(branch, k, tol_scale)[0] for k in qubits}
+    return {k: _branch_gram(branch, k)[0] for k in qubits}
 
 
-def _stuck_support(h: PauliSum, tol_scale: float) -> tuple[int, ...]:
+def _stuck_support(h: PauliSum) -> tuple[int, ...]:
     """Support left where the +1 chain through factorable qubits gets stuck.
 
     Each round measures the lowest-indexed qubit at l = 2 and keeps the +1
@@ -515,7 +508,7 @@ def _stuck_support(h: PauliSum, tol_scale: float) -> tuple[int, ...]:
             mask |= x | z
         support = _set_bits(mask)
         for k in support:
-            l, top = _branch_gram(branch, k, tol_scale)
+            l, top = _branch_gram(branch, k)
             if l == 2:
                 weights = _reduction_weights(SingleQubitOp(k, top))
                 branch = _reduce_branch(branch, k, weights, 1)
@@ -524,7 +517,7 @@ def _stuck_support(h: PauliSum, tol_scale: float) -> tuple[int, ...]:
             return support
 
 
-def verify_mf(h: PauliSum, tol_scale: float = GRAM_TOL_SCALE) -> MFCertificate | None:
+def verify_mf(h: PauliSum) -> MFCertificate | None:
     """Search for a full reduction chain, exploring every outcome branch.
 
     At each step the lowest-indexed remaining support qubit that is
@@ -532,8 +525,8 @@ def verify_mf(h: PauliSum, tol_scale: float = GRAM_TOL_SCALE) -> MFCertificate |
     both outcomes of every branch are then reduced and the search recurses.
     Absent qubits get a Z placeholder op whose outcome cannot change the
     terminal value.  Returns None when no step qubit qualifies, or when
-    the live branch count would exceed ``MAX_BRANCHES``, read at call
-    time.
+    the live branch count would exceed ``MAX_BRANCHES``.  That cap and
+    ``GRAM_TOL_SCALE`` are read at call time.
     """
     support = h.support()
     if not support:
@@ -555,7 +548,7 @@ def verify_mf(h: PauliSum, tol_scale: float = GRAM_TOL_SCALE) -> MFCertificate |
         for k in remaining:
             ops: dict[tuple[int, ...], SingleQubitOp] = {}
             for prefix, bh in branches.items():
-                l, top = _branch_gram(bh, k, tol_scale)
+                l, top = _branch_gram(bh, k)
                 if l == 3:
                     ops[prefix] = SingleQubitOp(k, (0.0, 0.0, 1.0))
                 elif l == 2:

@@ -31,13 +31,12 @@ from .entangler import (
     find_commuting_ops,
 )
 from .meanfield import (
-    GRAM_TOL_SCALE,
     MFCertificate,
     SingleQubitOp,
     _branch_commutes,
     _branch_of,
     _l_values,
-    _product_certificate_holds,
+    _product_differences,
     _stuck_support,
     compute_l,
     decompose_by_qubit,
@@ -105,11 +104,9 @@ def _attach_op(complement: PauliSum, op: SingleQubitOp) -> PauliSum:
     return acc
 
 
-def _try_entangler(
-    s: PauliSum, tol_scale: float
-) -> tuple[EntanglerSpec, MFCertificate, PauliSum] | None:
+def _try_entangler(s: PauliSum) -> tuple[EntanglerSpec, MFCertificate, PauliSum] | None:
     """A rotation of s, its certificate and the rotated sum it certifies."""
-    stuck = _stuck_support(s, tol_scale)
+    stuck = _stuck_support(s)
     if len(stuck) < 2:
         return None
     for pair in itertools.combinations(stuck, 2):
@@ -120,7 +117,7 @@ def _try_entangler(
             if word is not None and word.support():
                 spec = build_clifford_unentangler(op)
                 rotated = apply_unitary(s, spec)
-                cert = verify_mf(rotated, tol_scale)
+                cert = verify_mf(rotated)
                 if cert is not None:
                     return spec, cert, rotated
             try:
@@ -130,46 +127,46 @@ def _try_entangler(
                 spec, rotated = _build_unentangler(s, op, verdict)
             except (ValueError, RuntimeError):
                 continue
-            cert = verify_mf(rotated, tol_scale)
+            cert = verify_mf(rotated)
             if cert is not None:
                 return spec, cert, rotated
     return None
 
 
-def _qwc_fragments(groups: tuple[PauliSum, ...], tol_scale: float) -> list[MFFragment]:
+def _qwc_fragments(groups: tuple[PauliSum, ...]) -> list[MFFragment]:
     fragments = []
     for group in groups:
-        cert = verify_mf(group, tol_scale)
+        cert = verify_mf(group)
         if cert is None:
             raise AssertionError("a qubit-wise commuting group failed verification")
         fragments.append(MFFragment(hamiltonian=group, certificate=cert))
     return fragments
 
 
-def _recurse(s: PauliSum, level: str, tol_scale: float) -> list[MFFragment]:
-    cert = verify_mf(s, tol_scale)
+def _recurse(s: PauliSum, level: str) -> list[MFFragment]:
+    cert = verify_mf(s)
     if cert is not None:
         return [MFFragment(hamiltonian=s, certificate=cert)]
 
     if level == "mf2":
-        found = _try_entangler(s, tol_scale)
+        found = _try_entangler(s)
         if found is not None:
             spec, tcert, rotated = found
             frag = MFFragment(hamiltonian=s, certificate=tcert, entangler=spec)
             object.__setattr__(frag, "_rotated", rotated)
             return [frag]
 
-    ls = _l_values(s, s.support(), tol_scale)
+    ls = _l_values(s, s.support())
     candidates = [k for k, l in ls.items() if l <= 1]
     if not candidates:
         # Only reachable when verification hit the branch cap: every qubit
         # is factorable, so QWC groups are a safe way to shrink the problem.
-        return _qwc_fragments(qwc_partition(s).groups, tol_scale)
+        return _qwc_fragments(qwc_partition(s).groups)
     k = min(candidates, key=lambda q: (-ls[q], q))
 
     parts: list[PauliSum]
     if ls[k] == 1:
-        _, _, o2, c2, _ = factor_l1(s, compute_l(decompose_by_qubit(s, k), tol_scale))
+        _, _, o2, c2, _ = factor_l1(s, compute_l(decompose_by_qubit(s, k)))
         prime_part = _attach_op(c2, o2)
         parts = [prime_part, s - prime_part]
     else:
@@ -182,35 +179,35 @@ def _recurse(s: PauliSum, level: str, tol_scale: float) -> list[MFFragment]:
     for part in parts:
         if part.is_zero:
             continue
-        out.extend(_recurse(part, level, tol_scale))
+        out.extend(_recurse(part, level))
     return out
 
 
-def greedy_partition(
-    h: PauliSum,
-    level: str = "mf1",
-    tol_scale: float = GRAM_TOL_SCALE,
-) -> PartitionPlan:
+def greedy_partition(h: PauliSum, level: str = "mf1") -> PartitionPlan:
     """Partition h so every fragment carries a measurement certificate.
 
     ``level`` selects how hard to fight before splitting: "mf1" uses only
     single-qubit reductions, "mf2" additionally tries two-qubit commuting
-    operators with unentangling rotations.  A sum whose chain would need
-    more than ``MAX_BRANCHES`` live branches is split further.
+    operators with unentangling rotations.  Chains use the one kernel bound,
+    ``GRAM_TOL_SCALE``.  A sum whose chain would need more than
+    ``MAX_BRANCHES`` live branches is split further.
     """
     if level not in ("mf1", "mf2"):
         raise ValueError(f"unknown level {level!r}")
     if h.is_zero:
         raise ValueError("cannot partition an empty Hamiltonian")
-    fragments = _recurse(h, level, tol_scale)
+    fragments = _recurse(h, level)
     baseline = qwc_partition(h)
     if len(fragments) > baseline.n_groups:
-        fragments = _qwc_fragments(baseline.groups, tol_scale)
+        fragments = _qwc_fragments(baseline.groups)
     return PartitionPlan(source=h, fragments=tuple(fragments), level=level)
 
 
 def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str | None:
-    """The first thing wrong with a certificate of h, over all its branches, if any."""
+    """The first thing wrong with a certificate of h, over all its branches, if any.
+
+    A product chain of +1/-1 weights is decided from its word data alone.
+    """
     if cert.n_qubits != n_qubits:
         return "certificate register size mismatch"
     # Each step measures its own register qubit, and the terminal values
@@ -228,9 +225,16 @@ def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str
         return f"certificate does not give one terminal value per branch of its {len(order)} steps"
     if not set(h.support()) <= set(order):
         return "certificate does not cover the support"
-    # Half the walk's 1e-9 tolerance leaves room for its rounding.
-    if _product_certificate_holds(h, cert, 5e-10):
-        return None
+    diff = _product_differences(h, cert)
+    if diff is not None:
+        bound = sum(map(abs, diff.values()))
+        if bound <= 1e-9:
+            return None
+        # The summed |diff| bounds every branch's error; the all-(+1) error
+        # is the plain sum, written so that a NaN counts as a mismatch.
+        if not abs(sum(diff.values())) <= 1e-9:
+            return f"branch {(1,) * len(order)} terminal mismatch"
+        return f"terminal products are off by up to {bound:.3g}"
     # reduced[d] is h reduced along the first d outcomes of path.
     reduced = [h]
     path: tuple[int, ...] = ()
@@ -259,9 +263,9 @@ def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str
 def validate_plan(plan: PartitionPlan) -> list[str]:
     """Check reconstruction and every branch of every certificate; returns problems.
 
-    A certificate of uniform ops and outcome products is first checked
-    from its word data, which covers every branch at once.  Any other
-    certificate, or one that fails that check, is walked over all its
+    A certificate of uniform ops and outcome products whose op weights
+    are all +1 or -1 is decided from its word data, which covers every
+    branch at once.  Any other certificate is walked over all its
     branches in its branch order: each op must commute with the sum it
     is measured on, and the reductions must land on the stored terminal
     values.  Consecutive branches share the reductions of their common

@@ -211,10 +211,6 @@ class PauliSum:
     def zero(cls, n_qubits: int) -> "PauliSum":
         return cls(n_qubits, {})
 
-    @classmethod
-    def constant(cls, n_qubits: int, value: float) -> "PauliSum":
-        return cls.from_terms(n_qubits, [(PauliWord.identity(n_qubits), value)])
-
     def coefficient(self, word: PauliWord) -> float:
         return self.terms.get(word, 0.0)
 

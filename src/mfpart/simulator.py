@@ -121,10 +121,10 @@ def _apply_sum_raw(h: PauliSum, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def to_dense(h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def to_dense(h: PauliSum) -> np.ndarray:
     """Kronecker-product matrix of the sum; exact but exponential."""
-    if h.n_qubits > cap:
-        raise ValueError(f"{h.n_qubits} qubits exceeds the dense cap of {cap}")
+    if h.n_qubits > DENSE_QUBIT_CAP:
+        raise ValueError(f"{h.n_qubits} qubits exceeds the dense cap of {DENSE_QUBIT_CAP}")
     dim = 1 << h.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     for word, coeff in h.sorted_terms():
@@ -173,9 +173,9 @@ def shifted_square_expectation(h: PauliSum, omega: float, psi: StateVector) -> f
     return float(np.vdot(residual, residual).real)
 
 
-def eigensolve(h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> tuple[float, StateVector]:
+def eigensolve(h: PauliSum) -> tuple[float, StateVector]:
     """Ground eigenvalue and eigenvector by dense diagonalization."""
-    dense = to_dense(h, cap)
+    dense = to_dense(h)
     evals, evecs = np.linalg.eigh(dense)
     vec = evecs[:, 0]
     pivot = int(np.argmax(np.abs(vec)))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_sum, random_sum
+from mfpart import meanfield
 from mfpart.meanfield import GRAM_TOL_SCALE, _branch_gram, compute_l, decompose_by_qubit, verify_mf
 from mfpart.pauli import PauliSum, PauliWord
 
@@ -125,11 +126,12 @@ def _near_tolerance_sums():
 
 @pytest.mark.parametrize("tol_scale", [GRAM_TOL_SCALE, 1e-3])
 @pytest.mark.parametrize("name, h", list(_near_tolerance_sums().items()))
-def test_core_l_matches_compute_l(name, h, tol_scale):
+def test_core_l_matches_compute_l(name, h, tol_scale, monkeypatch):
+    monkeypatch.setattr(meanfield, "GRAM_TOL_SCALE", tol_scale)
     branch = {(w.x_mask, w.z_mask): c for w, c in h.terms.items()}
     for k in range(h.n_qubits):
-        expected = compute_l(decompose_by_qubit(h, k), tol_scale).l
-        assert _branch_gram(branch, k, tol_scale)[0] == expected, (name, k)
+        expected = compute_l(decompose_by_qubit(h, k)).l
+        assert _branch_gram(branch, k)[0] == expected, (name, k)
 
 
 def test_near_tolerance_cases_straddle_the_kernel_bound():

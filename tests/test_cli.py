@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, README_MODEL, h2_model, random_amplitudes, wide_table_model
+from mfpart import cli, meanfield
 from mfpart.cli import main
 from mfpart.hamio import parse_plan, serialize_hamiltonian, serialize_state
+from mfpart.partition import greedy_partition
 from mfpart.simulator import StateVector, estimate_energy, expectation, variance
 
 EXAMPLE = str(DATA_DIR / "collinear3.txt")
@@ -212,6 +214,9 @@ def test_measure_refuses_a_plan_that_fails_validation(tmp_path, capsys):
         ["spectrum", EXAMPLE, "--tolerance", "1e-6"],
         ["spectrum", EXAMPLE, "--output", "x.json"],
         ["partition", EXAMPLE, "--max-entangler-qubits", "0"],
+        ["info", EXAMPLE, "--tolerance", "1e-6"],
+        ["partition", EXAMPLE, "--tolerance", "1"],
+        ["verify-mf", EXAMPLE, "--tolerance", "1e-6"],
     ],
 )
 def test_flags_a_command_ignores_are_usage_errors(argv, capsys):
@@ -351,12 +356,20 @@ def test_measure_refuses_a_nan_amplitude(tmp_path, capsys):
     assert "line 1: amplitude 'nan 0' is not finite" in lines[0]
 
 
-def test_partition_refuses_a_plan_certified_at_a_loose_tolerance(tmp_path, capsys):
+def test_partition_refuses_a_plan_certified_at_a_loose_tolerance(tmp_path, capsys, monkeypatch):
     model = tmp_path / "model.txt"
     model.write_text(README_MODEL)
     assert main(["partition", str(model), "--level", "mf2"]) == 0
     capsys.readouterr()
-    assert main(["partition", str(model), "--tolerance", "1"]) == 1
+
+    def loose_partition(*args, **kwargs):
+        # Only the search runs loose; validate_plan sees the real constant.
+        with monkeypatch.context() as patch:
+            patch.setattr(meanfield, "GRAM_TOL_SCALE", 1.0)
+            return greedy_partition(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "greedy_partition", loose_partition)
+    assert main(["partition", str(model)]) == 1
     captured = capsys.readouterr()
     assert "fragments: 1" in captured.out
     assert captured.err.splitlines() == [

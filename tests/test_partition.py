@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import inspect
+import time
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from mfpart.meanfield import (
     ProductTerminalMap,
     ReductionStep,
     UniformBranchOps,
+    compute_l,
     reduce_qubit,
     verify_mf,
 )
 from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
 from mfpart.pauli import PauliSum, PauliWord, SingleQubitOp
 from mfpart.qwc import qwc_partition
+from mfpart.simulator import eigensolve, to_dense
 
 
 def sum_on(n_qubits, *terms):
@@ -307,8 +310,10 @@ def test_the_plan_functions_take_no_branch_options():
         return list(inspect.signature(fn).parameters)
 
     assert options(validate_plan) == ["plan"]
-    assert options(greedy_partition) == ["h", "level", "tol_scale"]
-    assert options(verify_mf) == ["h", "tol_scale"]
+    assert options(greedy_partition) == ["h", "level"]
+    assert options(verify_mf) == ["h"]
+    assert options(compute_l) == ["dec"]
+    assert options(to_dense) == options(eigensolve) == ["h"]
 
 
 def test_validate_refuses_an_op_that_does_not_commute():
@@ -354,7 +359,7 @@ def test_every_certified_op_commutes_with_its_branch_sum(seed):
         assert validate_plan(plan) == root_walk_problems(plan) == []
 
 
-def test_a_plan_certified_at_a_loose_tolerance_fails_validation():
+def test_a_plan_certified_at_a_loose_tolerance_fails_validation(monkeypatch):
     h = sum_on(
         3,
         (0.5, {0: "Z", 1: "Z"}),
@@ -364,7 +369,9 @@ def test_a_plan_certified_at_a_loose_tolerance_fails_validation():
         (-1.0, {}),
     )
     assert validate_plan(greedy_partition(h)) == []
-    loose = greedy_partition(h, tol_scale=1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(meanfield, "GRAM_TOL_SCALE", 1.0)
+        loose = greedy_partition(h)
     problems = validate_plan(loose)
     assert problems == root_walk_problems(loose)
     assert problems == ["fragment 0: branch (1, 1, 1) op at step 0 does not commute"]
@@ -463,12 +470,49 @@ def test_validate_counts_a_nan_terminal_value_as_a_mismatch():
 
 def test_full_validation_of_a_product_certificate_walks_no_branch(monkeypatch):
     plan = product_plan(40, seed=3)
+    forbid_walk(monkeypatch)
+    assert validate_plan(plan) == []
 
+
+def moved_products(plan, offsets):
+    """The plan with stored product i moved by offsets[i]."""
+    terms = plan.fragments[0].certificate.terminal_values.terms
+    return with_products(
+        plan, tuple((p, c + offsets.get(i, 0.0)) for i, (p, c) in enumerate(terms))
+    )
+
+
+def forbid_walk(monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked a branch")
 
     monkeypatch.setattr(partition, "reduce_qubit", no_walk)
-    assert validate_plan(plan) == []
+
+
+def test_a_product_chain_off_within_tolerance_validates_without_walking(monkeypatch):
+    # Every branch is off by at most 6e-10; walking all 2^24 of them to
+    # find nothing wrong would take minutes.
+    near = moved_products(product_plan(24, seed=4), {1: 6e-10})
+    forbid_walk(monkeypatch)
+    start = time.perf_counter()
+    assert validate_plan(near) == []
+    assert time.perf_counter() - start < 0.1
+
+
+def test_product_errors_that_cancel_on_the_first_branch_are_refused_without_walking(
+    monkeypatch,
+):
+    offsets = {1: 6e-10, 2: -6e-10}
+    small = moved_products(product_plan(4, seed=4), offsets)
+    terms = small.fragments[0].certificate.terminal_values.terms
+    assert (terms[1][0], terms[2][0]) == ((0,), (1,))
+    # The offsets cancel on (1, 1, ...) and add up where qubits 0 and 1 differ.
+    assert root_walk_problems(small) == ["fragment 0: branch (1, -1, 1, 1) terminal mismatch"]
+    expected = ["fragment 0: terminal products are off by up to 1.2e-09"]
+    assert validate_plan(small) == expected
+    wide = moved_products(product_plan(24, seed=4), offsets)
+    forbid_walk(monkeypatch)
+    assert validate_plan(wide) == expected
 
 
 @pytest.mark.parametrize("seed", range(3))
