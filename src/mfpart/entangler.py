@@ -4,9 +4,10 @@ When a fragment gets stuck with no factorable qubit, a k-qubit operator
 commuting with it can still rescue single-qubit measurability: rotating
 into a basis adapted to that operator localizes the commuting structure
 onto individual qubits.  This module finds such operators (nullspace of
-the commutator constraint over all non-identity subset words), decides
-whether the rotation can work (the degenerate-block factorability test),
-and builds two kinds of unitary:
+the commutator map over all non-identity subset words, the one map that
+:func:`commutator_norm` also applies), decides in one pass over the
+operator's eigenspaces whether the rotation can work and builds it (the
+degenerate-block factorability check), and offers two kinds of unitary:
 
 * :func:`build_unentangler`, the eigenbasis form.  Columns are a common
   eigenbasis of the operator and of the reduced blocks inside degenerate
@@ -28,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .meanfield import _l_values, _sign_fix
-from .pauli import PauliSum, PauliWord, commutes, multiply_words
+from .pauli import PauliSum, PauliWord
 
 __all__ = [
     "MAX_SUBSET_SIZE",
@@ -128,9 +129,6 @@ class KQubitOp:
         if not any(abs(c) > 1e-12 for c in self.coefficients.values()):
             raise ValueError("operator has no coefficient above tolerance")
 
-    def as_sum(self) -> PauliSum:
-        return PauliSum.from_terms(self.n_qubits, self.coefficients.items(), prune=None)
-
     def dense(self) -> np.ndarray:
         dim = 1 << len(self.subset)
         out = np.zeros((dim, dim), dtype=complex)
@@ -182,11 +180,11 @@ def op_spectrum(o: KQubitOp) -> SpectrumReport:
 class EntanglerSpec:
     """A subset unitary together with the commuting operator that produced it.
 
-    Only unitarity is enforced here.  Specs built by
-    :func:`build_unentangler` additionally conjugate their origin to an
-    operator diagonal in the computational basis; Clifford specs from
-    :func:`build_clifford_unentangler` instead map it to a single-qubit
-    word.
+    Only unitarity and a subset equal to the origin's are enforced here.
+    Specs built by :func:`build_unentangler` additionally conjugate their
+    origin to an operator diagonal in the computational basis; Clifford
+    specs from :func:`build_clifford_unentangler` instead map it to a
+    single-qubit word.
     """
 
     subset: tuple[int, ...]
@@ -200,45 +198,28 @@ class EntanglerSpec:
             raise ValueError(f"unitary shape {u.shape} does not match subset")
         if not np.allclose(u.conj().T @ u, np.eye(dim), atol=1e-10):
             raise ValueError("matrix is not unitary")
+        if tuple(self.subset) != tuple(self.origin.subset):
+            raise ValueError("spec subset differs from its origin's")
 
 
 @dataclass(frozen=True)
 class FactorabilityVerdict:
     """Outcome of the degenerate-eigenspace block analysis.
 
-    ``spectrum`` is the operator's eigendecomposition the analysis used,
-    and ``blocks`` the sum grouped by its factor outside the subset (set
-    for degenerate spectra); neither takes part in comparisons.
+    A passing verdict carries the eigenbasis-form ``unitary`` the same
+    pass built; it takes no part in comparisons.  A failing one names the
+    first ``eigenspace`` (a degenerate group index) whose blocks do not
+    factor and the ``residual`` that decided it.
     """
 
     status: str  # nondegenerate_ok | degenerate_ok | fails
     eigenspace: int | None = None
     residual: float | None = None
-    spectrum: SpectrumReport | None = field(default=None, repr=False, compare=False)
-    blocks: dict[PauliWord, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    unitary: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.status != "fails"
-
-
-def _commutator_terms(h: PauliSum, o: PauliSum) -> dict[PauliWord, complex]:
-    """[h, o] as complex word coefficients (anti-Hermitian, so imaginary)."""
-    acc: dict[PauliWord, complex] = {}
-    for wu, cu in h.terms.items():
-        for wo, co in o.terms.items():
-            if commutes(wu, wo):
-                continue
-            phase, prod = multiply_words(wu, wo)
-            acc[prod] = acc.get(prod, 0.0) + 2.0 * cu * co * phase
-    return {w: c for w, c in acc.items() if abs(c) > 1e-14}
-
-
-def commutator_norm(h: PauliSum, o: PauliSum | KQubitOp) -> float:
-    """Coefficient two-norm of the commutator [h, o]."""
-    if isinstance(o, KQubitOp):
-        o = o.as_sum()
-    return float(np.sqrt(sum(abs(c) ** 2 for c in _commutator_terms(h, o).values())))
 
 
 def _local_bits(mask: int, subset: tuple[int, ...]) -> int:
@@ -296,6 +277,15 @@ def _commutator_matrix(
     return stacked
 
 
+def commutator_norm(h: PauliSum, o: KQubitOp) -> float:
+    """Coefficient two-norm of the commutator [h, o], from :func:`_commutator_matrix`."""
+    if o.n_qubits != h.n_qubits:
+        raise ValueError("qubit count mismatch")
+    words = _subset_words(h.n_qubits, o.subset)
+    coeffs = np.array([o.coefficients.get(w, 0.0) for w in words])
+    return float(np.linalg.norm(_commutator_matrix(h, o.subset, words) @ coeffs))
+
+
 def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
     """Basis of subset operators commuting with h.
 
@@ -333,61 +323,18 @@ def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
     return ops
 
 
-def _rest_blocks(h: PauliSum, subset: tuple[int, ...]) -> dict[PauliWord, np.ndarray]:
-    """Group h by its factor outside the subset: h = sum_r r (x) blocks[r]."""
-    blocks: dict[PauliWord, np.ndarray] = {}
+def _rest_blocks(h: PauliSum, subset: tuple[int, ...]) -> list[np.ndarray]:
+    """h = sum_r r (x) block_r over its factors r outside the subset, in r's sort order."""
+    outside = ~sum(1 << q for q in subset)
+    blocks: dict[tuple[int, int, int], np.ndarray] = {}
     dim = 1 << len(subset)
     for word, coeff in h.terms.items():
-        rest = word
-        for q in subset:
-            rest = rest.drop_qubit(q)
-        if rest not in blocks:
-            blocks[rest] = np.zeros((dim, dim), dtype=complex)
-        blocks[rest] += coeff * _dense_on_subset(word, subset)
-    return blocks
-
-
-def factorability_check(h: PauliSum, o: KQubitOp) -> FactorabilityVerdict:
-    """Can conjugation into o's (refined) eigenbasis give product eigenstates?
-
-    Within each degenerate eigenspace of o, the matrix of h-blocks between
-    eigenvectors must either be already diagonal or factor as a constant
-    numeric matrix times one common outside-the-subset operator; only then
-    does a single basis rotation serve every block.  Nondegenerate spectra
-    and sums supported entirely on the subset pass unconditionally.
-    """
-    if commutator_norm(h, o.as_sum()) > _BLOCK_TOL * max(1.0, h.norm() * o.as_sum().norm()):
-        raise ValueError("operator does not commute with the Hamiltonian")
-
-    report = op_spectrum(o)
-    groups = report.degenerate_groups()
-    if all(g.stop - g.start == 1 for g in groups):
-        return FactorabilityVerdict(status="nondegenerate_ok", spectrum=report)
-    blocks = _rest_blocks(h, o.subset)
-    if set(h.support()) <= set(o.subset):
-        return FactorabilityVerdict(status="degenerate_ok", spectrum=report, blocks=blocks)
-
-    rest_words = sorted(blocks, key=lambda w: w.sort_key())
-    for gi, g in enumerate(groups):
-        d = g.stop - g.start
-        if d == 1:
-            continue
-        basis = report.eigenvectors[:, g]
-        entries = np.stack(
-            [(basis.conj().T @ blocks[r] @ basis).reshape(-1) for r in rest_words],
-            axis=1,
-        )  # shape (d*d, n_rest_words)
-        off_mask = ~np.eye(d, dtype=bool).reshape(-1)
-        off_norm = float(np.linalg.norm(entries[off_mask]))
-        if off_norm <= _BLOCK_TOL:
-            continue
-        sing = np.linalg.svd(entries, compute_uv=False)
-        if len(sing) < 2 or sing[1] <= _BLOCK_TOL * max(sing[0], 1.0):
-            continue
-        return FactorabilityVerdict(
-            status="fails", eigenspace=gi, residual=float(sing[1]), spectrum=report, blocks=blocks
-        )
-    return FactorabilityVerdict(status="degenerate_ok", spectrum=report, blocks=blocks)
+        x, z = word.x_mask & outside, word.z_mask & outside
+        key = (x | z, x, z)  # the sort key of the outside factor
+        if key not in blocks:
+            blocks[key] = np.zeros((dim, dim), dtype=complex)
+        blocks[key] += coeff * _dense_on_subset(word, subset)
+    return [blocks[r] for r in sorted(blocks)]
 
 
 def _computational_label(column: np.ndarray) -> int:
@@ -403,14 +350,64 @@ def _phase_fix(column: np.ndarray) -> np.ndarray:
     return column * (abs(pivot) / pivot)
 
 
+def factorability_check(h: PauliSum, o: KQubitOp) -> FactorabilityVerdict:
+    """Can conjugation into o's (refined) eigenbasis give product eigenstates?
+
+    Within each degenerate eigenspace of o, the matrix of h-blocks between
+    eigenvectors must either be already diagonal or factor as a constant
+    numeric matrix times one common outside-the-subset operator; only then
+    does a single basis rotation serve every block.  Nondegenerate spectra
+    and sums supported entirely on the subset pass unconditionally.
+
+    The same pass builds the unitary a passing verdict carries: o's
+    eigenvectors by descending eigenvalue, a degenerate eigenspace refined
+    by the eigenvectors of its largest reduced block when some block is
+    off-diagonal there, each eigenspace ordered by computational label.
+    """
+    o_norm = sum(c * c for c in o.coefficients.values()) ** 0.5
+    if commutator_norm(h, o) > _BLOCK_TOL * max(1.0, h.norm() * o_norm):
+        raise ValueError("operator does not commute with the Hamiltonian")
+
+    report = op_spectrum(o)
+    groups = report.degenerate_groups()
+    check = not set(h.support()) <= set(o.subset)
+    blocks = None
+    columns: list[np.ndarray] = []
+    for gi, g in enumerate(groups):
+        basis = report.eigenvectors[:, g]
+        d = g.stop - g.start
+        if d > 1:
+            if blocks is None:
+                blocks = _rest_blocks(h, o.subset)
+            per_word = [basis.conj().T @ b @ basis for b in blocks]
+            if check:
+                entries = np.stack([b.reshape(-1) for b in per_word], axis=1)
+                off_mask = ~np.eye(d, dtype=bool).reshape(-1)
+                if float(np.linalg.norm(entries[off_mask])) > _BLOCK_TOL:
+                    sing = np.linalg.svd(entries, compute_uv=False)
+                    if len(sing) >= 2 and sing[1] > _BLOCK_TOL * max(sing[0], 1.0):
+                        return FactorabilityVerdict(
+                            status="fails", eigenspace=gi, residual=float(sing[1])
+                        )
+            off = [np.linalg.norm(b - np.diag(np.diag(b))) for b in per_word]
+            if max(off) > _BLOCK_TOL:
+                rep = per_word[int(np.argmax([np.linalg.norm(b) for b in per_word]))]
+                _, w = np.linalg.eigh(rep)
+                basis = basis @ w
+        cols = [_phase_fix(basis[:, i]) for i in range(d)]
+        cols.sort(key=_computational_label)
+        columns.extend(cols)
+    # The blocks are built at the first degenerate eigenspace.
+    status = "degenerate_ok" if blocks is not None else "nondegenerate_ok"
+    return FactorabilityVerdict(status=status, unitary=np.column_stack(columns))
+
+
 def build_unentangler(h: PauliSum, o: KQubitOp) -> EntanglerSpec:
     """Eigenbasis-form unitary: U columns diagonalize o and its blocks.
 
     Conjugating h by the result leaves only Z factors on the subset, so
-    each subset qubit factors out (l = 2 or absent).  Columns are ordered
-    by descending eigenvalue of o, then by each vector's dominant
-    computational label; degenerate eigenspaces are refined against the
-    largest reduced block of h before ordering.
+    each subset qubit factors out (l = 2 or absent).  The unitary is the
+    one :func:`factorability_check` builds.
     """
     return _build_unentangler(h, o, factorability_check(h, o))[0]
 
@@ -424,28 +421,7 @@ def _build_unentangler(
             f"not factorable: eigenspace {verdict.eigenspace} has off-diagonal "
             f"residual {verdict.residual:g}"
         )
-
-    report = verdict.spectrum
-    blocks = verdict.blocks
-    # A verdict carries blocks exactly when the spectrum has a degenerate group.
-    rest_words = sorted(blocks, key=lambda w: w.sort_key()) if blocks is not None else []
-    columns: list[np.ndarray] = []
-    for g in report.degenerate_groups():
-        basis = report.eigenvectors[:, g]
-        d = g.stop - g.start
-        if d > 1:
-            per_word = [basis.conj().T @ blocks[r] @ basis for r in rest_words]
-            off = [np.linalg.norm(b - np.diag(np.diag(b))) for b in per_word]
-            if max(off) > _BLOCK_TOL:
-                rep = per_word[int(np.argmax([np.linalg.norm(b) for b in per_word]))]
-                _, w = np.linalg.eigh(rep)
-                basis = basis @ w
-        cols = [_phase_fix(basis[:, i]) for i in range(d)]
-        cols.sort(key=_computational_label)
-        columns.extend(cols)
-    unitary = np.column_stack(columns)
-    spec = EntanglerSpec(subset=o.subset, unitary=unitary, origin=o)
-
+    spec = EntanglerSpec(subset=o.subset, unitary=verdict.unitary, origin=o)
     transformed = apply_unitary(h, spec)
     for q, l in _l_values(transformed, o.subset).items():
         if l < 2:

@@ -348,11 +348,13 @@ def _matrix(payload: dict, key: str, path: tuple) -> np.ndarray:
     return matrix
 
 
-def _entangler_from_payload(payload: dict, path: tuple) -> EntanglerSpec:
+def _entangler_from_payload(payload: dict, path: tuple, n: int) -> EntanglerSpec:
     unitary = _matrix(payload, "unitary_re", path) + 1j * _matrix(payload, "unitary_im", path)
     origin_path = (path, "origin")
     origin_data = _get(payload, "origin", dict, path)
-    n = _get(origin_data, "n_qubits", int, origin_path)
+    if (origin_n := _get(origin_data, "n_qubits", int, origin_path)) != n:
+        name = _name((origin_path, "n_qubits"))
+        raise ValueError(f"plan field {name!r} is {origin_n}, but the plan has {n} qubits")
     coeff_path = (origin_path, "coefficients")
     origin = KQubitOp(
         n,
@@ -365,6 +367,10 @@ def _entangler_from_payload(payload: dict, path: tuple) -> EntanglerSpec:
         },
     )
     subset = tuple(q for _, q in _items(payload, "subset", int, path))
+    if subset != origin.subset:
+        name = _name((path, "subset"))
+        raise ValueError(f"plan field {name!r} is {list(subset)}, but the origin acts on "
+                         f"{list(origin.subset)}")
     return EntanglerSpec(subset, unitary, origin)
 
 
@@ -412,7 +418,10 @@ def parse_plan(text: str) -> PartitionPlan:
         spec = None
         # A null entangler is allowed; a missing one is reported by _get.
         if row.get("entangler", {}) is not None:
-            spec = _entangler_from_payload(_get(row, "entangler", dict, here), (here, "entangler"))
+            payload = _get(row, "entangler", dict, here)
+            if level == "mf1":
+                raise ValueError(f"plan field {_name((here, 'entangler'))!r} must be null at mf1")
+            spec = _entangler_from_payload(payload, (here, "entangler"), n)
         certificate = _certificate_from_payload(
             _get(row, "certificate", dict, here), (here, "certificate")
         )

@@ -279,10 +279,13 @@ def validate_plan(plan: PartitionPlan) -> list[str]:
         total = total + frag.hamiltonian
     if not total.allclose(plan.source, atol=1e-10):
         problems.append("fragments do not sum to the source Hamiltonian")
+    n = plan.source.n_qubits
     for fi, frag in enumerate(plan.fragments):
-        problem = _certificate_problem(
-            frag.effective_hamiltonian(), frag.certificate, plan.source.n_qubits
-        )
+        spec = frag.entangler
+        if spec is not None and max(spec.subset) >= n:
+            problem = f"entangler acts on qubit {max(spec.subset)} outside the register"
+        else:
+            problem = _certificate_problem(frag.effective_hamiltonian(), frag.certificate, n)
         if problem:
             problems.append(f"fragment {fi}: {problem}")
     return problems

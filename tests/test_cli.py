@@ -341,6 +341,25 @@ def test_measure_refuses_a_tampered_product_plan(tmp_path, capsys, edit, message
     assert message in lines[0]
 
 
+def test_measure_refuses_an_entangler_on_another_register(tmp_path, capsys):
+    model = tmp_path / "h2.txt"
+    model.write_text(serialize_hamiltonian(h2_model(np.random.default_rng(21))))
+    plan_path = tmp_path / "plan.json"
+    assert main(["partition", str(model), "--level", "mf2", "--output", str(plan_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(plan_path.read_text())
+    doc["fragments"][0]["entangler"]["origin"]["n_qubits"] = 99
+    plan_path.write_text(json.dumps(doc))
+    state_path, _ = write_state(tmp_path, 4)
+    assert main(measure_args(plan_path, state_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert "'fragments[0].entangler.origin.n_qubits' is 99, but the plan has 4 qubits" in lines[0]
+
+
 def test_measure_refuses_a_nan_amplitude(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     assert main(["partition", EXAMPLE, "--output", str(plan_path)]) == 0

@@ -1,9 +1,13 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import dense_sum, embed_on_subset, random_sum
 from mfpart.entangler import (
     EntanglerSpec,
+    FactorabilityVerdict,
     KQubitOp,
     apply_unitary,
     build_clifford_unentangler,
@@ -106,6 +110,30 @@ def test_find_commuting_ops_recovers_symmetry():
     assert ops[0].dominant_word() == target
     assert np.isclose(ops[0].coefficients[target], 1.0)
     assert commutator_norm(h, ops[0]) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_commutator_norm_matches_dense_oracle(seed):
+    """The coefficient norm of [h, o] is its Frobenius norm over sqrt(2^n)."""
+    rng = np.random.default_rng(700 + seed)
+    n = 4
+    h = random_sum(rng, n, 10)
+    dh = dense_sum(h)
+    for subset in ((2,), (0, 3)):
+        labels = [a for a in itertools.product("IXYZ", repeat=len(subset)) if set(a) != {"I"}]
+        coeffs = rng.uniform(-1.0, 1.0, size=len(labels))
+        op = KQubitOp(
+            n,
+            subset,
+            {word(n, {q: a for q, a in zip(subset, axes) if a != "I"}): float(c)
+             for axes, c in zip(labels, coeffs)},
+        )
+        full = embed_on_subset(op.dense(), subset, n)
+        expected = np.linalg.norm(dh @ full - full @ dh) / np.sqrt(2**n)
+        assert expected > 1e-3
+        assert np.isclose(commutator_norm(h, op), expected, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="qubit count"):
+        commutator_norm(h, KQubitOp(n + 1, (0,), {word(n + 1, {0: "Z"}): 1.0}))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -249,6 +277,46 @@ def test_build_unentangler_degenerate_case():
     assert np.array_equal(spec.unitary, again.unitary)
 
 
+# SHA-256 of build_unentangler(h, op).unitary.tobytes() for two degenerate
+# cases that both refine an eigenspace with eigh: the pair model, whose
+# support lies inside the subset (no factorability test), and a flip
+# coupled to a third qubit, which passes the test.  The plan goldens
+# reach neither construction.
+INSIDE_UNITARY_SHA = "0037a57722bc9584fa628f02ee7d89f3d14f44338e436c2a486dcf62429360bb"
+OUTSIDE_UNITARY_SHA = "92a4c62fc8a0952a5d7a4e2eb0f6b1a952c04f500e566ee774834b6cab12bcbc"
+
+
+@pytest.mark.parametrize(
+    "h, digest",
+    [
+        (pair_model([0.4, 0.9, -0.3, 0.7, 1.1, -0.6]), INSIDE_UNITARY_SHA),
+        (sum_on(3, (0.7, {0: "X", 1: "X"}), (0.3, {0: "Y", 1: "Y"}),
+                (0.5, {0: "X", 1: "X", 2: "Z"})), OUTSIDE_UNITARY_SHA),
+    ],
+)
+def test_degenerate_unitaries_are_pinned(h, digest):
+    n = h.n_qubits
+    op = KQubitOp(n, (0, 1), {word(n, {0: "Z", 1: "Z"}): 1.0})
+    verdict = factorability_check(h, op)
+    assert verdict.status == "degenerate_ok"
+    assert verdict == FactorabilityVerdict("degenerate_ok")  # the unitary is not compared
+    spec = build_unentangler(h, op)
+    assert np.array_equal(verdict.unitary, spec.unitary)
+    assert hashlib.sha256(spec.unitary.tobytes()).hexdigest() == digest
+    assert verify_mf(apply_unitary(h, spec)) is not None
+
+
+def test_failing_verdicts_compare_by_status_eigenspace_and_residual():
+    h = sum_on(3, (1.0, {0: "X", 1: "X"}), (0.8, {0: "Z", 2: "Z"}))
+    op = KQubitOp(3, (0, 1), {word(3, {0: "Z", 1: "Z"}): 1.0})
+    verdict = factorability_check(h, op)
+    assert verdict == factorability_check(h, op)
+    assert verdict.unitary is None
+    assert verdict == FactorabilityVerdict("fails", eigenspace=0, residual=verdict.residual)
+    assert verdict.residual == pytest.approx(0.8 * np.sqrt(2.0), rel=1e-12)
+    assert verdict != FactorabilityVerdict("fails", eigenspace=1, residual=verdict.residual)
+
+
 def test_build_unentangler_rejects_failing_verdict():
     h = sum_on(3, (1.0, {0: "X", 1: "X"}), (0.8, {0: "Z", 2: "Z"}))
     op = KQubitOp(3, (0, 1), {word(3, {0: "Z", 1: "Z"}): 1.0})
@@ -295,6 +363,8 @@ def test_entangler_spec_validates_unitarity():
         EntanglerSpec((0, 1), np.eye(3), origin)
     with pytest.raises(ValueError):
         EntanglerSpec((0, 1), 2.0 * np.eye(4), origin)
+    with pytest.raises(ValueError, match="differs from its origin"):
+        EntanglerSpec((1, 2), np.eye(4), KQubitOp(3, (0, 1), {word(3, {0: "Z"}): 1.0}))
 
 
 def test_apply_unitary_identity_is_noop():
@@ -325,7 +395,7 @@ def test_apply_unitary_matches_dense_conjugation(seed):
 
 def test_apply_unitary_checks_subset_range():
     h = sum_on(2, (1.0, {0: "Z"}))
-    origin = KQubitOp(2, (0, 1), {word(2, {0: "Z"}): 1.0})
+    origin = KQubitOp(6, (1, 5), {word(6, {1: "Z"}): 1.0})
     spec = EntanglerSpec((1, 5), np.eye(4, dtype=complex), origin)
     with pytest.raises(ValueError):
         apply_unitary(h, spec)

@@ -241,6 +241,11 @@ def put(doc, value, *path):
          r"but the steps measure \[0, 2, 3, 1\]"),
         (lambda d: drop(d, "fragments", 0, "certificate", "qubit_order"),
          r"'fragments\[0\].certificate.qubit_order' is missing"),
+        (lambda d: put(d, 99, "fragments", 0, "entangler", "origin", "n_qubits"),
+         r"'fragments\[0\].entangler.origin.n_qubits' is 99, but the plan has 4 qubits"),
+        (lambda d: put(d, [0, 3], "fragments", 0, "entangler", "subset"),
+         r"'fragments\[0\].entangler.subset' is \[0, 3\], but the origin acts on \[1, 3\]"),
+        (lambda d: put(d, "mf1", "level"), r"'fragments\[0\].entangler' must be null at mf1"),
     ],
 )
 def test_parse_plan_names_bad_fields(edit, message):

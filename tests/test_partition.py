@@ -8,7 +8,7 @@ import pytest
 
 from conftest import dense_word, h2_model, random_sum, wide_table_model
 from mfpart import meanfield, partition
-from mfpart.entangler import apply_unitary
+from mfpart.entangler import EntanglerSpec, KQubitOp, apply_unitary
 from mfpart.hamio import parse_plan, serialize_plan
 from mfpart.meanfield import (
     GRAM_TOL_SCALE,
@@ -184,6 +184,16 @@ def test_validate_flags_bad_reconstruction():
     bad = PartitionPlan(source=extra, fragments=plan.fragments, level=plan.level)
     problems = validate_plan(bad)
     assert any("sum to the source" in p for p in problems)
+
+
+def test_validate_reports_an_entangler_outside_the_register():
+    plan = greedy_partition(exchange_model(), level="mf2")
+    frag = plan.fragments[0]
+    n = plan.source.n_qubits
+    origin = KQubitOp(n + 2, (0, n + 1), {PauliWord.from_axes(n + 2, {0: "Z"}): 1.0})
+    outside = EntanglerSpec((0, n + 1), frag.entangler.unitary, origin)
+    bad = dataclasses.replace(plan, fragments=(dataclasses.replace(frag, entangler=outside),))
+    assert validate_plan(bad) == [f"fragment 0: entangler acts on qubit {n + 1} outside the register"]
 
 
 def test_validate_flags_register_mismatch():
