@@ -17,6 +17,16 @@ degenerate-block factorability check), and offers two kinds of unitary:
   qubit's axis, preserving Pauli-word structure branch by branch, which
   the eigenbasis form cannot do when different measurement branches need
   different diagonalizing bases.
+
+Most stuck pairs have no commuting operator, and :func:`_no_commuting_word`
+settles many of them before the map and its SVD are built.  Write h as
+sum_r r (x) B_r over factors r outside the subset.  A block that is one
+word, c * p, maps every subset word that anticommutes with p onto rows of
+its own, scaled by 2|c|.  When every subset word anticommutes with some
+such p whose 2|c| is at least twice the largest tolerance the SVD could
+use, every singular value of the map exceeds that tolerance twice over,
+so the SVD would find no nullspace either: the screen returns no
+operators only where the SVD would, and cannot change a verdict.
 """
 
 from __future__ import annotations
@@ -70,6 +80,29 @@ def _subset_words(n_qubits: int, subset: tuple[int, ...]) -> tuple[PauliWord, ..
 
 
 @functools.lru_cache(maxsize=8)
+def _commuting_words(k: int) -> tuple[int, ...]:
+    """Per k-qubit pattern (x << k) | z, a bit per subset word that commutes with it.
+
+    Word j is the j-th of :func:`_subset_words`; its i-th axis sits on local bit i.
+    """
+    patterns = []
+    for axes in itertools.product("IXYZ", repeat=k):
+        if any(a != "I" for a in axes):
+            x = sum(1 << i for i, a in enumerate(axes) if a in "XY")
+            z = sum(1 << i for i, a in enumerate(axes) if a in "YZ")
+            patterns.append((x, z))
+    return tuple(
+        sum(
+            1 << j
+            for j, (wx, wz) in enumerate(patterns)
+            if ((px & wz).bit_count() + (pz & wx).bit_count()) % 2 == 0
+        )
+        for px in range(1 << k)
+        for pz in range(1 << k)
+    )
+
+
+@functools.lru_cache(maxsize=8)
 def _trace_pattern(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Where each k-qubit basis word (identity first) has its one nonzero per row.
 
@@ -109,6 +142,20 @@ def _dense_axes(axes: tuple[str, ...]) -> np.ndarray:
     return out
 
 
+def _check_subset(n_qubits: int, subset: tuple[int, ...]):
+    """Raise ValueError unless the subset is strictly increasing and inside the register."""
+    if not subset or list(subset) != sorted(set(subset)):
+        raise ValueError("subset must be non-empty, strictly increasing")
+    if any(not 0 <= q < n_qubits for q in subset):
+        raise ValueError("subset qubit out of range")
+
+
+def _check_word(word: PauliWord, subset: tuple[int, ...]):
+    """Raise ValueError unless the word is a non-identity word on the subset."""
+    if word.is_identity or not set(word.support()) <= set(subset):
+        raise ValueError(f"word {word.label()} not supported on the subset")
+
+
 @dataclass(frozen=True)
 class KQubitOp:
     """Hermitian operator on a small qubit subset, as real word coefficients."""
@@ -118,14 +165,9 @@ class KQubitOp:
     coefficients: Mapping[PauliWord, float]
 
     def __post_init__(self):
-        if not self.subset or list(self.subset) != sorted(set(self.subset)):
-            raise ValueError("subset must be non-empty, strictly increasing")
-        if any(not 0 <= q < self.n_qubits for q in self.subset):
-            raise ValueError("subset qubit out of range")
-        allowed = set(self.subset)
+        _check_subset(self.n_qubits, self.subset)
         for word in self.coefficients:
-            if word.is_identity or not set(word.support()) <= allowed:
-                raise ValueError(f"word {word.label()} not supported on the subset")
+            _check_word(word, self.subset)
         if not any(abs(c) > 1e-12 for c in self.coefficients.values()):
             raise ValueError("operator has no coefficient above tolerance")
 
@@ -277,6 +319,43 @@ def _commutator_matrix(
     return stacked
 
 
+def _no_commuting_word(h: PauliSum, subset: tuple[int, ...]) -> bool:
+    """Whether h's single-word blocks alone rule out every subset operator.
+
+    The largest singular value of the map is at most its Frobenius norm,
+    (2 * 4^k * sum c^2)^(1/2) over the terms touching the subset.  Blocks
+    c * p whose 2|c| is twice the nullspace tolerance at that bound vote.
+    A voter's rows carry 2|c| times the weight of every word anticommuting
+    with p, and no other block's rows.  So when no subset word commutes
+    with every voter, each unit coefficient vector maps to a norm of at
+    least the smallest voting 2|c|, and the SVD in
+    :func:`find_commuting_ops` would find no null vector.
+    """
+    k = len(subset)
+    inside = sum(1 << q for q in subset)
+    outside = ~inside
+    blocks: dict[tuple[int, int], tuple[PauliWord, float] | None] = {}
+    squares = 0.0
+    for word, coeff in h.terms.items():
+        if not (word.x_mask | word.z_mask) & inside:
+            continue  # a multiple of the identity on the subset commutes with all
+        squares += coeff * coeff
+        key = (word.x_mask & outside, word.z_mask & outside)
+        blocks[key] = None if key in blocks else (word, coeff)
+    floor = 2 * _NULLSPACE_TOL_SCALE * max(1.0, (2 * 4**k * squares) ** 0.5)
+    commuting = _commuting_words(k)
+    left = (1 << (4**k - 1)) - 1
+    for single in blocks.values():
+        if single is not None and 2 * abs(single[1]) > floor:
+            word = single[0]
+            left &= commuting[
+                (_local_bits(word.x_mask, subset) << k) | _local_bits(word.z_mask, subset)
+            ]
+            if not left:
+                return True
+    return False
+
+
 def commutator_norm(h: PauliSum, o: KQubitOp) -> float:
     """Coefficient two-norm of the commutator [h, o], from :func:`_commutator_matrix`."""
     if o.n_qubits != h.n_qubits:
@@ -295,6 +374,8 @@ def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
     Every entry of the map is exact, and its zeros are +0.0 throughout:
     a -0.0 entry leaves the nullspace the same but can move the singular
     vectors LAPACK returns by an ulp, and with them the chosen operators.
+    When h's single-word blocks already rule out every subset word
+    (:func:`_no_commuting_word`), the map is not built.
     """
     subset = tuple(subset)
     if len(subset) > MAX_SUBSET_SIZE:
@@ -302,6 +383,8 @@ def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
     if list(subset) != sorted(set(subset)) or any(not 0 <= q < h.n_qubits for q in subset):
         raise ValueError("subset must be strictly increasing and within range")
 
+    if _no_commuting_word(h, subset):
+        return []
     words = _subset_words(h.n_qubits, subset)
     stacked = _commutator_matrix(h, subset, words)
     if len(stacked):

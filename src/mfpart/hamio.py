@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .entangler import EntanglerSpec, KQubitOp
+from .entangler import EntanglerSpec, KQubitOp, _check_subset, _check_word
 from .meanfield import (
     MFCertificate,
     ProductTerminalMap,
@@ -348,6 +348,14 @@ def _matrix(payload: dict, key: str, path: tuple) -> np.ndarray:
     return matrix
 
 
+def _named(check, path: tuple, *args):
+    """check(*args), with a ValueError re-raised under the field's name."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValueError(f"plan field {_name(path)!r}: {exc}") from None
+
+
 def _entangler_from_payload(payload: dict, path: tuple, n: int) -> EntanglerSpec:
     unitary = _matrix(payload, "unitary_re", path) + 1j * _matrix(payload, "unitary_im", path)
     origin_path = (path, "origin")
@@ -355,17 +363,17 @@ def _entangler_from_payload(payload: dict, path: tuple, n: int) -> EntanglerSpec
     if (origin_n := _get(origin_data, "n_qubits", int, origin_path)) != n:
         name = _name((origin_path, "n_qubits"))
         raise ValueError(f"plan field {name!r} is {origin_n}, but the plan has {n} qubits")
+    origin_subset = tuple(q for _, q in _items(origin_data, "subset", int, origin_path))
+    _named(_check_subset, (origin_path, "subset"), n, origin_subset)
     coeff_path = (origin_path, "coefficients")
-    origin = KQubitOp(
-        n,
-        tuple(q for _, q in _items(origin_data, "subset", int, origin_path)),
-        {
-            _word_from_label(n, label, (coeff_path, label)): _check(
-                coeff, float, (coeff_path, label)
-            )
-            for label, coeff in _get(origin_data, "coefficients", dict, origin_path).items()
-        },
-    )
+    coefficients = {}
+    for label, coeff in _get(origin_data, "coefficients", dict, origin_path).items():
+        word = _word_from_label(n, label, (coeff_path, label))
+        _named(_check_word, (coeff_path, label), word, origin_subset)
+        coefficients[word] = _check(coeff, float, (coeff_path, label))
+    # The subset and every word passed; what the operator can still refuse
+    # is its coefficients as a whole.
+    origin = _named(KQubitOp, coeff_path, n, origin_subset, coefficients)
     subset = tuple(q for _, q in _items(payload, "subset", int, path))
     if subset != origin.subset:
         name = _name((path, "subset"))

@@ -24,6 +24,14 @@ makes every ``l`` decision and reduction: :func:`_branch_gram` (through
 :func:`_reduce_branch`, walked by :func:`verify_mf`, :func:`_l_values` and
 :func:`_stuck_support`.  :func:`compute_l` (the full :class:`GramData`
 for the factorizations) and :func:`reduce_qubit` are thin wrappers.
+
+Before that eigendecomposition, :func:`_branch_gram` screens the Gram
+matrix by its trace, second invariant and determinant (:func:`_settled_l`).
+The screen answers only ``l = 0`` or ``l = 1``, and only when these put the
+two smaller eigenvalues a factor 2 plus a rounding bound, which covers the
+gap to what ``eigh`` computes, away from the kernel tolerance; so it cannot
+give another ``l``.  Every other case, and every ``l = 2`` eigenvector,
+still comes from :func:`_gram_spectrum`.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ GRAM_TOL_SCALE = 1e-8
 
 #: Live-branch cap for the exhaustive chain search in verify_mf.
 MAX_BRANCHES = 1 << 16
+
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 _AXIS_BLOCH = {
     "X": (1.0, 0.0, 0.0),
@@ -394,6 +404,11 @@ def _product_differences(h: PauliSum, cert: MFCertificate) -> dict[tuple[int, ..
 _COLUMN_BY_BITS = (-1, 0, 2, 1)
 
 
+def _word_order(key: tuple[int, int]) -> tuple[int, int, int]:
+    """Sort key of a mask pair, the order of :meth:`PauliWord.sort_key`."""
+    return (key[0] | key[1], key[0], key[1])
+
+
 def _complement_rows(
     branch: dict[tuple[int, int], float], qubit: int
 ) -> tuple[dict[tuple[int, int], list[float]], int]:
@@ -416,6 +431,52 @@ def _complement_rows(
     return rows, seen
 
 
+def _settled_l(rows: Iterable[list[float]], n_rows: int) -> int | None:
+    """``l`` of the rows' Gram matrix when it is surely 0 or 1, else None.
+
+    With eigenvalues l1 >= l2 >= l3 >= 0, trace t, second invariant e2
+    (the sum of the principal 2-by-2 minors) and determinant d:
+
+    * l2 <= tau forces e2 = l1 (l2 + l3) + l2 l3 <= 2 tau t + tau^2, so a
+      larger e2 puts l2 above tau;
+    * l1 l2 is the largest of the three products that make up e2, so
+      d / e2 <= l3 <= 3 d / e2.
+
+    The answer is 0 when l3 surely exceeds tau = 2 tol + slack, and 1 when
+    l2 does while l3 surely stays below tol / 2 - slack.  ``slack`` bounds
+    how far the eigenvalues ``eigh`` computes from ``a.T @ a`` can sit from
+    those of the Gram matrix summed here (each of the two roundings of an
+    entry over ``n_rows`` rows is at most n_rows * u * t, and eigh's own
+    error is a small multiple of u * t); the invariants carry their own
+    rounding bounds.  A NaN or an overflow fails every test.
+    """
+    xx = yy = zz = xy = xz = yz = 0.0
+    for x, y, z in rows:
+        xx += x * x
+        yy += y * y
+        zz += z * z
+        xy += x * y
+        xz += x * z
+        yz += y * z
+    t = xx + yy + zz
+    tol = GRAM_TOL_SCALE * max(1.0, t)
+    u = _UNIT_ROUNDOFF
+    slack = (8 * n_rows + 64) * u * t
+    tau = 2 * tol + slack
+    # |s_ij|^2 <= s_ii s_jj bounds each product by t^2 in e2 and by t^3 in d.
+    e2 = (xx * yy - xy * xy) + (xx * zz - xz * xz) + (yy * zz - yz * yz)
+    e2_err = 16 * u * t * t
+    if not e2 - e2_err > 2 * tau * t + tau * tau:
+        return None
+    d = xx * (yy * zz - yz * yz) - xy * (xy * zz - yz * xz) + xz * (xy * yz - yy * xz)
+    d_err = 16 * u * t * t * t
+    if d - d_err > tau * (e2 + e2_err):
+        return 0
+    if 3 * (d + d_err) < (tol / 2 - slack) * (e2 - e2_err):
+        return 1
+    return None
+
+
 def _branch_gram(
     branch: dict[tuple[int, int], float], qubit: int
 ) -> tuple[int, tuple[float, float, float] | None]:
@@ -423,21 +484,27 @@ def _branch_gram(
 
     Rows are taken in the word order :func:`compute_l` uses, and a qubit
     carried on a single axis takes a closed-form shortcut whose leading
-    eigenvector is an exact axis vector.  The vector is None when ``l < 2``.
+    eigenvector is an exact axis vector.  :func:`_settled_l` decides the
+    clear ``l = 0`` and ``l = 1`` cases without the eigendecomposition.
+    The vector is None when ``l < 2``.
     """
     vectors, seen = _complement_rows(branch, qubit)
     if seen == 0:
         return 3, None
-    order = sorted(vectors, key=lambda key: (key[0] | key[1], key[0], key[1]))
     if seen & (seen - 1) == 0:
         # One axis present; the Gram spectrum is (sum of squares, 0, 0).
         col = seen.bit_length() - 1
+        order = sorted(vectors, key=_word_order)
         lam = sum(vectors[key][col] ** 2 for key in order)
         if lam <= GRAM_TOL_SCALE * max(1.0, lam):
             return 3, None
         top = [0.0, 0.0, 0.0]
         top[col] = 1.0
         return 2, (top[0], top[1], top[2])
+    l = _settled_l(vectors.values(), len(vectors))
+    if l is not None:
+        return l, None
+    order = sorted(vectors, key=_word_order)
     _, _, evecs, l, _ = _gram_spectrum(np.array([vectors[key] for key in order]))
     if l < 2:
         return l, None

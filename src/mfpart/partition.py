@@ -263,6 +263,9 @@ def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str
 def validate_plan(plan: PartitionPlan) -> list[str]:
     """Check reconstruction and every branch of every certificate; returns problems.
 
+    A fragment whose sum lives on another register than the source is
+    reported as such and left out of the reconstruction sum.
+
     A certificate of uniform ops and outcome products whose op weights
     are all +1 or -1 is decided from its word data, which covers every
     branch at once.  Any other certificate is walked over all its
@@ -274,15 +277,18 @@ def validate_plan(plan: PartitionPlan) -> list[str]:
     branches, and a loaded one no more than the table its file lists.
     """
     problems: list[str] = []
-    total = PauliSum.zero(plan.source.n_qubits)
+    n = plan.source.n_qubits
+    total = PauliSum.zero(n)
     for frag in plan.fragments:
-        total = total + frag.hamiltonian
+        if frag.hamiltonian.n_qubits == n:
+            total = total + frag.hamiltonian
     if not total.allclose(plan.source, atol=1e-10):
         problems.append("fragments do not sum to the source Hamiltonian")
-    n = plan.source.n_qubits
     for fi, frag in enumerate(plan.fragments):
         spec = frag.entangler
-        if spec is not None and max(spec.subset) >= n:
+        if frag.hamiltonian.n_qubits != n:
+            problem = f"hamiltonian is on a register of {frag.hamiltonian.n_qubits} qubits, not {n}"
+        elif spec is not None and max(spec.subset) >= n:
             problem = f"entangler acts on qubit {max(spec.subset)} outside the register"
         else:
             problem = _certificate_problem(frag.effective_hamiltonian(), frag.certificate, n)

@@ -121,7 +121,44 @@ def _near_tolerance_sums():
     rng = np.random.default_rng(77)
     for i in range(6):
         cases[f"random-{i}"] = random_sum(rng, 3, 3 + i)
+    for trace in (0.5, 300.0):
+        for factor in GRAM_FACTORS:
+            for family in ("pair", "low", "mid"):
+                cases[f"gram-{family}-{factor}-{trace}"] = _gram_sum(family, factor, trace)
     return cases
+
+
+#: The two smaller Gram eigenvalues of the designed cases, in kernel tolerances.
+#: 0.1 and 3 lie outside the screen's factor-2 margin, so it answers there.
+GRAM_FACTORS = (0.1, 0.5, 0.99, 1.01, 2.0, 3.0)
+
+
+def _gram_sum(family, factor, trace):
+    """A 3-qubit sum whose qubit-0 Gram matrix has a designed spectrum.
+
+    The leading eigenvalue is ``trace``; ``pair`` puts both smaller ones
+    at ``factor`` kernel tolerances, ``low`` the smallest only (the middle
+    one at trace / 4), and ``mid`` the middle one with the smallest at 0.
+    Rest word i carries sqrt(eigenvalue i) times row i of an orthogonal
+    matrix, so the Gram matrix is not diagonal.
+    """
+    total = trace
+    for _ in range(5):
+        tol = GRAM_TOL_SCALE * max(1.0, total)
+        evals = {
+            "pair": (trace, factor * tol, factor * tol),
+            "low": (trace, 0.25 * trace, factor * tol),
+            "mid": (trace, factor * tol, 0.0),
+        }[family]
+        total = sum(evals)
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    rests = ({1: "X"}, {1: "Z", 2: "Y"}, {2: "Z"})
+    terms = []
+    for i, lam in enumerate(evals):
+        if lam > 0:
+            for axis, coeff in zip("XYZ", lam ** 0.5 * q[i]):
+                terms.append((PauliWord.from_axes(3, {0: axis, **rests[i]}), float(coeff)))
+    return PauliSum.from_terms(3, terms)
 
 
 @pytest.mark.parametrize("tol_scale", [GRAM_TOL_SCALE, 1e-3])
@@ -139,3 +176,39 @@ def test_near_tolerance_cases_straddle_the_kernel_bound():
     l_at_0 = {name: compute_l(decompose_by_qubit(h, 0)).l for name, h in cases.items()}
     assert l_at_0["single-axis-0.99"] == 3 and l_at_0["single-axis-1.01"] == 2
     assert l_at_0["planar-0.00019"] == 2 and l_at_0["planar-0.00021"] == 1
+    for trace in (0.5, 300.0):
+        for factor in GRAM_FACTORS:
+            below = factor < 1
+            assert l_at_0[f"gram-pair-{factor}-{trace}"] == (2 if below else 0)
+            assert l_at_0[f"gram-low-{factor}-{trace}"] == (1 if below else 0)
+            assert l_at_0[f"gram-mid-{factor}-{trace}"] == (2 if below else 1)
+
+
+@pytest.mark.parametrize("name, h", list(_near_tolerance_sums().items()))
+def test_gram_screen_matches_the_eigendecomposition(name, h, monkeypatch):
+    branch = {(w.x_mask, w.z_mask): c for w, c in h.terms.items()}
+    screened = [_branch_gram(branch, k) for k in range(h.n_qubits)]
+    monkeypatch.setattr(meanfield, "_settled_l", lambda rows, n_rows: None)
+    unscreened = [_branch_gram(branch, k) for k in range(h.n_qubits)]
+    # Equal l everywhere and, at l = 2, the same eigenvector bit for bit.
+    assert [(l, v and tuple(map(float.hex, v))) for l, v in screened] == [
+        (l, v and tuple(map(float.hex, v))) for l, v in unscreened
+    ], name
+
+
+def test_gram_screen_answers_outside_its_margin_and_only_there():
+    cases = _near_tolerance_sums()
+
+    def answer(name):
+        vectors, _ = meanfield._complement_rows(
+            {(w.x_mask, w.z_mask): c for w, c in cases[name].terms.items()}, 0
+        )
+        return meanfield._settled_l(vectors.values(), len(vectors))
+
+    for trace in (0.5, 300.0):
+        assert answer(f"gram-low-0.1-{trace}") == 1
+        assert answer(f"gram-low-3.0-{trace}") == 0
+        # Within a factor 2 of the tolerance the eigendecomposition decides.
+        for factor in (0.5, 0.99, 1.01, 2.0):
+            for family in ("pair", "low", "mid"):
+                assert answer(f"gram-{family}-{factor}-{trace}") is None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_sum, embed_on_subset, random_sum
+from mfpart import entangler
 from mfpart.entangler import (
     EntanglerSpec,
     FactorabilityVerdict,
@@ -180,6 +181,78 @@ def test_single_qubit_nullspace_contains_z_direction():
     ops = find_commuting_ops(h, (0,))
     blochs = [op.coefficients.get(word(2, {0: "Z"}), 0.0) for op in ops]
     assert any(abs(b) > 0.9 for b in blochs)
+
+
+def op_bits(ops):
+    """Operators word by word, coefficients bit by bit."""
+    return [(op.subset, [(w.label(), c.hex()) for w, c in op.coefficients.items()]) for op in ops]
+
+
+def unscreened_ops(h, subset, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(entangler, "_no_commuting_word", lambda h, subset: False)
+        return find_commuting_ops(h, subset)
+
+
+def screen_floor_model(c):
+    """Blocks X0, Z0 Z2 and X1 X2 leave only X1 on (0, 1); c * Z1 Y2 rules it out."""
+    return sum_on(
+        3, (1.0, {0: "X"}), (0.8, {0: "Z", 2: "Z"}), (0.6, {1: "X", 2: "X"}),
+        (c, {1: "Z", 2: "Y"}),
+    )
+
+
+def screen_floor(h, subset):
+    """The screen's vote floor on |c|: the nullspace tolerance at the map's Frobenius norm."""
+    words = entangler._subset_words(h.n_qubits, subset)
+    fro = np.linalg.norm(entangler._commutator_matrix(h, subset, words))
+    return entangler._NULLSPACE_TOL_SCALE * max(1.0, fro)
+
+
+@pytest.mark.parametrize("ratio, fires", [(1.000001, True), (0.999999, False), (0.05, False)])
+def test_single_word_screen_at_its_floor(ratio, fires, monkeypatch):
+    subset = (0, 1)
+    c = 1e-8
+    for _ in range(3):
+        c = ratio * screen_floor(screen_floor_model(c), subset)
+    h = screen_floor_model(c)
+    assert entangler._no_commuting_word(h, subset) is fires
+    ops = find_commuting_ops(h, subset)
+    assert op_bits(ops) == op_bits(unscreened_ops(h, subset, monkeypatch))
+    if ratio < 0.1:
+        # Far enough below the floor, the SVD keeps X1 in the nullspace.
+        assert [op.dominant_word() for op in ops] == [word(3, {1: "X"})]
+    else:
+        assert ops == []
+
+
+def test_single_word_screen_passes_a_common_symmetry(monkeypatch):
+    # Every block commutes with Z0 Z1, so the screen cannot rule it out.
+    h = sum_on(
+        3, (1.0, {0: "X", 1: "X"}), (0.7, {0: "Y", 1: "Y", 2: "Z"}), (0.5, {0: "Z", 2: "X"}),
+        (0.3, {1: "Z", 2: "Y"}), (0.2, {0: "X", 1: "X", 2: "Y"}),
+    )
+    assert not entangler._no_commuting_word(h, (0, 1))
+    ops = find_commuting_ops(h, (0, 1))
+    assert word(3, {0: "Z", 1: "Z"}) in {op.dominant_word() for op in ops}
+    assert op_bits(ops) == op_bits(unscreened_ops(h, (0, 1), monkeypatch))
+
+
+def test_single_word_screen_matches_the_svd_on_random_sums(monkeypatch):
+    rng = np.random.default_rng(4242)
+    fired = kept = 0
+    for i in range(60):
+        n = 3 + i % 3
+        h = random_sum(rng, n, int(rng.integers(3, 4 * n)))
+        for subset in itertools.combinations(range(n), 2):
+            screened = find_commuting_ops(h, subset)
+            assert op_bits(screened) == op_bits(unscreened_ops(h, subset, monkeypatch))
+            if entangler._no_commuting_word(h, subset):
+                fired += 1
+            else:
+                kept += 1
+    # Both outcomes are well represented, so agreement is not vacuous.
+    assert fired > 50 and kept > 50
 
 
 def test_find_commuting_ops_rejects_large_subsets():

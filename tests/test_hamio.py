@@ -246,6 +246,18 @@ def put(doc, value, *path):
         (lambda d: put(d, [0, 3], "fragments", 0, "entangler", "subset"),
          r"'fragments\[0\].entangler.subset' is \[0, 3\], but the origin acts on \[1, 3\]"),
         (lambda d: put(d, "mf1", "level"), r"'fragments\[0\].entangler' must be null at mf1"),
+        (lambda d: put(put(d, [1, 9], "fragments", 0, "entangler", "subset"),
+                       [1, 9], "fragments", 0, "entangler", "origin", "subset"),
+         r"'fragments\[0\].entangler.origin.subset': subset qubit out of range"),
+        (lambda d: put(d, [3, 1], "fragments", 0, "entangler", "origin", "subset"),
+         r"'fragments\[0\].entangler.origin.subset': subset must be non-empty, strictly"),
+        (lambda d: put(d, {"X1 Z3": 0.5, "X0 Z3": 1.0},
+                       "fragments", 0, "entangler", "origin", "coefficients"),
+         r"'fragments\[0\].entangler.origin.coefficients.X0 Z3': "
+         r"word X0 Z3 not supported on the subset"),
+        (lambda d: put(d, {"X1 Z3": 0.0}, "fragments", 0, "entangler", "origin", "coefficients"),
+         r"'fragments\[0\].entangler.origin.coefficients': "
+         r"operator has no coefficient above tolerance"),
     ],
 )
 def test_parse_plan_names_bad_fields(edit, message):

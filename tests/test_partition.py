@@ -196,6 +196,24 @@ def test_validate_reports_an_entangler_outside_the_register():
     assert validate_plan(bad) == [f"fragment 0: entangler acts on qubit {n + 1} outside the register"]
 
 
+def test_validate_reports_a_fragment_on_another_register():
+    plan = greedy_partition(h2_model(np.random.default_rng(77)), level="mf2")
+    frag = plan.fragments[0]
+    assert frag.entangler is not None
+    moved = PauliSum.from_terms(
+        5, [(PauliWord(5, w.x_mask, w.z_mask), c) for w, c in frag.hamiltonian.terms.items()]
+    )
+    bad = dataclasses.replace(plan, fragments=(dataclasses.replace(frag, hamiltonian=moved),))
+    assert validate_plan(bad) == [
+        "fragments do not sum to the source Hamiltonian",
+        "fragment 0: hamiltonian is on a register of 5 qubits, not 4",
+    ]
+    # Only the moved fragment is left out of the sum.
+    two = dataclasses.replace(bad, source=plan.source + plan.source,
+                              fragments=plan.fragments + bad.fragments + plan.fragments)
+    assert validate_plan(two) == ["fragment 1: hamiltonian is on a register of 5 qubits, not 4"]
+
+
 def test_validate_flags_register_mismatch():
     h = sum_on(2, (1.0, {0: "Z"}), (0.5, {1: "X"}))
     plan = greedy_partition(h)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, README_MODEL, random_sum
+from mfpart import entangler, meanfield
 from mfpart.hamio import parse_hamiltonian, serialize_plan
-from mfpart.partition import greedy_partition
+from mfpart.partition import greedy_partition, validate_plan
 
 DIGESTS = json.loads((DATA_DIR / "plan_digests.json").read_text())
 
@@ -44,3 +45,25 @@ def test_acceptance6_plans_are_unchanged(level):
 def test_readme_plan_is_unchanged():
     plan = greedy_partition(parse_hamiltonian(README_MODEL), level="mf2")
     assert digest(plan) == DIGESTS["readme_mf2"]
+
+
+def screen_test_sums():
+    sums = [(acceptance6_sum(seed), "mf2") for seed in range(6000, 6050)]
+    rng = np.random.default_rng(9090)
+    for i in range(40):
+        n = 2 + i % 5
+        sums.append((random_sum(rng, n, int(rng.integers(3, 4 * n + 6))), ("mf1", "mf2")[i % 2]))
+    return sums
+
+
+def test_screens_leave_plans_and_validation_unchanged(monkeypatch):
+    def outputs():
+        plans = [greedy_partition(h, level=level) for h, level in screen_test_sums()]
+        return [(serialize_plan(plan), validate_plan(plan)) for plan in plans]
+
+    screened = outputs()
+    monkeypatch.setattr(meanfield, "_settled_l", lambda rows, n_rows: None)
+    monkeypatch.setattr(entangler, "_no_commuting_word", lambda h, subset: False)
+    unscreened = outputs()
+    assert [problems for _, problems in screened] == [[]] * len(screened)
+    assert screened == unscreened
