@@ -1,23 +1,31 @@
-"""Plan JSON pinned byte for byte by SHA-256 digests.
+"""Plan JSON and seeded reports pinned byte for byte by SHA-256 digests.
 
 The digests in ``data/plan_digests.json`` were written from the plans of
 the acceptance-6 sums (seeds 6000-6049) at both levels and of the README
 model at mf2.  Any change to a plan's fragments, certificates, entangler
 unitaries or float formatting changes a digest.
+
+The digests in ``data/report_digests.json`` were written from the JSON of
+the seeded ``estimate_energy`` report of each of those mf2 plans in a
+seeded random state, so a change to how fragments are sampled, rotated
+or given their analytic moments changes a digest.
 """
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, README_MODEL, random_sum
+from conftest import DATA_DIR, README_MODEL, random_amplitudes, random_sum
 from mfpart import entangler, meanfield
 from mfpart.hamio import parse_hamiltonian, serialize_plan
 from mfpart.partition import greedy_partition, validate_plan
+from mfpart.simulator import StateVector, estimate_energy
 
 DIGESTS = json.loads((DATA_DIR / "plan_digests.json").read_text())
+REPORT_DIGESTS = json.loads((DATA_DIR / "report_digests.json").read_text())
 
 
 def digest(plan) -> str:
@@ -38,6 +46,24 @@ def test_acceptance6_plans_are_unchanged(level):
         for seed in range(6000, 6050)
         if digest(greedy_partition(acceptance6_sum(seed), level=level))
         != DIGESTS[level][str(seed)]
+    ]
+    assert changed == []
+
+
+def report_digest(seed: int, workers) -> str:
+    h = acceptance6_sum(seed)
+    plan = greedy_partition(h, level="mf2")
+    psi = StateVector(h.n_qubits, random_amplitudes(np.random.default_rng(seed), h.n_qubits))
+    report = estimate_energy(plan, psi, shots=300, seed=seed, workers=workers)
+    return hashlib.sha256(json.dumps(asdict(report)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_acceptance6_mf2_reports_are_unchanged(workers):
+    changed = [
+        seed
+        for seed in range(6000, 6050)
+        if report_digest(seed, workers) != REPORT_DIGESTS[str(seed)]
     ]
     assert changed == []
 
