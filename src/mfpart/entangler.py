@@ -27,6 +27,9 @@ such p whose 2|c| is at least twice the largest tolerance the SVD could
 use, every singular value of the map exceeds that tolerance twice over,
 so the SVD would find no nullspace either: the screen returns no
 operators only where the SVD would, and cannot change a verdict.
+
+A word's subset factor is its local masks (subset[0] as bit 0); its
+dense matrix, trace pattern and commutation come from :mod:`mfpart.pauli`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from .meanfield import _l_values, _sign_fix
-from .pauli import PauliSum, PauliWord
+from .pauli import PauliSum, PauliWord, _word_action, _word_matrix, commutes
 
 __all__ = [
     "MAX_SUBSET_SIZE",
@@ -59,14 +62,6 @@ MAX_SUBSET_SIZE = 2
 _NULLSPACE_TOL_SCALE = 1e-8
 _BLOCK_TOL = 1e-9
 
-_AXIS_MATRIX = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 @functools.lru_cache(maxsize=1024)
 def _subset_words(n_qubits: int, subset: tuple[int, ...]) -> tuple[PauliWord, ...]:
     """All 4^k - 1 non-identity words supported on the subset."""
@@ -85,20 +80,11 @@ def _commuting_words(k: int) -> tuple[int, ...]:
 
     Word j is the j-th of :func:`_subset_words`; its i-th axis sits on local bit i.
     """
-    patterns = []
-    for axes in itertools.product("IXYZ", repeat=k):
-        if any(a != "I" for a in axes):
-            x = sum(1 << i for i, a in enumerate(axes) if a in "XY")
-            z = sum(1 << i for i, a in enumerate(axes) if a in "YZ")
-            patterns.append((x, z))
+    words = _subset_words(k, tuple(range(k)))
     return tuple(
-        sum(
-            1 << j
-            for j, (wx, wz) in enumerate(patterns)
-            if ((px & wz).bit_count() + (pz & wx).bit_count()) % 2 == 0
-        )
-        for px in range(1 << k)
-        for pz in range(1 << k)
+        sum(1 << j for j, word in enumerate(words) if commutes(PauliWord(k, x, z), word))
+        for x in range(1 << k)
+        for z in range(1 << k)
     )
 
 
@@ -109,37 +95,26 @@ def _trace_pattern(k: int) -> tuple[np.ndarray, np.ndarray]:
     Row j of basis word b holds ``phase[b, j]`` in column ``column[b, j]``,
     so trace(b @ m) is the sum over j of phase[b, j] * m[column[b, j], j].
     """
-    dense = np.array([_dense_axes(axes) for axes in itertools.product("IXYZ", repeat=k)])
-    column = np.argmax(dense != 0, axis=2)
-    phase = np.take_along_axis(dense, column[:, :, None], axis=2)[:, :, 0]
+    words = (PauliWord.identity(k),) + _subset_words(k, tuple(range(k)))
+    actions = [_word_action(k, w.x_mask, w.z_mask) for w in words]
+    column = np.array([dest for dest, _ in actions])
+    phase = np.array([factor[dest] for dest, factor in actions])
     column.flags.writeable = False
     phase.flags.writeable = False
     return column, phase
 
 
-def _dense_on_subset(word: PauliWord, subset: tuple[int, ...]) -> np.ndarray:
-    """Dense matrix of the word's subset factor; subset[0] is the low bit.
+def _local_masks(word: PauliWord, subset: tuple[int, ...]) -> tuple[int, int]:
+    """The word's x and z bits on the subset, subset[0] as bit 0.
 
-    The result is shared between calls and read-only.
+    ``_word_matrix(len(subset), *_local_masks(word, subset))`` is the
+    dense matrix of the word's subset factor.
     """
-    return _dense_axes(tuple(word.axis(q) for q in subset))
-
-
-def _kron_axes(axes: tuple[str, ...]) -> np.ndarray:
-    """Dense matrix of a word given by its axes, axes[0] on the low bit."""
-    out = np.array([[1.0 + 0.0j]])
-    for axis in axes:
-        out = np.kron(_AXIS_MATRIX[axis], out)
-    return out
-
-
-@functools.lru_cache(maxsize=256)
-def _dense_axes(axes: tuple[str, ...]) -> np.ndarray:
-    """:func:`_kron_axes`, shared between calls and read-only."""
-    # Subsets of up to MAX_SUBSET_SIZE qubits need 21 distinct keys.
-    out = _kron_axes(axes)
-    out.flags.writeable = False
-    return out
+    x = z = 0
+    for i, q in enumerate(subset):
+        x |= ((word.x_mask >> q) & 1) << i
+        z |= ((word.z_mask >> q) & 1) << i
+    return x, z
 
 
 def _check_subset(n_qubits: int, subset: tuple[int, ...]):
@@ -175,7 +150,7 @@ class KQubitOp:
         dim = 1 << len(self.subset)
         out = np.zeros((dim, dim), dtype=complex)
         for word, coeff in self.coefficients.items():
-            out += coeff * _dense_on_subset(word, self.subset)
+            out += coeff * _word_matrix(len(self.subset), *_local_masks(word, self.subset))
         return out
 
     def dominant_word(self) -> PauliWord | None:
@@ -264,14 +239,6 @@ class FactorabilityVerdict:
         return self.status != "fails"
 
 
-def _local_bits(mask: int, subset: tuple[int, ...]) -> int:
-    """The mask's bits on the subset, subset[0] as bit 0."""
-    bits = 0
-    for i, q in enumerate(subset):
-        bits |= ((mask >> q) & 1) << i
-    return bits
-
-
 def _commutator_matrix(
     h: PauliSum, subset: tuple[int, ...], words: tuple[PauliWord, ...]
 ) -> np.ndarray:
@@ -292,12 +259,12 @@ def _commutator_matrix(
     for wu in h.terms:
         outside_part = (wu.x_mask & outside, wu.z_mask & outside)
         rest.append(rest_ids.setdefault(outside_part, len(rest_ids)))
-        tx.append(_local_bits(wu.x_mask, subset))
-        tz.append(_local_bits(wu.z_mask, subset))
+        x, z = _local_masks(wu, subset)
+        tx.append(x)
+        tz.append(z)
     tx = np.array(tx, dtype=np.int64)[None, :]
     tz = np.array(tz, dtype=np.int64)[None, :]
-    wx = np.array([_local_bits(w.x_mask, subset) for w in words], dtype=np.int64)[:, None]
-    wz = np.array([_local_bits(w.z_mask, subset) for w in words], dtype=np.int64)[:, None]
+    wx, wz = np.array([_local_masks(w, subset) for w in words], dtype=np.int64).T[:, :, None]
     count = np.bitwise_count
     anti = (count(tx & wz) + count(tz & wx)) & 1
     px, pz = tx ^ wx, tz ^ wz
@@ -347,10 +314,8 @@ def _no_commuting_word(h: PauliSum, subset: tuple[int, ...]) -> bool:
     left = (1 << (4**k - 1)) - 1
     for single in blocks.values():
         if single is not None and 2 * abs(single[1]) > floor:
-            word = single[0]
-            left &= commuting[
-                (_local_bits(word.x_mask, subset) << k) | _local_bits(word.z_mask, subset)
-            ]
+            x, z = _local_masks(single[0], subset)
+            left &= commuting[(x << k) | z]
             if not left:
                 return True
     return False
@@ -416,7 +381,7 @@ def _rest_blocks(h: PauliSum, subset: tuple[int, ...]) -> list[np.ndarray]:
         key = (x | z, x, z)  # the sort key of the outside factor
         if key not in blocks:
             blocks[key] = np.zeros((dim, dim), dtype=complex)
-        blocks[key] += coeff * _dense_on_subset(word, subset)
+        blocks[key] += coeff * _word_matrix(len(subset), *_local_masks(word, subset))
     return [blocks[r] for r in sorted(blocks)]
 
 
@@ -528,7 +493,7 @@ def build_clifford_unentangler(o: KQubitOp) -> EntanglerSpec:
     axis = word.axis(target)
     swap = "X" if axis != "X" else "Y"
     generator = word.drop_qubit(target).with_axis(target, swap)
-    dense_g = _dense_on_subset(generator, o.subset)
+    dense_g = _word_matrix(len(o.subset), *_local_masks(generator, o.subset))
     dim = dense_g.shape[0]
     theta = 3.0 * np.pi / 4.0
     unitary = np.cos(theta) * np.eye(dim) - 1j * np.sin(theta) * dense_g
@@ -551,12 +516,12 @@ def apply_unitary(h: PauliSum, spec: EntanglerSpec) -> PauliSum:
     column, phase = _trace_pattern(len(subset))
     outside = ~sum(1 << q for q in subset)
 
-    expansion_cache: dict[tuple[str, ...], list[float]] = {}
+    expansion_cache: dict[tuple[int, int], list[float]] = {}
     terms: list[tuple[PauliWord, float]] = []
     for word, coeff in h.terms.items():
-        key = tuple(word.axis(q) for q in subset)
+        key = _local_masks(word, subset)
         if key not in expansion_cache:
-            m = u.conj().T @ _dense_axes(key) @ u
+            m = u.conj().T @ _word_matrix(len(subset), *key) @ u
             # Re trace(b @ m) / dim for every basis word b at once; the
             # complex row sum adds the diagonal up the way a trace does.
             traces = (phase * m[column, np.arange(dim)]).sum(axis=1)

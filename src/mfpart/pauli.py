@@ -8,12 +8,20 @@ fourth root of unity.
 
 Qubit indices are zero-based throughout; qubit 0 is the least significant
 position of both masks.
+
+Dense forms index amplitudes the same way: basis index i gives qubit k
+the bit (i >> k) & 1.  :func:`_word_action` is the one place that turns
+masks into matrix entries; every dense matrix, trace pattern and
+statevector action of a word is read from it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 __all__ = [
     "AXES",
@@ -176,6 +184,32 @@ def qwc_commutes(a: PauliWord, b: PauliWord) -> bool:
     shared = (a.x_mask | a.z_mask) & (b.x_mask | b.z_mask)
     differs = (a.x_mask ^ b.x_mask) | (a.z_mask ^ b.z_mask)
     return shared & differs == 0
+
+
+def _word_action(n: int, x_mask: int, z_mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """Destination index and phase-times-sign factor of each basis index.
+
+    With Y = i X Z the word is i^(#Y) X^x Z^z, so it sends basis index i
+    to ``dest[i] = i ^ x`` with the factor ``i^(#Y) (-1)^popcount(i & z)``.
+    Both arrays are read-only.
+    """
+    idx = np.arange(1 << n, dtype=np.int64)
+    phase = _I_POWERS[(x_mask & z_mask).bit_count() % 4]
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
+    dest, factor = idx ^ x_mask, phase * signs
+    dest.flags.writeable = False
+    factor.flags.writeable = False
+    return dest, factor
+
+
+@functools.lru_cache(maxsize=256)
+def _word_matrix(n: int, x_mask: int, z_mask: int) -> np.ndarray:
+    """Dense 2^n matrix of a word, shared between calls and read-only."""
+    dest, factor = _word_action(n, x_mask, z_mask)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    out[dest, np.arange(1 << n)] = factor
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

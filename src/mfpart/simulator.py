@@ -1,8 +1,8 @@
 """Dense statevector backend: moments, diagonalization, feedforward sampling.
 
 Amplitude indexing is little-endian: basis index i assigns qubit k the
-bit (i >> k) & 1, so the dense form of a word is the Kronecker product
-taken from the highest qubit down.
+bit (i >> k) & 1.  Words act on amplitudes, and enter dense matrices,
+through :func:`mfpart.pauli._word_action`.
 
 Sampling follows a fragment's certificate: the energy sample of a shot
 is the certificate's terminal value for its outcome sequence.  Shots
@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entangler import _AXIS_MATRIX, _kron_axes
 from .meanfield import UniformBranchOps
 from .partition import MFFragment, PartitionPlan
-from .pauli import AXES, PauliSum, PauliWord, SingleQubitOp
+from .pauli import PauliSum, PauliWord, _word_action, _word_matrix
 
 __all__ = [
     "DENSE_QUBIT_CAP",
@@ -78,22 +77,13 @@ class StateVector:
         return cls(n_qubits, amps / np.linalg.norm(amps))
 
 
+#: X, Y and Z, the Bloch basis of a single-qubit op.
+_PAULIS = np.array([_word_matrix(1, x, z) for x, z in ((1, 0), (1, 1), (0, 1))])
+
 #: Words on at most this many qubits keep their action in a cache of
 #: _WORD_CACHE_SIZE entries, at most 24 KiB each.
 _WORD_CACHE_QUBITS = 10
 _WORD_CACHE_SIZE = 256
-
-
-def _word_action(n: int, x_mask: int, z_mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """Destination index and phase-times-sign factor of each amplitude."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    n_y = (x_mask & z_mask).bit_count()
-    phase = (1j) ** (n_y % 4)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
-    dest, factor = idx ^ x_mask, phase * signs
-    dest.flags.writeable = False
-    factor.flags.writeable = False
-    return dest, factor
 
 
 # lru_cache is thread-safe; threads that miss together build equal arrays.
@@ -122,13 +112,15 @@ def _apply_sum_raw(h: PauliSum, amps: np.ndarray) -> np.ndarray:
 
 
 def to_dense(h: PauliSum) -> np.ndarray:
-    """Kronecker-product matrix of the sum; exact but exponential."""
+    """Dense matrix of the sum, scattered from each word's action; exact but exponential."""
     if h.n_qubits > DENSE_QUBIT_CAP:
         raise ValueError(f"{h.n_qubits} qubits exceeds the dense cap of {DENSE_QUBIT_CAP}")
     dim = 1 << h.n_qubits
+    columns = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for word, coeff in h.sorted_terms():
-        out += coeff * _kron_axes(tuple(word.axis(k) for k in range(h.n_qubits)))
+        dest, factor = _word_action(h.n_qubits, word.x_mask, word.z_mask)
+        out[dest, columns] += coeff * factor
     return out
 
 
@@ -208,16 +200,6 @@ def apply_matrix_to_subset(
     return StateVector(psi.n_qubits, out)
 
 
-def _bloch_apply(op: SingleQubitOp, amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    unit = op.unit()
-    out = np.zeros_like(amps)
-    for axis, weight in zip(AXES, unit.bloch):
-        if abs(weight) > 0.0:
-            word = PauliWord.from_axes(n_qubits, {op.qubit: axis})
-            out += weight * _apply_word_raw(word, amps)
-    return out
-
-
 def _prepare_fragment_state(frag: MFFragment, psi: StateVector) -> np.ndarray:
     amps = psi.amplitudes.copy()
     if frag.entangler is not None:
@@ -241,8 +223,9 @@ def measure_fragment(
     amps = _prepare_fragment_state(frag, psi)
     outcomes: tuple[int, ...] = ()
     for step in cert.steps:
-        op = step.ops[outcomes]
-        rotated = _bloch_apply(op, amps, psi.n_qubits)
+        op = step.ops[outcomes].unit()
+        bloch_op = np.tensordot(op.bloch, _PAULIS, 1)
+        rotated = _apply_matrix_raw(amps, bloch_op, (op.qubit,), psi.n_qubits)
         plus = 0.5 * (amps + rotated)
         p_plus = min(max(float(np.vdot(plus, plus).real), 0.0), 1.0)
         if rng.random() < p_plus:
@@ -252,9 +235,6 @@ def measure_fragment(
         amps = branch / np.sqrt(max(p, 1e-300))
         outcomes = outcomes + (outcome,)
     return float(cert.terminal_values[outcomes]), outcomes
-
-
-_PAULIS = np.array([_AXIS_MATRIX[axis] for axis in AXES])
 
 
 def _z_rotations(blochs: np.ndarray) -> np.ndarray:
