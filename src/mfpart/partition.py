@@ -20,6 +20,7 @@ instead.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .entangler import (
@@ -53,6 +54,9 @@ __all__ = [
     "greedy_partition",
     "validate_plan",
 ]
+
+#: The problem with a sum whose Gram sums would overflow.
+_OVERFLOW = "coefficients are too large: the sum of their squares is not finite"
 
 
 @dataclass(frozen=True)
@@ -196,6 +200,8 @@ def greedy_partition(h: PauliSum, level: str = "mf1") -> PartitionPlan:
         raise ValueError(f"unknown level {level!r}")
     if h.is_zero:
         raise ValueError("cannot partition an empty Hamiltonian")
+    if not math.isfinite(h.norm()):
+        raise ValueError(_OVERFLOW)
     fragments = _recurse(h, level)
     baseline = qwc_partition(h)
     if len(fragments) > baseline.n_groups:
@@ -264,7 +270,10 @@ def validate_plan(plan: PartitionPlan) -> list[str]:
     """Check reconstruction and every branch of every certificate; returns problems.
 
     A fragment whose sum lives on another register than the source is
-    reported as such and left out of the reconstruction sum.
+    reported as such and left out of the reconstruction sum.  The
+    reconstruction tolerance is 1e-10 relative to the largest source
+    coefficient, or absolute below 1.  A fragment whose squared
+    coefficients do not sum to a finite number is reported, not walked.
 
     A certificate of uniform ops and outcome products whose op weights
     are all +1 or -1 is decided from its word data, which covers every
@@ -282,12 +291,15 @@ def validate_plan(plan: PartitionPlan) -> list[str]:
     for frag in plan.fragments:
         if frag.hamiltonian.n_qubits == n:
             total = total + frag.hamiltonian
-    if not total.allclose(plan.source, atol=1e-10):
+    scale = max(map(abs, plan.source.terms.values()), default=0.0)
+    if not total.allclose(plan.source, atol=1e-10 * max(1.0, scale)):
         problems.append("fragments do not sum to the source Hamiltonian")
     for fi, frag in enumerate(plan.fragments):
         spec = frag.entangler
         if frag.hamiltonian.n_qubits != n:
             problem = f"hamiltonian is on a register of {frag.hamiltonian.n_qubits} qubits, not {n}"
+        elif not math.isfinite(frag.hamiltonian.norm()):
+            problem = _OVERFLOW
         elif spec is not None and max(spec.subset) >= n:
             problem = f"entangler acts on qubit {max(spec.subset)} outside the register"
         else:

@@ -394,3 +394,37 @@ def test_partition_refuses_a_plan_certified_at_a_loose_tolerance(tmp_path, capsy
     assert captured.err.splitlines() == [
         "validation: fragment 0: branch (1, 1, 1) op at step 0 does not commute"
     ]
+
+
+def test_partition_refuses_coefficients_whose_squares_overflow(tmp_path, capsys):
+    model = tmp_path / "big.txt"
+    model.write_text("1e308 X0 X1\n1e308 Z0 Z1\n1e308 Y0 Y1\n1.0 X0 Z1\n")
+    assert main(["partition", str(model), "--level", "mf1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: coefficients are too large: the sum of their squares is not finite\n"
+    )
+
+
+@pytest.mark.parametrize("label", ["Z0 Z1", "X1 X2", "Y1 Y2"])
+def test_measure_refuses_a_fragment_whose_squares_overflow(tmp_path, capsys, label):
+    model = tmp_path / "model.txt"
+    model.write_text(README_MODEL)
+    plan_path = tmp_path / "plan.json"
+    assert main(["partition", str(model), "--level", "mf2", "--output", str(plan_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(plan_path.read_text())
+    for terms in (doc["source_terms"], doc["fragments"][1]["terms"]):
+        next(t for t in terms if t["word"] == label)["coeff"] = 1e308
+    plan_path.write_text(json.dumps(doc))
+    state_path, _ = write_state(tmp_path, 3)
+    assert main(measure_args(plan_path, state_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0] == (
+        f"error: {plan_path}: plan fails validation: fragment 1: "
+        "coefficients are too large: the sum of their squares is not finite"
+    )

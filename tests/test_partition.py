@@ -186,6 +186,59 @@ def test_validate_flags_bad_reconstruction():
     assert any("sum to the source" in p for p in problems)
 
 
+def scaled_sums(scale):
+    """24 random sums on 3-5 qubits times ``scale``."""
+    sums = []
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 3
+        sums.append(random_sum(rng, n, int(rng.integers(4, 4 * n + 4))).scale(scale))
+    return sums
+
+
+@pytest.mark.parametrize("level", ["mf1", "mf2"])
+def test_validate_checks_reconstruction_relative_to_the_largest_coefficient(level):
+    plans = [greedy_partition(h, level=level) for h in scaled_sums(1e9)]
+    assert [validate_plan(plan) for plan in plans] == [[]] * len(plans)
+    for plan in plans[:4]:
+        frag = plan.fragments[0]
+        word, coeff = next(iter(frag.hamiltonian.terms.items()))
+        off = 1e-8 * max(map(abs, plan.source.terms.values()))
+        moved = frag.hamiltonian + PauliSum.from_terms(plan.source.n_qubits, [(word, off)])
+        bad = dataclasses.replace(
+            plan, fragments=(dataclasses.replace(frag, hamiltonian=moved),) + plan.fragments[1:]
+        )
+        assert "fragments do not sum to the source Hamiltonian" in validate_plan(bad)
+
+
+def test_partition_refuses_coefficients_whose_squares_overflow():
+    h = sum_on(
+        2,
+        (1e308, {0: "X", 1: "X"}),
+        (1e308, {0: "Z", 1: "Z"}),
+        (1e308, {0: "Y", 1: "Y"}),
+        (1.0, {0: "X", 1: "Z"}),
+    )
+    with pytest.raises(ValueError, match="sum of their squares is not finite"):
+        greedy_partition(h)
+
+
+def test_validate_reports_a_fragment_whose_squares_overflow():
+    plan = greedy_partition(exchange_model(), level="mf2")
+    big = PauliWord.from_axes(plan.source.n_qubits, {0: "Z"})
+    boost = PauliSum.from_terms(plan.source.n_qubits, [(big, 1e308)])
+    frag = plan.fragments[0]
+    bad = dataclasses.replace(
+        plan,
+        source=plan.source + boost,
+        fragments=(dataclasses.replace(frag, hamiltonian=frag.hamiltonian + boost),)
+        + plan.fragments[1:],
+    )
+    assert validate_plan(bad) == [
+        "fragment 0: coefficients are too large: the sum of their squares is not finite"
+    ]
+
+
 def test_validate_reports_an_entangler_outside_the_register():
     plan = greedy_partition(exchange_model(), level="mf2")
     frag = plan.fragments[0]

@@ -70,8 +70,18 @@ def test_state_vector_validation():
 @pytest.mark.parametrize("seed", range(5))
 def test_to_dense_matches_kron_oracle(seed):
     rng = np.random.default_rng(600 + seed)
-    h = random_sum(rng, 4, 10)
-    assert np.allclose(to_dense(h), dense_sum(h), atol=1e-12)
+    for n in (1, 4, 7):
+        h = random_sum(rng, n, min(10, 4**n))
+        assert np.allclose(to_dense(h), dense_sum(h), atol=1e-12)
+
+
+def test_to_dense_of_every_word_on_up_to_three_qubits_is_exact():
+    for n in (1, 2, 3):
+        for x in range(1 << n):
+            for z in range(1 << n):
+                word = PauliWord(n, x, z)
+                h = PauliSum.from_terms(n, [(word, 1.0)])
+                assert np.array_equal(to_dense(h), dense_word(word)), word.label()
 
 
 def test_to_dense_rejects_large_registers():
