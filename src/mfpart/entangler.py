@@ -14,9 +14,9 @@ degenerate-block factorability check), and offers two kinds of unitary:
   eigenspaces; conjugation makes every subset qubit carry only Z factors.
 * :func:`build_clifford_unentangler`, for symmetries that are a single
   Pauli word.  A quarter-turn-family rotation maps the word onto one
-  qubit's axis, preserving Pauli-word structure branch by branch, which
-  the eigenbasis form cannot do when different measurement branches need
-  different diagonalizing bases.
+  qubit's axis, preserving Pauli-word structure branch by branch.  The
+  partitioner gives a single-word symmetry this form only, and a mixed
+  one the eigenbasis form.
 
 Most stuck pairs have no commuting operator, and :func:`_no_commuting_word`
 settles many of them before the map and its SVD are built.  Write h as
@@ -481,10 +481,14 @@ def build_clifford_unentangler(o: KQubitOp) -> EntanglerSpec:
     """Word-symmetry rotation: maps a single-word operator onto one qubit.
 
     The generator is the origin word with its factor on the highest
-    support qubit swapped to a different axis; a three-quarter turn about
-    it sends the origin to a single-qubit word while keeping every Pauli
-    word a Pauli word.  Useful when the commuting operator is a word but
-    outcome branches would need different eigenbasis rotations.
+    support qubit b swapped to a different axis; a three-quarter turn
+    about it sends the origin to a Pauli on b while keeping every Pauli
+    word a Pauli word.  The eigenbasis form also sends the word to a
+    Pauli on b, so the two rotated sums differ by a rotation of the other
+    qubits that depends on b.  Once b is measured, each branch has the
+    same Gram spectra under both forms, and since ``l`` never drops under
+    reduction the eigenbasis sum certifies only where this one does: the
+    partitioner builds only this form for a single-word operator.
     """
     word = o.dominant_word()
     if word is None:

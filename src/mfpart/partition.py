@@ -115,22 +115,16 @@ def _try_entangler(s: PauliSum) -> tuple[EntanglerSpec, MFCertificate, PauliSum]
         return None
     for pair in itertools.combinations(stuck, 2):
         for op in find_commuting_ops(s, pair):
-            # The Clifford form goes first; the eigenbasis form is built
-            # only when that fails.
-            word = op.dominant_word()
-            if word is not None and word.support():
+            # A single-word operator takes the Clifford form only (see
+            # build_clifford_unentangler), a mixed one the eigenbasis form.
+            if op.dominant_word() is not None:
                 spec = build_clifford_unentangler(op)
                 rotated = apply_unitary(s, spec)
-                cert = verify_mf(rotated)
-                if cert is not None:
-                    return spec, cert, rotated
-            try:
-                verdict = factorability_check(s, op)
-                if not verdict.ok:
+            else:
+                try:
+                    spec, rotated = _build_unentangler(s, op, factorability_check(s, op))
+                except (ValueError, RuntimeError):
                     continue
-                spec, rotated = _build_unentangler(s, op, verdict)
-            except (ValueError, RuntimeError):
-                continue
             cert = verify_mf(rotated)
             if cert is not None:
                 return spec, cert, rotated

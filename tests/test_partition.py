@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import inspect
+import itertools
 import time
 
 import numpy as np
@@ -8,7 +9,15 @@ import pytest
 
 from conftest import dense_word, h2_model, random_sum, wide_table_model
 from mfpart import meanfield, partition
-from mfpart.entangler import EntanglerSpec, KQubitOp, apply_unitary
+from mfpart.entangler import (
+    EntanglerSpec,
+    KQubitOp,
+    apply_unitary,
+    build_clifford_unentangler,
+    build_unentangler,
+    factorability_check,
+    find_commuting_ops,
+)
 from mfpart.hamio import parse_plan, serialize_plan
 from mfpart.meanfield import (
     GRAM_TOL_SCALE,
@@ -152,6 +161,69 @@ def test_a_loaded_plan_rotates_the_loaded_terms():
     frag = parse_plan(serialize_plan(plan)).fragments[0]
     assert frag.entangler is not None
     assert list(frag.effective_hamiltonian().terms.items()) == rotated_sum(frag)
+
+
+def shape_sum(seed):
+    """A sum of the acceptance-6 shape: 2-6 qubits and up to 60 terms."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    return random_sum(rng, n, int(rng.integers(3, min(60, 4**n - 2) + 1)))
+
+
+#: The acceptance-6 sums and three dozen more of their shape.
+RESCUE_SEEDS = (*range(6000, 6050), *range(7000, 7036))
+
+
+@pytest.fixture(scope="module")
+def rescue_run():
+    """Sums the mf2 planning of RESCUE_SEEDS tries to rescue, and the ops it checks."""
+    stuck, checked = [], []
+    try_entangler, check = partition._try_entangler, partition.factorability_check
+
+    def try_spy(s):
+        stuck.append(s)
+        return try_entangler(s)
+
+    def check_spy(h, op):
+        checked.append(op)
+        return check(h, op)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partition, "_try_entangler", try_spy)
+        patch.setattr(partition, "factorability_check", check_spy)
+        for seed in RESCUE_SEEDS:
+            greedy_partition(shape_sum(seed), level="mf2")
+    return stuck, checked
+
+
+def test_eigenbasis_form_rescues_no_word_the_clifford_form_leaves(rescue_run):
+    # The eigenbasis form, tried on every stuck pair and every single-word
+    # operator whose Clifford rotation does not certify, certifies nothing.
+    stuck, _ = rescue_run
+    clifford_failed = factorable = 0
+    for s in stuck:
+        for pair in itertools.combinations(meanfield._stuck_support(s), 2):
+            for op in find_commuting_ops(s, pair):
+                if op.dominant_word() is None:
+                    continue
+                if verify_mf(apply_unitary(s, build_clifford_unentangler(op))) is not None:
+                    continue
+                clifford_failed += 1
+                if not factorability_check(s, op).ok:
+                    continue
+                try:
+                    spec = build_unentangler(s, op)
+                except RuntimeError:
+                    continue  # the rotation left a subset qubit non-factorable
+                factorable += 1
+                assert verify_mf(apply_unitary(s, spec)) is None
+    assert clifford_failed > 0 and factorable > 0
+
+
+def test_factorability_check_sees_only_mixed_operators(rescue_run):
+    _, checked = rescue_run
+    assert checked
+    assert [op for op in checked if op.dominant_word() is not None] == []
 
 
 @pytest.mark.parametrize("seed", range(3))
