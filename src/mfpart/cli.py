@@ -84,10 +84,11 @@ def _load_hamiltonian(args: argparse.Namespace) -> PauliSum:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     h = _load_hamiltonian(args)
+    ls = _l_values(h, range(h.n_qubits))
     print(f"qubits: {h.n_qubits}")
     print(f"terms: {h.n_terms}")
     print("qubit  l")
-    for q, l in _l_values(h, range(h.n_qubits)).items():
+    for q, l in ls.items():
         print(f"{q:5d}  {l}")
     return 0
 

@@ -284,13 +284,14 @@ def _certificate_from_payload(payload: dict, path: tuple) -> MFCertificate:
     for depth, (here, row) in enumerate(_items(payload, "steps", dict, path)):
         qubit = _get(row, "qubit", int, here)
         if "uniform_op" in row:
-            op = SingleQubitOp(qubit, _bloch(row["uniform_op"], (here, "uniform_op")))
+            op_path = (here, "uniform_op")
+            op = _named(SingleQubitOp, op_path, qubit, _bloch(row["uniform_op"], op_path))
             ops = UniformBranchOps(depth, op)
         else:
             ops_path = (here, "ops")
             ops = {
-                _prefix_from_key(key, ops_path): SingleQubitOp(
-                    qubit, _bloch(bloch, (ops_path, key))
+                _prefix_from_key(key, ops_path): _named(
+                    SingleQubitOp, (ops_path, key), qubit, _bloch(bloch, (ops_path, key))
                 )
                 for key, bloch in _get(row, "ops", dict, here).items()
             }
@@ -379,7 +380,7 @@ def _entangler_from_payload(payload: dict, path: tuple, n: int) -> EntanglerSpec
         name = _name((path, "subset"))
         raise ValueError(f"plan field {name!r} is {list(subset)}, but the origin acts on "
                          f"{list(origin.subset)}")
-    return EntanglerSpec(subset, unitary, origin)
+    return _named(EntanglerSpec, path, subset, unitary, origin)
 
 
 def serialize_plan(plan: PartitionPlan) -> str:

@@ -37,6 +37,7 @@ still comes from :func:`_gram_spectrum`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -67,6 +68,9 @@ GRAM_TOL_SCALE = 1e-8
 MAX_BRANCHES = 1 << 16
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+#: The problem with a sum whose Gram sums would overflow.
+_OVERFLOW = "coefficients are too large: the sum of their squares is not finite"
 
 _AXIS_BLOCH = {
     "X": (1.0, 0.0, 0.0),
@@ -139,7 +143,13 @@ def _gram_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
 
 
 def compute_l(dec: ComplementDecomposition) -> GramData:
-    """Gram matrix, spectrum and kernel dimension for one qubit at ``GRAM_TOL_SCALE``."""
+    """Gram matrix, spectrum and kernel dimension for one qubit at ``GRAM_TOL_SCALE``.
+
+    Raises ValueError when the squared complement coefficients do not
+    sum to a finite number.
+    """
+    if not math.isfinite(sum(c * c for part in dec.axis_parts() for c in part.terms.values())):
+        raise ValueError(_OVERFLOW)
     rows: dict[PauliWord, list[float]] = {}
     for col, part in enumerate(dec.axis_parts()):
         for word, coeff in part.terms.items():
@@ -258,10 +268,13 @@ class ProductTerminalMap(Mapping):
 
     Every word of an axis-pure sum evaluates on an outcome assignment to
     the product of the outcomes on its support, so storing the word data
-    is enough; nothing exponential is materialized until iterated.
+    is enough; nothing exponential is materialized until iterated.  A
+    product whose positions leave the ``n_steps`` steps is refused.
     """
 
     def __init__(self, n_steps: int, terms: tuple[tuple[tuple[int, ...], float], ...]):
+        if not all(0 <= p < n_steps for positions, _ in terms for p in positions):
+            raise ValueError(f"a product names a step outside the {n_steps} steps")
         self._n_steps = n_steps
         self._terms = terms
 
@@ -367,8 +380,8 @@ def _product_differences(h: PauliSum, cert: MFCertificate) -> dict[tuple[int, ..
     its steps.  With every weight +1 or -1, every op commutes with every
     branch sum, and branch s ends off by the sum over step sets S of
     ``d[S] * prod(s[p] for p in S)``.  None when the certificate has
-    another form, a weight is not +1 or -1, or a stored product names a
-    position outside the chain; h's support must lie in the chain.
+    another form or a weight is not +1 or -1; h's support must lie in
+    the chain.
     """
     tv = cert.terminal_values
     if not isinstance(tv, ProductTerminalMap) or tv.n_steps != len(cert.steps):
@@ -389,8 +402,6 @@ def _product_differences(h: PauliSum, cert: MFCertificate) -> dict[tuple[int, ..
             coeff *= weight
         diff[steps] = diff.get(steps, 0.0) + coeff
     for positions, coeff in tv.terms:
-        if not all(0 <= p < tv.n_steps for p in positions):
-            return None
         # Outcomes square to one, so only odd multiplicities count.
         odd = tuple(sorted(p for p in set(positions) if positions.count(p) % 2))
         diff[odd] = diff.get(odd, 0.0) - coeff
@@ -557,6 +568,8 @@ def _branch_of(h: PauliSum) -> dict[tuple[int, int], float]:
 
 def _l_values(h: PauliSum, qubits: Iterable[int]) -> dict[int, int]:
     """Kernel dimension ``l`` of each listed qubit, as compute_l reports it."""
+    if not math.isfinite(h.norm()):
+        raise ValueError(_OVERFLOW)
     branch = _branch_of(h)
     return {k: _branch_gram(branch, k)[0] for k in qubits}
 
@@ -593,8 +606,11 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
     Absent qubits get a Z placeholder op whose outcome cannot change the
     terminal value.  Returns None when no step qubit qualifies, or when
     the live branch count would exceed ``MAX_BRANCHES``.  That cap and
-    ``GRAM_TOL_SCALE`` are read at call time.
+    ``GRAM_TOL_SCALE`` are read at call time.  Raises ValueError when
+    h's squared coefficients do not sum to a finite number.
     """
+    if not math.isfinite(h.norm()):
+        raise ValueError(_OVERFLOW)
     support = h.support()
     if not support:
         return MFCertificate(

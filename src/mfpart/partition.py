@@ -32,6 +32,7 @@ from .entangler import (
     find_commuting_ops,
 )
 from .meanfield import (
+    _OVERFLOW,
     MFCertificate,
     SingleQubitOp,
     _branch_commutes,
@@ -54,9 +55,6 @@ __all__ = [
     "greedy_partition",
     "validate_plan",
 ]
-
-#: The problem with a sum whose Gram sums would overflow.
-_OVERFLOW = "coefficients are too large: the sum of their squares is not finite"
 
 
 @dataclass(frozen=True)
@@ -188,14 +186,14 @@ def greedy_partition(h: PauliSum, level: str = "mf1") -> PartitionPlan:
     single-qubit reductions, "mf2" additionally tries two-qubit commuting
     operators with unentangling rotations.  Chains use the one kernel bound,
     ``GRAM_TOL_SCALE``.  A sum whose chain would need more than
-    ``MAX_BRANCHES`` live branches is split further.
+    ``MAX_BRANCHES`` live branches is split further.  A sum whose squared
+    coefficients do not sum to a finite number is refused by the first
+    :func:`verify_mf`.
     """
     if level not in ("mf1", "mf2"):
         raise ValueError(f"unknown level {level!r}")
     if h.is_zero:
         raise ValueError("cannot partition an empty Hamiltonian")
-    if not math.isfinite(h.norm()):
-        raise ValueError(_OVERFLOW)
     fragments = _recurse(h, level)
     baseline = qwc_partition(h)
     if len(fragments) > baseline.n_groups:

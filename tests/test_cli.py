@@ -407,6 +407,18 @@ def test_partition_refuses_coefficients_whose_squares_overflow(tmp_path, capsys)
     )
 
 
+@pytest.mark.parametrize("command", ["info", "verify-mf"])
+def test_inspection_refuses_coefficients_whose_squares_overflow(tmp_path, capsys, command):
+    model = tmp_path / "big.txt"
+    model.write_text("1e308 X0 X1\n1e308 Z0 Z1\n1e308 Y0 Y1\n1.0 X0 Z1\n")
+    assert main([command, str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: coefficients are too large: the sum of their squares is not finite\n"
+    )
+
+
 @pytest.mark.parametrize("label", ["Z0 Z1", "X1 X2", "Y1 Y2"])
 def test_measure_refuses_a_fragment_whose_squares_overflow(tmp_path, capsys, label):
     model = tmp_path / "model.txt"

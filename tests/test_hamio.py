@@ -258,6 +258,17 @@ def put(doc, value, *path):
         (lambda d: put(d, {"X1 Z3": 0.0}, "fragments", 0, "entangler", "origin", "coefficients"),
          r"'fragments\[0\].entangler.origin.coefficients': "
          r"operator has no coefficient above tolerance"),
+        (lambda d: put(d, -1, "fragments", 0, "certificate", "steps", 1, "qubit"),
+         r"'fragments\[0\].certificate.steps\[1\].ops.\+': qubit index must be non-negative"),
+        (lambda d: put(d, [0.0, 0.0, 0.0], "fragments", 0, "certificate", "steps", 0, "uniform_op"),
+         r"'fragments\[0\].certificate.steps\[0\].uniform_op': Bloch vector must be non-zero"),
+        (lambda d: put(d, [0.0, 0.0, 0.0], "fragments", 0, "certificate", "steps", 1, "ops", "-"),
+         r"'fragments\[0\].certificate.steps\[1\].ops.-': Bloch vector must be non-zero"),
+        (lambda d: put(put(d, [[1.0, 0.0], [0.0, 1.0]], "fragments", 0, "entangler", "unitary_re"),
+                       [[0.0, 0.0], [0.0, 0.0]], "fragments", 0, "entangler", "unitary_im"),
+         r"'fragments\[0\].entangler': unitary shape \(2, 2\) does not match subset"),
+        (lambda d: put(d, [[1.0] * 4] * 4, "fragments", 0, "entangler", "unitary_re"),
+         r"'fragments\[0\].entangler': matrix is not unitary"),
     ],
 )
 def test_parse_plan_names_bad_fields(edit, message):

@@ -238,6 +238,30 @@ def test_verify_respects_branch_cap(monkeypatch):
     assert verify_mf(h) is None
 
 
+def test_overflowing_sums_are_refused_before_any_gram(monkeypatch):
+    h = sum_on(
+        2,
+        (1e308, {0: "X", 1: "X"}),
+        (1e308, {0: "Z", 1: "Z"}),
+        (1e308, {0: "Y", 1: "Y"}),
+        (1.0, {0: "X", 1: "Z"}),
+    )
+
+    def no_gram(*args):
+        raise AssertionError("a Gram matrix was formed")
+
+    monkeypatch.setattr(meanfield, "_gram_spectrum", no_gram)
+    monkeypatch.setattr(meanfield, "_branch_gram", no_gram)
+    message = "coefficients are too large: the sum of their squares is not finite"
+    with pytest.raises(ValueError, match=message):
+        verify_mf(h)
+    with pytest.raises(ValueError, match=message):
+        meanfield._l_values(h, range(2))
+    for qubit in range(2):
+        with pytest.raises(ValueError, match=message):
+            grand(h, qubit)
+
+
 def test_uniform_branch_ops_mapping():
     op = SingleQubitOp(2, (0.0, 1.0, 0.0))
     ops = UniformBranchOps(2, op)
@@ -258,3 +282,9 @@ def test_product_terminal_map_values():
     assert len(tv) == 8
     with pytest.raises(KeyError):
         tv[(1, 1)]
+
+
+@pytest.mark.parametrize("position", [2, 5, -1])
+def test_product_terminal_map_refuses_positions_outside_its_steps(position):
+    with pytest.raises(ValueError, match="names a step outside the 2 steps"):
+        ProductTerminalMap(2, (((0, position), 1.0),))

@@ -682,9 +682,9 @@ def test_full_validation_of_product_certificates_matches_the_walk(seed):
         bad = with_products(plan, tampered)
         problems = validate_plan(bad)
         assert problems and problems == root_walk_problems(bad)
-    # A term on a position outside the chain falls back to the walk.
-    outside = with_products(plan, terms + (((-1,), 0.0),))
-    assert validate_plan(outside) == root_walk_problems(outside) == []
+    # A term on a position outside the chain cannot be built.
+    with pytest.raises(ValueError, match="outside the 6 steps"):
+        with_products(plan, terms + (((-1,), 0.0),))
     # An op placed on another qubit than its step leaves qubit 1 unreduced.
     steps = list(plan.fragments[0].certificate.steps)
     assert steps[1].qubit == 1
