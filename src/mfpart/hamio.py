@@ -7,7 +7,9 @@ is an identity term and ``#`` starts a comment.  State files hold one
 ``<re> <im>`` amplitude pair per line, index little-endian in qubit 0.
 
 Plans are serialized to JSON with fixed key order so diffs stay
-readable; floats pass through ``repr`` and round-trip exactly.
+readable; floats pass through ``repr`` and round-trip exactly.  The
+output equals ``json.dumps(payload, indent=2)``, written by a small
+recursive writer rather than that encoder's per-element generators.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import functools
 import json
 import math
 import re
+import struct
 import warnings
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -155,8 +159,13 @@ def serialize_state(psi: StateVector) -> str:
     ) + "\n"
 
 
+# Prefix keys and word labels repeat across fragments: each is made once.
+@functools.lru_cache(maxsize=4096)
 def _prefix_key(prefix: tuple[int, ...]) -> str:
     return "".join("+" if s == 1 else "-" for s in prefix)
+
+
+_label = functools.lru_cache(maxsize=4096)(PauliWord.label)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -190,6 +199,7 @@ def _name(path: tuple) -> str:
 
 _JSON_TYPES = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
                (str, "a string"), (list, "an array"), (dict, "an object"))
+_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
 def _json_type(value) -> str:
@@ -224,9 +234,7 @@ def _items(obj: dict, key: str, kind: type, path: tuple) -> list[tuple[tuple, ob
 
 
 def _terms_payload(h: PauliSum) -> list[dict]:
-    return [
-        {"word": word.label(), "coeff": float(coeff)} for word, coeff in h.sorted_terms()
-    ]
+    return [{"word": _label(word), "coeff": float(coeff)} for word, coeff in h.sorted_terms()]
 
 
 def _sum_from_payload(n_qubits: int, doc: dict, key: str, path: tuple) -> PauliSum:
@@ -237,11 +245,14 @@ def _sum_from_payload(n_qubits: int, doc: dict, key: str, path: tuple) -> PauliS
     return PauliSum.from_terms(n_qubits, terms, prune=None)
 
 
+@functools.lru_cache(maxsize=4096)
+def _decode_word(n_qubits: int, label: str) -> PauliWord:
+    return PauliWord.from_axes(n_qubits, _factors([] if label == "I" else label.split()))
+
+
 def _word_from_label(n_qubits: int, label: str, path: tuple) -> PauliWord:
-    if label == "I":
-        return PauliWord.identity(n_qubits)
     try:
-        return PauliWord.from_axes(n_qubits, _factors(label.split()))
+        return _decode_word(n_qubits, label)
     except ValueError as exc:
         raise ValueError(f"plan field {_name(path)!r}: word {label!r}: {exc}") from None
 
@@ -251,9 +262,7 @@ def _step_payload(step: ReductionStep) -> dict:
         return {"qubit": step.qubit, "uniform_op": list(step.ops.op.bloch)}
     return {
         "qubit": step.qubit,
-        "ops": {
-            _prefix_key(prefix): list(step.ops[prefix].bloch) for prefix in step.ops
-        },
+        "ops": {_prefix_key(prefix): list(op.bloch) for prefix, op in step.ops.items()},
     }
 
 
@@ -276,6 +285,8 @@ def _certificate_payload(cert: MFCertificate) -> dict:
 def _bloch(value, path: tuple) -> tuple:
     if type(value) is not list or len(value) != 3:
         raise ValueError(f"plan field {_name(path)!r} must be an array of 3 numbers")
+    if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+        return tuple(value)
     return tuple(_check(v, float, (path, i)) for i, v in enumerate(value))
 
 
@@ -288,13 +299,16 @@ def _certificate_from_payload(payload: dict, path: tuple) -> MFCertificate:
             op = _named(SingleQubitOp, op_path, qubit, _bloch(row["uniform_op"], op_path))
             ops = UniformBranchOps(depth, op)
         else:
-            ops_path = (here, "ops")
-            ops = {
-                _prefix_from_key(key, ops_path): _named(
-                    SingleQubitOp, (ops_path, key), qubit, _bloch(bloch, (ops_path, key))
-                )
-                for key, bloch in _get(row, "ops", dict, here).items()
-            }
+            ops_path, ops, shared = (here, "ops"), {}, {}
+            # One op per bit pattern of float Bloch vectors, so 0.0 and -0.0
+            # differ; a vector with an integer entry keeps an op of its own.
+            for key, value in _get(row, "ops", dict, here).items():
+                prefix, at = _prefix_from_key(key, ops_path), (ops_path, key)
+                bloch = _bloch(value, at)
+                bits = struct.pack("3d", *bloch) if set(map(type, bloch)) == {float} else at
+                if bits not in shared:
+                    shared[bits] = _named(SingleQubitOp, at, qubit, bloch)
+                ops[prefix] = shared[bits]
         steps.append(ReductionStep(qubit, ops))
     order = [q for _, q in _items(payload, "qubit_order", int, path)]
     measured = [step.qubit for step in steps]
@@ -328,7 +342,7 @@ def _entangler_payload(spec: EntanglerSpec) -> dict:
             "n_qubits": spec.origin.n_qubits,
             "subset": list(spec.origin.subset),
             "coefficients": {
-                word.label(): float(coeff)
+                _label(word): float(coeff)
                 for word, coeff in sorted(
                     spec.origin.coefficients.items(), key=lambda kv: kv[0].sort_key()
                 )
@@ -358,7 +372,9 @@ def _named(check, path: tuple, *args):
 
 
 def _entangler_from_payload(payload: dict, path: tuple, n: int) -> EntanglerSpec:
-    unitary = _matrix(payload, "unitary_re", path) + 1j * _matrix(payload, "unitary_im", path)
+    # Set part by part, the unitary keeps the sign of every zero; re + 1j * im does not.
+    unitary = _matrix(payload, "unitary_re", path).astype(complex)
+    unitary.imag = _matrix(payload, "unitary_im", path)
     origin_path = (path, "origin")
     origin_data = _get(payload, "origin", dict, path)
     if (origin_n := _get(origin_data, "n_qubits", int, origin_path)) != n:
@@ -383,8 +399,38 @@ def _entangler_from_payload(payload: dict, path: tuple, n: int) -> EntanglerSpec
     return _named(EntanglerSpec, path, subset, unitary, origin)
 
 
-def serialize_plan(plan: PartitionPlan) -> str:
-    doc = {
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append ``value`` as ``json.dumps(indent=2)`` writes it at this indent,
+    with json.encoder's dispatch; keys must be strings, as plan keys are."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append("NaN" if value != value else _INFINITIES.get(value) or float.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
+        is_dict = isinstance(value, dict)
+        if not value:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = indent + "  "
+        out.append("{\n" + inner if is_dict else "[\n" + inner)
+        for i, item in enumerate(value.items() if is_dict else value):
+            if i:
+                out.append(",\n" + inner)
+            if is_dict:
+                key, item = item
+                out.append(encode_basestring_ascii(key) + ": ")
+            _write(item, inner, out)
+        out.append("\n" + indent + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _plan_payload(plan: PartitionPlan) -> dict:
+    return {
         "format": "mf-partition-plan",
         "version": 1,
         "level": plan.level,
@@ -402,7 +448,12 @@ def serialize_plan(plan: PartitionPlan) -> str:
             for frag in plan.fragments
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def serialize_plan(plan: PartitionPlan) -> str:
+    out: list[str] = []
+    _write(_plan_payload(plan), "", out)
+    return "".join(out) + "\n"
 
 
 def parse_plan(text: str) -> PartitionPlan:
@@ -412,7 +463,10 @@ def parse_plan(text: str) -> PartitionPlan:
     of the plan (version, level, fragment count, a chain's qubit order),
     raises ValueError naming the field.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("plan is nested too deeply to read") from None
     if not isinstance(doc, dict) or doc.get("format") != "mf-partition-plan":
         raise ValueError("not a partition-plan document")
     n = _get(doc, "n_qubits", int, ())

@@ -184,6 +184,18 @@ def test_measure_reports_schema_errors(tmp_path, capsys):
     assert "n_qubits" in lines[0] and str(plan_path) in lines[0]
 
 
+def test_measure_reports_a_deeply_nested_plan(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text("[" * 100_000)
+    state_path, _ = write_state(tmp_path, 3)
+    assert main(measure_args(plan_path, state_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "nested too deeply" in lines[0]
+
+
 def test_measure_refuses_a_plan_that_fails_validation(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     assert main(["partition", EXAMPLE, "--output", str(plan_path)]) == 0

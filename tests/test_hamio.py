@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import h2_model, random_amplitudes, random_sum
+from mfpart import hamio
 from mfpart.hamio import (
     parse_hamiltonian,
     parse_plan,
@@ -12,8 +13,9 @@ from mfpart.hamio import (
     serialize_plan,
     serialize_state,
 )
-from mfpart.partition import greedy_partition, validate_plan
-from mfpart.pauli import PauliSum, PauliWord
+from mfpart.meanfield import MFCertificate, ProductTerminalMap, ReductionStep, UniformBranchOps
+from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
+from mfpart.pauli import PauliSum, PauliWord, SingleQubitOp
 from mfpart.simulator import StateVector, estimate_energy
 
 
@@ -171,6 +173,64 @@ def test_plan_round_trip_keeps_entangler():
     assert np.array_equal(spec.unitary, plan.fragments[0].entangler.unitary)
     assert spec.origin.coefficients == plan.fragments[0].entangler.origin.coefficients
     assert validate_plan(back) == []
+
+
+def oracle(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def hand_built_plan() -> PartitionPlan:
+    """Non-finite, negative-zero and numpy coefficients, and an empty fragment."""
+    z0, x1, zz, xx = (PauliWord.from_axes(2, axes)
+                      for axes in ({0: "Z"}, {1: "X"}, {0: "Z", 1: "Z"}, {0: "X", 1: "X"}))
+    source = PauliSum(2, {z0: float("nan"), x1: float("inf"), zz: -float("inf"),
+                          xx: -0.0, PauliWord.identity(2): np.float64(0.1)})
+    first = ReductionStep(0, UniformBranchOps(0, SingleQubitOp(0, (np.float64(0.0), -0.0, 1.0))))
+    table = ReductionStep(1, {
+        (1,): SingleQubitOp(1, (1.0, -0.0, 0.0)),
+        (-1,): SingleQubitOp(1, (np.float64(0.5), 0.0, np.float64(-0.5))),
+    })
+    values = {(1, 1): float("nan"), (1, -1): -0.0, (-1, 1): float("inf"),
+              (-1, -1): np.float64(2.5)}
+    products = ProductTerminalMap(2, (((0,), np.float64(-0.0)), ((0, 1), -float("inf"))))
+    fragments = (
+        MFFragment(PauliSum(2, {}), MFCertificate(2, (first, table), values)),
+        MFFragment(PauliSum(2, {zz: np.float64(-0.0)}), MFCertificate(2, (first, table), products)),
+    )
+    return PartitionPlan(source, fragments, "mf1")
+
+
+def test_hand_built_plan_is_written_as_json_dumps_writes_it():
+    plan = hand_built_plan()
+    text = serialize_plan(plan)
+    assert text == oracle(hamio._plan_payload(plan))
+    for literal in ("NaN", "Infinity", "-Infinity", "-0.0", '"terms": []', "0.1"):
+        assert literal in text
+
+
+def test_writer_follows_the_json_encoder():
+    payload = {
+        "scalars": [1, -7, 2.5, True, False, None, "\u00e9\n\"q\"", np.float64(1e-300)],
+        "specials": (float("nan"), float("inf"), -float("inf"), -0.0, np.float64(-0.0)),
+        "empty": [[], {}, [[]], {"k": {}}, ()],
+        "": {"nested": [{"a": [0.1, 0.2]}]},
+    }
+    out = []
+    hamio._write(payload, "", out)
+    assert "".join(out) + "\n" == oracle(payload)
+    for refused in ({"x": np.int64(1)}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(refused, indent=2)
+        with pytest.raises(TypeError):
+            hamio._write(refused, "", [])
+    # Every plan key is a string; other keys are refused, not converted.
+    with pytest.raises(TypeError):
+        hamio._write({1: 2.0}, "", [])
+
+
+def test_parse_plan_refuses_a_deeply_nested_document():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse_plan("[" * 100_000)
 
 
 def test_parse_plan_rejects_other_documents():

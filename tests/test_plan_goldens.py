@@ -11,6 +11,7 @@ seeded random state, so a change to how fragments are sampled, rotated
 or given their analytic moments changes a digest.
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict
@@ -19,8 +20,8 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, README_MODEL, random_amplitudes, random_sum
-from mfpart import entangler, meanfield
-from mfpart.hamio import parse_hamiltonian, serialize_plan
+from mfpart import entangler, hamio, meanfield
+from mfpart.hamio import parse_hamiltonian, parse_plan, serialize_plan
 from mfpart.partition import greedy_partition, validate_plan
 from mfpart.simulator import StateVector, estimate_energy
 
@@ -71,6 +72,29 @@ def test_acceptance6_mf2_reports_are_unchanged(workers):
 def test_readme_plan_is_unchanged():
     plan = greedy_partition(parse_hamiltonian(README_MODEL), level="mf2")
     assert digest(plan) == DIGESTS["readme_mf2"]
+
+
+@functools.cache
+def golden_plans():
+    plans = [
+        greedy_partition(acceptance6_sum(seed), level=level)
+        for level in ("mf1", "mf2")
+        for seed in range(6000, 6050)
+    ]
+    return plans + [greedy_partition(parse_hamiltonian(README_MODEL), level="mf2")]
+
+
+def test_golden_plans_are_written_as_json_dumps_writes_them():
+    for plan in golden_plans():
+        assert serialize_plan(plan) == json.dumps(hamio._plan_payload(plan), indent=2) + "\n"
+
+
+def test_golden_plans_read_back_to_the_same_text():
+    # Equal text after a round trip pins the reader's shared ops, cached
+    # words and the sign of every zero in an entangler's unitary.
+    for plan in golden_plans():
+        text = serialize_plan(plan)
+        assert serialize_plan(parse_plan(text)) == text
 
 
 def screen_test_sums():
