@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import UniformBranchOps
+from .meanfield import ProductTerminalMap, UniformBranchOps
 from .partition import MFFragment, PartitionPlan
 from .pauli import PauliSum, PauliWord, _word_action, _word_matrix
 
@@ -243,6 +245,24 @@ def _z_rotations(blochs: np.ndarray) -> np.ndarray:
     return vecs[..., ::-1].conj().swapaxes(-1, -2)
 
 
+@functools.lru_cache(maxsize=4096)
+def _z_rotation(bits: bytes) -> np.ndarray:
+    """Read-only ``_z_rotations`` of the Bloch vector packed in ``bits``."""
+    rotation = _z_rotations(np.frombuffer(bits))
+    rotation.flags.writeable = False
+    return rotation
+
+
+def _product_values(tv: ProductTerminalMap) -> np.ndarray:
+    """``tv``'s values in bit order, bit for bit: terms add in stored order."""
+    m = tv.n_steps
+    branches, values = np.arange(1 << m), np.zeros(1 << m)
+    for positions, coeff in tv.terms:
+        mask = functools.reduce(operator.xor, (1 << (m - 1 - p) for p in positions), 0)
+        values += np.where(np.bitwise_count(branches & mask) & 1, -coeff, coeff)
+    return values
+
+
 def branch_distribution(
     frag: MFFragment, psi: StateVector
 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
@@ -252,7 +272,9 @@ def branch_distribution(
     the front in step order, and step d rotates its qubit onto Z under
     all 2^d outcome prefixes at once, bit 0 standing for outcome +1.  A
     branch's probability is the squared weight of its bit pattern.
-    Branches come in the certificate's own order.
+    Branches come in the certificate's own order.  Rotations come from a
+    bounded cache of read-only arrays keyed by the bits of the Bloch
+    vector (0.0 and -0.0 never share one), stacked for a table step.
     """
     cert = frag.certificate
     if cert.n_qubits != psi.n_qubits:
@@ -263,15 +285,19 @@ def branch_distribution(
     amps = _prepare_fragment_state(frag, psi).reshape((2,) * n).transpose(axes)
     for d, step in enumerate(cert.steps):
         if isinstance(step.ops, UniformBranchOps):
-            blochs = step.ops.op.bloch
+            rotations = _z_rotation(struct.pack("3d", *step.ops.op.bloch))
         else:
-            blochs = [step.ops[p].bloch for p in itertools.product((1, -1), repeat=d)]
-        amps = _z_rotations(np.array(blochs)) @ amps.reshape(1 << d, 2, -1)
+            ops = (step.ops[p] for p in itertools.product((1, -1), repeat=d))
+            rotations = np.array([_z_rotation(struct.pack("3d", *op.bloch)) for op in ops])
+        amps = rotations @ amps.reshape(1 << d, 2, -1)
     weights = np.square(np.abs(amps.reshape(1 << m, -1))).sum(axis=1)
-    order = list(cert.terminal_values)
+    tv = cert.terminal_values
+    order = list(tv)
+    if isinstance(tv, ProductTerminalMap):  # branches in bit order
+        return order, weights, _product_values(tv)
     minus = np.array(order, dtype=np.int8).reshape(len(order), m) < 0
     probs = weights[minus @ (1 << np.arange(m - 1, -1, -1))]
-    values = np.array([cert.terminal_values[o] for o in order])
+    values = np.array([tv[o] for o in order])
     return order, probs, values
 
 

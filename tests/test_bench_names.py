@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import README_MODEL
-from mfpart import partition
+from mfpart import partition, simulator
 from mfpart.hamio import parse_hamiltonian
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -63,3 +63,20 @@ def test_tracer_sees_validate_plan_check_every_branch():
     assert tracer.absent == []
     assert summary["validate_plan.coverage"] == 1.0
     assert summary["validate_plan.reduce_calls"] > 0
+
+
+def test_tracer_sees_the_sampling_layer_once_per_fragment():
+    plan = partition.greedy_partition(parse_hamiltonian(README_MODEL), level="mf2")
+    _, ground = simulator.eigensolve(plan.source)
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        simulator.estimate_energy(plan, ground, shots=100, seed=7)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert tracer.absent == []
+    for name in ("branch_distribution", "expectation", "variance"):
+        assert summary[f"{name}.calls"] == plan.n_fragments
+    assert summary["branch_distribution.branches"] > 0
+

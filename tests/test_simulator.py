@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -358,3 +360,30 @@ def test_threaded_estimate_from_a_cold_word_cache_matches_serial():
     threaded = estimate_energy(plan, psi, shots=300, seed=9, workers=4)
     simulator._cached_word_action.cache_clear()
     assert threaded == estimate_energy(plan, psi, shots=300, seed=9)
+
+
+def test_cached_rotations_stack_to_the_batched_rotations_bit_for_bit():
+    rng = np.random.default_rng(4242)
+    blochs = [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(64, 3))]
+    blochs += [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    blochs += [(-0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (1.0, -0.0, -0.0), (-0.0, -1.0, 0.0)]
+    cached = np.array([simulator._z_rotation(struct.pack("3d", *b)) for b in blochs])
+    # Byte equality also compares the sign bit of every zero.
+    assert cached.tobytes() == simulator._z_rotations(np.array(blochs)).tobytes()
+    plus, minus = (simulator._z_rotation(struct.pack("3d", z, 0.0, 1.0)) for z in (0.0, -0.0))
+    assert plus is not minus
+    with pytest.raises(ValueError):
+        plus[0, 0] = 0.0
+
+
+def test_product_values_match_the_map_bit_for_bit():
+    rng = np.random.default_rng(31)
+    terms = tuple(
+        (tuple(int(p) for p in rng.choice(7, size=k, replace=False)), float(c))
+        for k, c in zip(rng.integers(0, 5, size=16), rng.normal(size=16))
+    )
+    terms += (((2, 2, 5), -0.0), ((), 0.1), ((1,), -0.0), ((6, 0), 1e-17))
+    tv = ProductTerminalMap(7, terms)
+    expected = np.array([tv[outcomes] for outcomes in tv])
+    assert simulator._product_values(tv).tobytes() == expected.tobytes()
+
