@@ -285,8 +285,6 @@ def _certificate_payload(cert: MFCertificate) -> dict:
 def _bloch(value, path: tuple) -> tuple:
     if type(value) is not list or len(value) != 3:
         raise ValueError(f"plan field {_name(path)!r} must be an array of 3 numbers")
-    if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-        return tuple(value)
     return tuple(_check(v, float, (path, i)) for i, v in enumerate(value))
 
 
@@ -300,14 +298,14 @@ def _certificate_from_payload(payload: dict, path: tuple) -> MFCertificate:
             ops = UniformBranchOps(depth, op)
         else:
             ops_path, ops, shared = (here, "ops"), {}, {}
-            # One op per bit pattern of float Bloch vectors, so 0.0 and -0.0
-            # differ; a vector with an integer entry keeps an op of its own.
+            # One op, checked once, per bit pattern of three floats, so 0.0
+            # and -0.0 differ; any other value is checked on its own.
             for key, value in _get(row, "ops", dict, here).items():
                 prefix, at = _prefix_from_key(key, ops_path), (ops_path, key)
-                bloch = _bloch(value, at)
-                bits = struct.pack("3d", *bloch) if set(map(type, bloch)) == {float} else at
+                floats = type(value) is list and len(value) == 3 and {*map(type, value)} == {float}
+                bits = struct.pack("3d", *value) if floats else at
                 if bits not in shared:
-                    shared[bits] = _named(SingleQubitOp, at, qubit, bloch)
+                    shared[bits] = _named(SingleQubitOp, at, qubit, _bloch(value, at))
                 ops[prefix] = shared[bits]
         steps.append(ReductionStep(qubit, ops))
     order = [q for _, q in _items(payload, "qubit_order", int, path)]
@@ -412,19 +410,15 @@ def _write(value, indent: str, out: list[str]) -> None:
         out.append("NaN" if value != value else _INFINITIES.get(value) or float.__repr__(value))
     elif isinstance(value, (list, tuple, dict)):
         is_dict = isinstance(value, dict)
-        if not value:
-            out.append("{}" if is_dict else "[]")
-            return
         inner = indent + "  "
-        out.append("{\n" + inner if is_dict else "[\n" + inner)
+        out.append("{" if is_dict else "[")
         for i, item in enumerate(value.items() if is_dict else value):
-            if i:
-                out.append(",\n" + inner)
+            out.append(",\n" + inner if i else "\n" + inner)
             if is_dict:
                 key, item = item
                 out.append(encode_basestring_ascii(key) + ": ")
             _write(item, inner, out)
-        out.append("\n" + indent + ("}" if is_dict else "]"))
+        out.append(("\n" + indent if value else "") + ("}" if is_dict else "]"))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
