@@ -171,7 +171,7 @@ class SpectrumReport:
 
     def __post_init__(self):
         gram = self.eigenvectors.conj().T @ self.eigenvectors
-        if not np.allclose(gram, np.eye(len(self.eigenvalues)), atol=1e-10):
+        if not np.allclose(gram, np.eye(len(self.eigenvalues)), rtol=0.0, atol=1e-10):
             raise ValueError("eigenvectors not orthonormal")
 
     def degenerate_groups(self) -> list[slice]:
@@ -213,7 +213,7 @@ class EntanglerSpec:
         u = self.unitary
         if u.shape != (dim, dim):
             raise ValueError(f"unitary shape {u.shape} does not match subset")
-        if not np.allclose(u.conj().T @ u, np.eye(dim), atol=1e-10):
+        if not np.allclose(u.conj().T @ u, np.eye(dim), rtol=0.0, atol=1e-10):
             raise ValueError("matrix is not unitary")
         if tuple(self.subset) != tuple(self.origin.subset):
             raise ValueError("spec subset differs from its origin's")

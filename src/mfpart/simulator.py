@@ -5,12 +5,14 @@ bit (i >> k) & 1.  Words act on amplitudes, and enter dense matrices,
 through :func:`mfpart.pauli._word_action`.
 
 Sampling follows a fragment's certificate: the energy sample of a shot
-is the certificate's terminal value for its outcome sequence.  Shots
-are drawn by inverse CDF from the exact branch distribution, which one
-pass over the state yields by deferred measurement; ``measure_fragment``
-is the same measurement as a per-shot collapse.  An exact eigenvalue is
-drawn each shot, which is why the analytic per-fragment moments are
-plain operator moments of the certified sum.
+is the certificate's terminal value for its outcome sequence.  One pass
+over the state yields the exact branch distribution by deferred
+measurement, and every shot, in ``estimate_energy`` and in
+``measure_fragment`` alike, is an inverse-CDF draw from it.  Branch b
+is the outcome sequence in which step d reads -1 exactly when bit
+m-1-d of b is set, the order of ``itertools.product((1, -1), repeat=m)``.
+An exact eigenvalue is drawn each shot, which is why the analytic
+per-fragment moments are plain operator moments of the certified sum.
 """
 
 from __future__ import annotations
@@ -210,33 +212,25 @@ def _prepare_fragment_state(frag: MFFragment, psi: StateVector) -> np.ndarray:
     return amps
 
 
+def _draw(probs: np.ndarray, uniforms):
+    """Branch indices of ``uniforms`` under ``probs`` by inverse CDF."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = max(cdf[-1], 1.0)
+    return np.searchsorted(cdf, uniforms, side="right")
+
+
 def measure_fragment(
     frag: MFFragment, psi: StateVector, rng_seed
 ) -> tuple[float, tuple[int, ...]]:
-    """One feedforward shot: sequential collapse along the certificate.
+    """One feedforward shot, drawn from :func:`branch_distribution`.
 
     Returns the energy sample (the terminal value of the realized branch)
     and the outcome sequence itself.
     """
-    cert = frag.certificate
-    if cert.n_qubits != psi.n_qubits:
-        raise ValueError("certificate register size does not match the state")
-    rng = np.random.default_rng(rng_seed)
-    amps = _prepare_fragment_state(frag, psi)
-    outcomes: tuple[int, ...] = ()
-    for step in cert.steps:
-        op = step.ops[outcomes].unit()
-        bloch_op = np.tensordot(op.bloch, _PAULIS, 1)
-        rotated = _apply_matrix_raw(amps, bloch_op, (op.qubit,), psi.n_qubits)
-        plus = 0.5 * (amps + rotated)
-        p_plus = min(max(float(np.vdot(plus, plus).real), 0.0), 1.0)
-        if rng.random() < p_plus:
-            outcome, branch, p = 1, plus, p_plus
-        else:
-            outcome, branch, p = -1, 0.5 * (amps - rotated), 1.0 - p_plus
-        amps = branch / np.sqrt(max(p, 1e-300))
-        outcomes = outcomes + (outcome,)
-    return float(cert.terminal_values[outcomes]), outcomes
+    probs, values = branch_distribution(frag, psi)
+    b = int(_draw(probs, np.random.default_rng(rng_seed).random()))
+    m = len(frag.certificate.steps)
+    return float(values[b]), tuple(-1 if (b >> (m - 1 - d)) & 1 else 1 for d in range(m))
 
 
 def _z_rotations(blochs: np.ndarray) -> np.ndarray:
@@ -265,16 +259,18 @@ def _product_values(tv: ProductTerminalMap) -> np.ndarray:
 
 def branch_distribution(
     frag: MFFragment, psi: StateVector
-) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """Exact outcome-branch probabilities and terminal values.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact outcome-branch probabilities and terminal values, in bit order.
 
     One pass over one copy of the state: the chain qubits are moved to
     the front in step order, and step d rotates its qubit onto Z under
-    all 2^d outcome prefixes at once, bit 0 standing for outcome +1.  A
-    branch's probability is the squared weight of its bit pattern.
-    Branches come in the certificate's own order.  Rotations come from a
-    bounded cache of read-only arrays keyed by the bits of the Bloch
-    vector (0.0 and -0.0 never share one), stacked for a table step.
+    all 2^d outcome prefixes at once, bit 0 standing for outcome +1.
+    Entry b of both arrays belongs to the outcomes in which step d reads
+    -1 exactly when bit m-1-d of b is set, however the certificate lists
+    its table; a probability is the squared weight of its bit pattern.
+    Rotations come from a bounded cache of read-only arrays keyed by the
+    bits of the Bloch vector (0.0 and -0.0 never share one), stacked for
+    a table step.
     """
     cert = frag.certificate
     if cert.n_qubits != psi.n_qubits:
@@ -290,15 +286,11 @@ def branch_distribution(
             ops = (step.ops[p] for p in itertools.product((1, -1), repeat=d))
             rotations = np.array([_z_rotation(struct.pack("3d", *op.bloch)) for op in ops])
         amps = rotations @ amps.reshape(1 << d, 2, -1)
-    weights = np.square(np.abs(amps.reshape(1 << m, -1))).sum(axis=1)
+    probs = np.square(np.abs(amps.reshape(1 << m, -1))).sum(axis=1)
     tv = cert.terminal_values
-    order = list(tv)
-    if isinstance(tv, ProductTerminalMap):  # branches in bit order
-        return order, weights, _product_values(tv)
-    minus = np.array(order, dtype=np.int8).reshape(len(order), m) < 0
-    probs = weights[minus @ (1 << np.arange(m - 1, -1, -1))]
-    values = np.array([tv[o] for o in order])
-    return order, probs, values
+    if isinstance(tv, ProductTerminalMap):
+        return probs, _product_values(tv)
+    return probs, np.array([tv[o] for o in itertools.product((1, -1), repeat=m)])
 
 
 @dataclass(frozen=True)
@@ -338,11 +330,8 @@ def _estimate_fragment(
     exact_mean = expectation(eff, eff_state)
     exact_var = variance(eff, eff_state)
 
-    _, probs, values = branch_distribution(frag, psi)
-    cdf = np.cumsum(probs)
-    cdf[-1] = max(cdf[-1], 1.0)
-    uniforms = np.random.default_rng([seed, fi]).random(shots)
-    samples = values[np.searchsorted(cdf, uniforms, side="right")]
+    probs, values = branch_distribution(frag, psi)
+    samples = values[_draw(probs, np.random.default_rng([seed, fi]).random(shots))]
 
     return FragmentEstimate(
         index=fi,

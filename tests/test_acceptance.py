@@ -317,7 +317,7 @@ def test_acceptance_6_partition_soundness_sweep():
                 psi = StateVector(n, random_amplitudes(rng, n))
                 mean = 0.0
                 for frag in plan.fragments:
-                    _, probs, values = branch_distribution(frag, psi)
+                    probs, values = branch_distribution(frag, psi)
                     mean += float(probs @ values)
                 if abs(mean - expectation(h, psi)) > 1e-9:
                     failures.append(

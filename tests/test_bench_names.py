@@ -78,5 +78,7 @@ def test_tracer_sees_the_sampling_layer_once_per_fragment():
     assert tracer.absent == []
     for name in ("branch_distribution", "expectation", "variance"):
         assert summary[f"{name}.calls"] == plan.n_fragments
-    assert summary["branch_distribution.branches"] > 0
+    assert summary["branch_distribution.branches"] == sum(
+        2 ** len(f.certificate.steps) for f in plan.fragments
+    )
 

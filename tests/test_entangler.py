@@ -10,6 +10,7 @@ from mfpart.entangler import (
     EntanglerSpec,
     FactorabilityVerdict,
     KQubitOp,
+    SpectrumReport,
     apply_unitary,
     build_clifford_unentangler,
     build_unentangler,
@@ -438,6 +439,15 @@ def test_entangler_spec_validates_unitarity():
         EntanglerSpec((0, 1), 2.0 * np.eye(4), origin)
     with pytest.raises(ValueError, match="differs from its origin"):
         EntanglerSpec((1, 2), np.eye(4), KQubitOp(3, (0, 1), {word(3, {0: "Z"}): 1.0}))
+
+
+def test_unitarity_and_orthonormality_are_checked_to_1e_10_on_the_diagonal_too():
+    origin = KQubitOp(2, (0, 1), {word(2, {0: "Z"}): 1.0})
+    with pytest.raises(ValueError, match="not unitary"):
+        EntanglerSpec((0, 1), 1.000004 * np.eye(4), origin)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        SpectrumReport(np.array([1.0, -1.0]), 1.000004 * np.eye(2))
+    EntanglerSpec((0, 1), (1.0 + 1e-12) * np.eye(4), origin)
 
 
 def test_apply_unitary_identity_is_noop():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import h2_model, random_amplitudes, random_sum
+from conftest import README_MODEL, h2_model, random_amplitudes, random_sum
 from mfpart import hamio
 from mfpart.hamio import (
     parse_hamiltonian,
@@ -336,3 +336,13 @@ def test_parse_plan_names_bad_fields(edit, message):
     assert parse_plan(json.dumps(doc)).n_fragments == 1
     with pytest.raises(ValueError, match=message):
         parse_plan(json.dumps(edit(doc)))
+
+
+def test_parse_plan_refuses_a_unitary_off_by_4e_6():
+    plan = greedy_partition(parse_hamiltonian(README_MODEL), level="mf2")
+    doc = json.loads(serialize_plan(plan))
+    entangler = doc["fragments"][1]["entangler"]
+    for part in ("unitary_re", "unitary_im"):
+        entangler[part] = [[(1 + 4e-6) * x for x in row] for row in entangler[part]]
+    with pytest.raises(ValueError, match=r"'fragments\[1\].entangler': matrix is not unitary"):
+        parse_plan(json.dumps(doc))

@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -191,12 +192,9 @@ def test_measure_fragment_register_mismatch():
 def test_branch_distribution_single_qubit_born_rule():
     frag = single_fragment(sum_on(1, (1.0, {0: "Z"})))
     psi = StateVector.normalized(1, [np.sqrt(0.3), np.sqrt(0.7)])
-    order, probs, values = branch_distribution(frag, psi)
-    table = dict(zip(order, zip(probs, values)))
-    assert table[(1,)][0] == pytest.approx(0.3, abs=1e-12)
-    assert table[(1,)][1] == pytest.approx(1.0)
-    assert table[(-1,)][0] == pytest.approx(0.7, abs=1e-12)
-    assert table[(-1,)][1] == pytest.approx(-1.0)
+    probs, values = branch_distribution(frag, psi)
+    assert probs == pytest.approx([0.3, 0.7], abs=1e-12)
+    assert list(values) == pytest.approx([1.0, -1.0])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -207,7 +205,7 @@ def test_branch_distribution_reproduces_expectation(seed):
     psi = StateVector(4, random_amplitudes(rng, 4))
     total = 0.0
     for frag in plan.fragments:
-        _, probs, values = branch_distribution(frag, psi)
+        probs, values = branch_distribution(frag, psi)
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
         total += float(probs @ values)
     assert total == pytest.approx(expectation(h, psi), abs=1e-9)
@@ -263,8 +261,8 @@ def test_branch_distribution_matches_dense_projectors():
         psi = StateVector(n, random_amplitudes(rng, n))
         for frag in plan.fragments:
             cert = frag.certificate
-            order, probs, values = branch_distribution(frag, psi)
-            assert order == list(cert.terminal_values)
+            probs, values = branch_distribution(frag, psi)
+            order = list(itertools.product((1, -1), repeat=len(cert.steps)))
             assert list(values) == [cert.terminal_values[o] for o in order]
             for outcomes, prob in zip(order, probs):
                 expected = dense_branch_probability(frag, psi.amplitudes, outcomes)
@@ -281,6 +279,48 @@ def test_branch_distribution_matches_dense_projectors():
     assert seen == {
         "per-prefix ops", "uniform ops below the root", "non-ascending chain", "entangled"
     }
+
+
+def feedforward_plan(terminal_values=None):
+    """feedforward_example as one table fragment, with its terminal dict optionally replaced."""
+    h = feedforward_example()
+    cert = verify_mf(h)
+    if terminal_values is not None:
+        cert = MFCertificate(cert.n_qubits, cert.steps, terminal_values(cert.terminal_values))
+    return PartitionPlan(source=h, fragments=(MFFragment(h, cert),), level="mf1")
+
+
+def test_branch_order_does_not_depend_on_how_a_table_is_listed():
+    plan = feedforward_plan()
+    reversed_plan = feedforward_plan(lambda tv: dict(reversed(list(tv.items()))))
+    assert list(reversed_plan.fragments[0].certificate.terminal_values) != list(
+        plan.fragments[0].certificate.terminal_values
+    )
+    assert validate_plan(reversed_plan) == []
+    psi = StateVector(2, random_amplitudes(np.random.default_rng(3), 2))
+    for got, want in zip(
+        branch_distribution(reversed_plan.fragments[0], psi),
+        branch_distribution(plan.fragments[0], psi),
+    ):
+        assert got.tobytes() == want.tobytes()
+    assert estimate_energy(reversed_plan, psi, 50, 3) == estimate_energy(plan, psi, 50, 3)
+
+
+def test_measure_fragment_draws_the_dense_branch_distribution():
+    frag = feedforward_plan().fragments[0]
+    cert = frag.certificate
+    assert len(set(cert.steps[1].ops.values())) > 1
+    psi = StateVector(2, random_amplitudes(np.random.default_rng(802), 2))
+    shots = 4000
+    counts = dict.fromkeys(cert.terminal_values, 0)
+    for seed in range(shots):
+        value, outcomes = measure_fragment(frag, psi, seed)
+        assert value == cert.terminal_values[outcomes]
+        counts[outcomes] += 1
+    for outcomes, count in counts.items():
+        p = dense_branch_probability(frag, psi.amplitudes, outcomes)
+        assert 0.1 < p < 0.9
+        assert abs(count / shots - p) <= 5 * np.sqrt(p * (1 - p) / shots)
 
 
 def test_estimate_energy_samples_a_wide_branch_table():
