@@ -25,6 +25,12 @@ makes every ``l`` decision and reduction: :func:`_branch_gram` (through
 :func:`_stuck_support`.  :func:`compute_l` (the full :class:`GramData`
 for the factorizations) and :func:`reduce_qubit` are thin wrappers.
 
+A branch and its negation form one sign class (:func:`_sign_class`):
+negation keeps every square and pairwise product, hence every ``l``, op
+and commute verdict, and negates every reduction bit for bit, so
+:func:`verify_mf` and :func:`mfpart.partition.validate_plan` decide each
+class once.
+
 Before that eigendecomposition, :func:`_branch_gram` screens the Gram
 matrix by its trace, second invariant and determinant (:func:`_settled_l`).
 The screen answers only ``l = 0`` or ``l = 1``, and only when these put the
@@ -561,6 +567,22 @@ def _reduce_branch(
     return {key: c for key, c in acc.items() if abs(c) > COEFF_PRUNE}
 
 
+def _sign_class(terms: dict, interned: dict[tuple, int], classes: list[dict]) -> tuple[int, int]:
+    """(index in ``classes``, sign) of a branch: the branch is sign times that class.
+
+    The class is the branch, negated when its first coefficient has the
+    sign bit set, interned by its ordered items: the order sets later sums.
+    """
+    first = next(iter(terms.values()), 0.0)
+    sign = -1 if math.copysign(1.0, first) < 0 else 1
+    items = tuple(terms.items()) if sign > 0 else tuple((key, -c) for key, c in terms.items())
+    index = interned.get(items)
+    if index is None:
+        index = interned[items] = len(classes)
+        classes.append(terms if sign > 0 else dict(items))
+    return index, sign
+
+
 def _branch_of(h: PauliSum) -> dict[tuple[int, int], float]:
     """The sum as a mask-keyed branch dict."""
     return {(w.x_mask, w.z_mask): c for w, c in h.terms.items()}
@@ -603,61 +625,58 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
     At each step the lowest-indexed remaining support qubit that is
     factorable (l = 2) or absent (l = 3) in every live branch is measured;
     both outcomes of every branch are then reduced and the search recurses.
-    Absent qubits get a Z placeholder op whose outcome cannot change the
-    terminal value.  Returns None when no step qubit qualifies, or when
-    the live branch count would exceed ``MAX_BRANCHES``.  That cap and
-    ``GRAM_TOL_SCALE`` are read at call time.  Raises ValueError when
+    Each live outcome prefix maps to a sign class and a sign, so each class
+    is decided and reduced once per step and its op serves all its
+    prefixes.  Absent qubits get a Z placeholder op whose outcome cannot
+    change the terminal value.  Returns None when no step qubit qualifies,
+    or when the live branch count would exceed ``MAX_BRANCHES``.  That cap
+    and ``GRAM_TOL_SCALE`` are read at call time.  Raises ValueError when
     h's squared coefficients do not sum to a finite number.
     """
     if not math.isfinite(h.norm()):
         raise ValueError(_OVERFLOW)
-    support = h.support()
-    if not support:
-        return MFCertificate(
-            n_qubits=h.n_qubits,
-            steps=(),
-            terminal_values={(): h.constant_part()},
-        )
-
     axes = _axis_profile(h)
-    if axes is not None:
+    if axes:
         return _pure_axis_certificate(h, axes)
 
-    branches: dict[tuple[int, ...], dict[tuple[int, int], float]] = {(): _branch_of(h)}
-    remaining = list(support)
+    classes: list[dict[tuple[int, int], float]] = []
+    branches = {(): _sign_class(_branch_of(h), {}, classes)}
+    remaining = list(h.support())
     steps: list[ReductionStep] = []
     while remaining:
-        chosen: tuple[int, dict[tuple[int, ...], SingleQubitOp]] | None = None
+        chosen: tuple[int, list[SingleQubitOp]] | None = None
         for k in remaining:
-            ops: dict[tuple[int, ...], SingleQubitOp] = {}
-            for prefix, bh in branches.items():
+            class_ops: list[SingleQubitOp] = []
+            for bh in classes:
                 l, top = _branch_gram(bh, k)
-                if l == 3:
-                    ops[prefix] = SingleQubitOp(k, (0.0, 0.0, 1.0))
-                elif l == 2:
-                    ops[prefix] = SingleQubitOp(k, top)
-                else:
+                if l < 2:
                     break
+                class_ops.append(SingleQubitOp(k, top if l == 2 else (0.0, 0.0, 1.0)))
             else:
-                chosen = (k, ops)
+                chosen = (k, class_ops)
                 break
-        if chosen is None:
+        if chosen is None or 2 * len(branches) > MAX_BRANCHES:
             return None
-        if 2 * len(branches) > MAX_BRANCHES:
-            return None
-        k, ops = chosen
+        k, class_ops = chosen
         remaining.remove(k)
-        steps.append(ReductionStep(qubit=k, ops=ops))
-        next_branches: dict[tuple[int, ...], dict[tuple[int, int], float]] = {}
-        for prefix, bh in branches.items():
-            weights = _reduction_weights(ops[prefix])
-            for outcome in (1, -1):
-                next_branches[prefix + (outcome,)] = _reduce_branch(bh, k, weights, outcome)
-        branches = next_branches
+        steps.append(ReductionStep(k, {p: class_ops[c] for p, (c, _) in branches.items()}))
+        # Classes are interned afresh at each step, so only live ones are kept.
+        old, classes, interned = classes, [], {}
+        children = [
+            [_sign_class(_reduce_branch(bh, k, _reduction_weights(op), o), interned, classes)
+             for o in (1, -1)]
+            for bh, op in zip(old, class_ops)
+        ]
+        branches = {
+            prefix + (o,): (child, sign * child_sign)
+            for prefix, (c, sign) in branches.items()
+            for o, (child, child_sign) in zip((1, -1), children[c])
+        }
 
-    terminal: dict[tuple[int, ...], float] = {}
-    for prefix, bh in branches.items():
-        if any(x | z for x, z in bh):
-            raise AssertionError("reduction chain left a non-scalar branch")
-        terminal[prefix] = bh.get((0, 0), 0.0)
+    if any(x | z for bh in classes for x, z in bh):
+        raise AssertionError("reduction chain left a non-scalar branch")
+    # A class with no constant term is zero, +0.0 under either sign.
+    terminal = {
+        p: sign * classes[c][0, 0] if classes[c] else 0.0 for p, (c, sign) in branches.items()
+    }
     return MFCertificate(n_qubits=h.n_qubits, steps=tuple(steps), terminal_values=terminal)

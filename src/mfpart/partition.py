@@ -39,6 +39,7 @@ from .meanfield import (
     _branch_of,
     _l_values,
     _product_differences,
+    _sign_class,
     _stuck_support,
     compute_l,
     decompose_by_qubit,
@@ -233,8 +234,11 @@ def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str
         if not abs(sum(diff.values())) <= 1e-9:
             return f"branch {(1,) * len(order)} terminal mismatch"
         return f"terminal products are off by up to {bound:.3g}"
-    # reduced[d] is h reduced along the first d outcomes of path.
-    reduced = [h]
+    # reduced[d] is h reduced along the first d outcomes of path, as a
+    # (class, sign) pair of _sign_class.  A class's children under an op
+    # that commutes with it are kept by the op's id; held keeps that op alive.
+    classes, interned, children, held, scalars = [], {}, {}, [], {}
+    reduced = [_sign_class(h.terms, interned, classes)]
     path: tuple[int, ...] = ()
     for outcomes in tv:
         # Every key has one outcome per step (checked above).
@@ -247,13 +251,27 @@ def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str
             op = cert.steps[si].ops.get(path[:si])
             if op is None:
                 return f"branch {outcomes} has no op at step {si}"
-            if not _branch_commutes(_branch_of(reduced[si]), op):
-                return f"branch {outcomes} op at step {si} does not commute"
-            reduced.append(reduce_qubit(reduced[si], op, path[si]))
-        if reduced[-1].support():
-            return f"branch {outcomes} left a non-scalar"
+            c, sign = reduced[si]
+            pair = children.get((c, id(op)))
+            if pair is None:
+                branch = PauliSum(h.n_qubits, classes[c])
+                if not _branch_commutes(_branch_of(branch), op):
+                    return f"branch {outcomes} op at step {si} does not commute"
+                held.append(op)
+                pair = children[c, id(op)] = {
+                    o: _sign_class(reduce_qubit(branch, op, o).terms, interned, classes)
+                    for o in (1, -1)
+                }
+            child, child_sign = pair[path[si]]
+            reduced.append((child, sign * child_sign))
+        c, sign = reduced[-1]
+        if c not in scalars:
+            if any(word.x_mask | word.z_mask for word in classes[c]):
+                return f"branch {outcomes} left a non-scalar"
+            # A scalar holds at most the identity term.
+            scalars[c] = next(iter(classes[c].values()), 0.0)
         # Written so that a NaN terminal value counts as a mismatch.
-        if not abs(reduced[-1].constant_part() - tv[outcomes]) <= 1e-9:
+        if not abs(sign * scalars[c] - tv[outcomes]) <= 1e-9:
             return f"branch {outcomes} terminal mismatch"
     return None
 
@@ -273,9 +291,11 @@ def validate_plan(plan: PartitionPlan) -> list[str]:
     branches in its branch order: each op must commute with the sum it
     is measured on, and the reductions must land on the stored terminal
     values.  Consecutive branches share the reductions of their common
-    outcome prefix, so each prefix's op is checked once.  A partitioner
-    certificate that is not a product chain has at most ``MAX_BRANCHES``
-    branches, and a loaded one no more than the table its file lists.
+    outcome prefix, and branches equal up to sign share one check and one
+    reduction per op (sign classes, see :mod:`mfpart.meanfield`).  A
+    partitioner certificate that is not a product chain has at most
+    ``MAX_BRANCHES`` branches, and a loaded one no more than the table its
+    file lists.
     """
     problems: list[str] = []
     n = plan.source.n_qubits

@@ -205,11 +205,12 @@ def apply_matrix_to_subset(
 
 
 def _prepare_fragment_state(frag: MFFragment, psi: StateVector) -> np.ndarray:
+    """The amplitudes the certificate is measured on: psi's own, only read, without an entangler."""
+    spec = frag.entangler
+    if spec is None:
+        return psi.amplitudes
     amps = psi.amplitudes.copy()
-    if frag.entangler is not None:
-        spec = frag.entangler
-        amps = _apply_matrix_raw(amps, spec.unitary.conj().T, spec.subset, psi.n_qubits)
-    return amps
+    return _apply_matrix_raw(amps, spec.unitary.conj().T, spec.subset, psi.n_qubits)
 
 
 def _draw(probs: np.ndarray, uniforms):
@@ -324,9 +325,10 @@ class EstimatorReport:
 def _estimate_fragment(
     frag: MFFragment, fi: int, psi: StateVector, shots: int, seed: int
 ) -> FragmentEstimate:
-    amps = _prepare_fragment_state(frag, psi)
     eff = frag.effective_hamiltonian()
-    eff_state = StateVector(psi.n_qubits, amps)
+    eff_state = psi
+    if frag.entangler is not None:
+        eff_state = StateVector(psi.n_qubits, _prepare_fragment_state(frag, psi))
     exact_mean = expectation(eff, eff_state)
     exact_var = variance(eff, eff_state)
 

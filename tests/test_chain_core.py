@@ -7,12 +7,17 @@ the Frobenius Gram matrix of (A_x, A_y, A_z) must have rank at most one,
 and the branch reduces to A_e + outcome * n . A along the top direction n.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from conftest import dense_sum, random_sum
+from conftest import README_MODEL, dense_sum, random_sum
 from mfpart import meanfield
+from mfpart.hamio import parse_hamiltonian, serialize_plan
 from mfpart.meanfield import GRAM_TOL_SCALE, _branch_gram, compute_l, decompose_by_qubit, verify_mf
+from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
 from mfpart.pauli import PauliSum, PauliWord
 
 _PAULIS = (
@@ -212,3 +217,75 @@ def test_gram_screen_answers_outside_its_margin_and_only_there():
         for factor in (0.5, 0.99, 1.01, 2.0):
             for family in ("pair", "low", "mid"):
                 assert answer(f"gram-{family}-{factor}-{trace}") is None
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _op_bits(cert):
+    return [
+        {prefix: struct.pack("<3d", *op.bloch) for prefix, op in step.ops.items()}
+        for step in cert.steps
+    ]
+
+
+def _sign_symmetric_sums():
+    rng = np.random.default_rng(1986)
+    sums = [parse_hamiltonian(README_MODEL)]
+    for i in range(40):
+        n = 2 + i % 5
+        sums.append(random_sum(rng, n, int(rng.integers(2, 3 * n))))
+    # Fragments certify, so their tables exercise the chain search in full.
+    plans = [greedy_partition(h, "mf2") for h in sums]
+    return sums + [f.effective_hamiltonian() for plan in plans for f in plan.fragments]
+
+
+def test_a_negated_sum_gets_the_same_ops_and_negated_terminal_values():
+    tables = 0
+    for h in _sign_symmetric_sums():
+        cert, negated = verify_mf(h), verify_mf(h.scale(-1.0))
+        assert (cert is None) == (negated is None)
+        if cert is None:
+            continue
+        assert negated.qubit_order == cert.qubit_order
+        assert _op_bits(negated) == _op_bits(cert)
+        if isinstance(cert.terminal_values, dict):
+            tables += 1
+            values = {o: -v if v else 0.0 for o, v in cert.terminal_values.items()}
+            assert {o: _bits(v) for o, v in negated.terminal_values.items()} == {
+                o: _bits(v) for o, v in values.items()
+            }
+        else:
+            terms = negated.terminal_values.terms
+            assert terms == tuple((p, -c) for p, c in cert.terminal_values.terms)
+    assert tables >= 20
+
+
+def test_a_branch_without_a_constant_reads_positive_zero_under_either_sign():
+    # (Z0 - X0)(1 + Y1 Y2): the branches where Y1 Y2 reads -1 end at zero,
+    # and under h or -h some of them are the negation of their class.
+    h = parse_hamiltonian("1 Z0\n-1 X0\n1 Z0 Y1 Y2\n-1 X0 Y1 Y2\n")
+    for s in (h, h.scale(-1.0)):
+        cert = verify_mf(s)
+        assert isinstance(cert.terminal_values, dict)
+        zeros = [v for v in cert.terminal_values.values() if v == 0.0]
+        assert len(zeros) == 4 and {_bits(v) for v in zeros} == {_bits(0.0)}
+        plan = PartitionPlan(source=s, fragments=(MFFragment(s, cert),), level="mf1")
+        written = json.loads(serialize_plan(plan))["fragments"][0]["certificate"]
+        assert [_bits(v) for v in written["terminal_values"].values()].count(_bits(0.0)) == 4
+        assert validate_plan(plan) == []
+
+
+def test_the_branch_cap_counts_live_branches_not_sign_classes(monkeypatch):
+    # (X0 + Z0) Z1 Z2 Z3: every step leaves one sign class, +-sqrt(2) Z..Z.
+    h = parse_hamiltonian("1 X0 Z1 Z2 Z3\n1 Z0 Z1 Z2 Z3\n")
+    calls = []
+    gram = meanfield._branch_gram
+    monkeypatch.setattr(meanfield, "_branch_gram", lambda b, k: calls.append(k) or gram(b, k))
+    monkeypatch.setattr(meanfield, "MAX_BRANCHES", 16)
+    cert = verify_mf(h)
+    assert len(cert.terminal_values) == 16
+    assert calls == [0, 1, 2, 3]
+    monkeypatch.setattr(meanfield, "MAX_BRANCHES", 8)
+    assert verify_mf(h) is None

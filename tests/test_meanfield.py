@@ -183,11 +183,11 @@ def test_reduction_never_lowers_l(seed):
 
 
 def test_verify_constant_sum():
-    h = sum_on(3, (4.25, {}))
-    cert = verify_mf(h)
-    assert cert is not None
-    assert cert.steps == ()
-    assert cert.terminal_values[()] == 4.25
+    for value in (4.25, -4.25):
+        cert = verify_mf(sum_on(3, (value, {})))
+        assert cert is not None
+        assert cert.steps == ()
+        assert cert.terminal_values == {(): value}
 
 
 def test_verify_axis_pure_chain():

@@ -693,3 +693,166 @@ def test_full_validation_of_product_certificates_matches_the_walk(seed):
     problems = validate_plan(moved)
     assert problems == root_walk_problems(moved)
     assert problems and "left a non-scalar" in problems[0]
+
+
+def per_node_certificate_problem(h, cert, n_qubits):
+    """The certificate check with one reduced PauliSum per tree node, nothing shared.
+
+    The reference for the sign-class walk: same checks, same branch order,
+    same problem strings.
+    """
+    if cert.n_qubits != n_qubits:
+        return "certificate register size mismatch"
+    order = cert.qubit_order
+    for i, q in enumerate(order):
+        if q >= n_qubits:
+            return f"certificate measures qubit {q} outside the register"
+        if q in order[:i]:
+            return f"certificate measures qubit {q} twice"
+    tv = cert.terminal_values
+    if len(tv) != cert.n_branches or (
+        isinstance(tv, dict) and any(len(o) != len(order) for o in tv)
+    ):
+        return f"certificate does not give one terminal value per branch of its {len(order)} steps"
+    if not set(h.support()) <= set(order):
+        return "certificate does not cover the support"
+    diff = meanfield._product_differences(h, cert)
+    if diff is not None:
+        bound = sum(map(abs, diff.values()))
+        if bound <= 1e-9:
+            return None
+        if not abs(sum(diff.values())) <= 1e-9:
+            return f"branch {(1,) * len(order)} terminal mismatch"
+        return f"terminal products are off by up to {bound:.3g}"
+    nodes = {(): h}
+    for outcomes in tv:
+        for si in range(len(outcomes)):
+            prefix = outcomes[: si + 1]
+            if prefix in nodes:
+                continue
+            op = cert.steps[si].ops.get(outcomes[:si])
+            if op is None:
+                return f"branch {outcomes} has no op at step {si}"
+            parent = nodes[outcomes[:si]]
+            if not meanfield._branch_commutes(meanfield._branch_of(parent), op):
+                return f"branch {outcomes} op at step {si} does not commute"
+            nodes[prefix] = reduce_qubit(parent, op, outcomes[si])
+        if nodes[outcomes].support():
+            return f"branch {outcomes} left a non-scalar"
+        if not abs(nodes[outcomes].constant_part() - tv[outcomes]) <= 1e-9:
+            return f"branch {outcomes} terminal mismatch"
+    return None
+
+
+def acceptance6_plan(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    return greedy_partition(random_sum(rng, n, int(rng.integers(3, min(60, 4**n - 2) + 1))), "mf2")
+
+
+def sign_pairs(frag, si):
+    """Prefix pairs of step si whose reduced sums are each other's negation."""
+    cert = frag.certificate
+    sums = {(): frag.effective_hamiltonian()}
+    for d in range(si):
+        sums = {
+            p + (o,): reduce_qubit(s, cert.steps[d].ops[p], o)
+            for p, s in sums.items()
+            for o in (1, -1)
+        }
+    return [
+        (p, q)
+        for p, q in itertools.combinations(sums, 2)
+        if sums[p].terms and sums[q].terms == {w: -c for w, c in sums[p].terms.items()}
+    ]
+
+
+def mutants(frag, rng):
+    """Seeded one-field mutations of a table certificate, by name."""
+    cert = frag.certificate
+    steps = cert.steps
+
+    def with_op(si, prefix, op):
+        ops = dict(steps[si].ops)
+        if op is None:
+            del ops[prefix]
+        else:
+            ops[prefix] = op
+        changed = steps[:si] + (ReductionStep(steps[si].qubit, ops),) + steps[si + 1 :]
+        return dataclasses.replace(cert, steps=changed)
+
+    out = []
+    paired = [(si, pair) for si in range(1, len(steps)) for pair in sign_pairs(frag, si)]
+    if paired:
+        si, (p, q) = paired[rng.integers(len(paired))]
+        op = steps[si].ops[p]
+        bx, by, bz = op.bloch
+        for bloch in ((bz, bx, by), (bx, by + 1e-3, bz), (-bx, -by, -bz)):
+            changed = SingleQubitOp(op.qubit, bloch)
+            out.append(("paired op", with_op(si, (p, q)[rng.integers(2)], changed)))
+    values = dict(cert.terminal_values)
+    nonzero = [o for o, v in values.items() if v != 0.0]
+    if nonzero:
+        o = nonzero[rng.integers(len(nonzero))]
+        negated = {**values, o: -values[o]}
+        out.append(("negated value", dataclasses.replace(cert, terminal_values=negated)))
+    zeros = [
+        (si, p, i)
+        for si, s in enumerate(steps)
+        for p, op in s.ops.items()
+        for i, b in enumerate(op.bloch)
+        if b == 0.0
+    ]
+    if zeros:
+        si, p, i = zeros[rng.integers(len(zeros))]
+        bloch = list(steps[si].ops[p].bloch)
+        bloch[i] = -bloch[i]
+        out.append(("signed zero", with_op(si, p, SingleQubitOp(steps[si].qubit, tuple(bloch)))))
+    si = int(rng.integers(len(steps)))
+    p = list(steps[si].ops)[rng.integers(len(steps[si].ops))]
+    bloch = list(steps[si].ops[p].bloch)
+    out.append(("list bloch", with_op(si, p, SingleQubitOp(steps[si].qubit, list(bloch)))))
+    bloch[int(rng.integers(3))] = float("nan")
+    out.append(("nan bloch", with_op(si, p, SingleQubitOp(steps[si].qubit, tuple(bloch)))))
+    out.append(("missing op", with_op(si, p, None)))
+    return out
+
+
+def test_sign_class_walk_reports_what_a_per_node_walk_reports(monkeypatch):
+    rng = np.random.default_rng(16)
+    seen = set()
+    plans = [acceptance6_plan(seed) for seed in range(6000, 6050)]
+    plans += [parse_plan(serialize_plan(plan)) for plan in plans[::10]]
+    for plan in plans:
+        tables = [
+            fi
+            for fi, f in enumerate(plan.fragments)
+            if isinstance(f.certificate.terminal_values, dict)
+        ]
+        for fi in rng.permutation(tables)[:2]:
+            frag = plan.fragments[fi]
+            h, n = frag.effective_hamiltonian(), plan.source.n_qubits
+            for name, cert in mutants(frag, rng):
+                expected = per_node_certificate_problem(h, cert, n)
+                assert partition._certificate_problem(h, cert, n) == expected, name
+                kinds = ("has no op", "does not commute", "left a non-scalar", "terminal mismatch")
+                seen.add((name, next((k for k in kinds if expected and k in expected), "accepted")))
+            # The same, string for string, through validate_plan.
+            fragments = list(plan.fragments)
+            fragments[fi] = dataclasses.replace(frag, certificate=cert)
+            bad = dataclasses.replace(plan, fragments=tuple(fragments))
+            with monkeypatch.context() as m:
+                m.setattr(partition, "_certificate_problem", per_node_certificate_problem)
+                expected = validate_plan(bad)
+            assert validate_plan(bad) == expected
+    assert {name for name, _ in seen} == {
+        "paired op", "negated value", "signed zero", "list bloch", "nan bloch", "missing op"
+    }
+    assert {
+        ("paired op", "does not commute"),
+        ("negated value", "terminal mismatch"),
+        ("signed zero", "accepted"),
+        ("list bloch", "accepted"),
+        ("nan bloch", "does not commute"),
+        ("missing op", "has no op"),
+    } <= seen
