@@ -21,15 +21,18 @@ import re
 import struct
 import warnings
 from json.encoder import encode_basestring_ascii
+from typing import Mapping
 
 import numpy as np
 
 from .entangler import EntanglerSpec, KQubitOp, _check_subset, _check_word
 from .meanfield import (
+    BranchTable,
     MFCertificate,
     ProductTerminalMap,
     ReductionStep,
     UniformBranchOps,
+    _prefix_index,
 )
 from .partition import MFFragment, PartitionPlan
 from .pauli import PauliSum, PauliWord, SingleQubitOp
@@ -168,19 +171,24 @@ def _prefix_key(prefix: tuple[int, ...]) -> str:
 _label = functools.lru_cache(maxsize=4096)(PauliWord.label)
 
 
-@functools.lru_cache(maxsize=4096)
-def _outcomes(key: str) -> tuple[int, ...] | None:
-    """The outcome prefix a key such as '+-+' stands for, or None."""
-    if key.strip("+-"):
-        return None
-    return tuple(1 if c == "+" else -1 for c in key)
+def _table(depth: int, rows: dict, path: tuple, read) -> Mapping:
+    """A table field keyed by runs of + and -, each value read by ``read(value, at)``.
 
-
-def _prefix_from_key(key: str, path: tuple) -> tuple[int, ...]:
-    prefix = _outcomes(key)
-    if prefix is None:
-        raise ValueError(f"plan field {_name(path)!r}: key {key!r} is not a run of + and -")
-    return prefix
+    Values are read, and keys checked, in file order.  When the keys are
+    the 2^depth outcome prefixes in bit order, as :func:`serialize_plan`
+    writes them, the values make a :class:`BranchTable`; any other listing
+    stays a dict keyed by outcome tuples, for validate_plan to report on.
+    """
+    # The length is checked first, so keys are only made for a table of
+    # the size the file itself lists.
+    if len(rows) == 1 << depth and list(rows) == list(map(_prefix_key, _prefix_index(depth))):
+        return BranchTable(depth, [read(value, (path, key)) for key, value in rows.items()])
+    table = {}
+    for key, value in rows.items():
+        if key.strip("+-"):
+            raise ValueError(f"plan field {_name(path)!r}: key {key!r} is not a run of + and -")
+        table[tuple(1 if c == "+" else -1 for c in key)] = read(value, (path, key))
+    return table
 
 
 # Field paths are nested pairs (parent, key or index), turned into names
@@ -278,7 +286,7 @@ def _certificate_payload(cert: MFCertificate) -> dict:
             {"positions": list(positions), "coeff": coeff} for positions, coeff in tv.terms
         ]
     else:
-        payload["terminal_values"] = {_prefix_key(o): float(tv[o]) for o in tv}
+        payload["terminal_values"] = {_prefix_key(o): float(v) for o, v in tv.items()}
     return payload
 
 
@@ -297,16 +305,18 @@ def _certificate_from_payload(payload: dict, path: tuple) -> MFCertificate:
             op = _named(SingleQubitOp, op_path, qubit, _bloch(row["uniform_op"], op_path))
             ops = UniformBranchOps(depth, op)
         else:
-            ops_path, ops, shared = (here, "ops"), {}, {}
+            shared = {}
+
             # One op, checked once, per bit pattern of three floats, so 0.0
             # and -0.0 differ; any other value is checked on its own.
-            for key, value in _get(row, "ops", dict, here).items():
-                prefix, at = _prefix_from_key(key, ops_path), (ops_path, key)
+            def read_op(value, at):
                 floats = type(value) is list and len(value) == 3 and {*map(type, value)} == {float}
                 bits = struct.pack("3d", *value) if floats else at
                 if bits not in shared:
                     shared[bits] = _named(SingleQubitOp, at, qubit, _bloch(value, at))
-                ops[prefix] = shared[bits]
+                return shared[bits]
+
+            ops = _table(depth, _get(row, "ops", dict, here), (here, "ops"), read_op)
         steps.append(ReductionStep(qubit, ops))
     order = [q for _, q in _items(payload, "qubit_order", int, path)]
     measured = [step.qubit for step in steps]
@@ -323,11 +333,10 @@ def _certificate_from_payload(payload: dict, path: tuple) -> MFCertificate:
             products.append((positions, _get(row, "coeff", float, here)))
         terminal = ProductTerminalMap(len(steps), tuple(products))
     else:
-        values_path = (path, "terminal_values")
-        terminal = {
-            _prefix_from_key(key, values_path): _check(value, float, (values_path, key))
-            for key, value in _get(payload, "terminal_values", dict, path).items()
-        }
+        rows = _get(payload, "terminal_values", dict, path)
+        terminal = _table(
+            len(steps), rows, (path, "terminal_values"), lambda value, at: _check(value, float, at)
+        )
     return MFCertificate(_get(payload, "n_qubits", int, path), tuple(steps), terminal)
 
 
@@ -455,7 +464,9 @@ def parse_plan(text: str) -> PartitionPlan:
 
     A missing or mistyped field, or a header that contradicts the rest
     of the plan (version, level, fragment count, a chain's qubit order),
-    raises ValueError naming the field.
+    raises ValueError naming the field.  A table listed in outcome-bit
+    order, as :func:`serialize_plan` writes it, is read into a
+    :class:`~mfpart.meanfield.BranchTable`; any other listing into a dict.
     """
     try:
         doc = json.loads(text)

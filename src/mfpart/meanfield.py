@@ -25,6 +25,10 @@ makes every ``l`` decision and reduction: :func:`_branch_gram` (through
 :func:`_stuck_support`.  :func:`compute_l` (the full :class:`GramData`
 for the factorizations) and :func:`reduce_qubit` are thin wrappers.
 
+A certificate's table steps and terminal values are :class:`BranchTable`
+mappings: one depth's 2^d values held in outcome-bit order, with prefix
+keys produced on demand, so no key is stored per outcome prefix.
+
 A branch and its negation form one sign class (:func:`_sign_class`):
 negation keeps every square and pairwise product, hence every ``l``, op
 and commute verdict, and negates every reduction bit for bit, so
@@ -42,8 +46,10 @@ still comes from :func:`_gram_spectrum`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -61,6 +67,7 @@ __all__ = [
     "factor_l1",
     "reduce_qubit",
     "UniformBranchOps",
+    "BranchTable",
     "ProductTerminalMap",
     "ReductionStep",
     "MFCertificate",
@@ -269,6 +276,77 @@ class UniformBranchOps(Mapping):
         return self._depth
 
 
+@functools.cache
+def _prefix_index(depth: int) -> dict[tuple[int, ...], int]:
+    """Bit index of every outcome prefix of one depth, in bit order; shared by all tables."""
+    return {prefix: b for b, prefix in enumerate(itertools.product((1, -1), repeat=depth))}
+
+
+class _TableValues(ValuesView):
+    def __iter__(self) -> Iterator:
+        return iter(self._mapping._values)
+
+
+class _TableItems(ItemsView):
+    def __iter__(self) -> Iterator:
+        return zip(self._mapping, self._mapping._values)
+
+
+class BranchTable(Mapping):
+    """One chain depth's values, held as a tuple in outcome-bit order.
+
+    Entry b belongs to the prefix in which step d reads -1 exactly when
+    bit depth-1-d of b is set, the order of ``itertools.product((1, -1),
+    repeat=depth)``; the children of entry b are 2b (+1) and 2b+1 (-1).
+    Prefix keys come from one index per depth shared by every table, so a
+    table stores only its values, and ``values()`` and ``items()`` read
+    them in bit order without a lookup.
+    """
+
+    __slots__ = ("_depth", "_values", "_index")
+
+    def __init__(self, depth: int, values: Iterable):
+        values = tuple(values)
+        if len(values) != 1 << depth:
+            raise ValueError(
+                f"a table of depth {depth} holds {1 << depth} values, not {len(values)}"
+            )
+        self._depth = depth
+        self._values = values
+        self._index = _prefix_index(depth)
+
+    def __getitem__(self, prefix: tuple[int, ...]):
+        try:
+            return self._values[self._index[prefix]]
+        except (KeyError, TypeError):
+            raise KeyError(prefix) from None
+
+    def get(self, prefix: tuple[int, ...], default=None):
+        try:
+            return self._values[self._index[prefix]]
+        except (KeyError, TypeError):
+            return default
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def values(self) -> ValuesView:
+        return _TableValues(self)
+
+    def items(self) -> ItemsView:
+        return _TableItems(self)
+
+    @property
+    def depth(self) -> int:
+        return self._depth
+
+    def __repr__(self) -> str:
+        return f"BranchTable({self._depth}, {list(self._values)!r})"
+
+
 class ProductTerminalMap(Mapping):
     """Terminal values of an axis-pure chain, computed on demand.
 
@@ -314,9 +392,13 @@ class ProductTerminalMap(Mapping):
 class ReductionStep:
     """One chain step: the qubit measured and the op for each outcome prefix.
 
-    The stored op commutes with the branch's reduced Hamiltonian; the
-    construction check is the Gram kernel bound, which is equivalent to a
-    direct commutator-norm bound (see :func:`factor_l2`).
+    ``ops`` is a :class:`UniformBranchOps` when one op serves every prefix,
+    and otherwise, from :func:`verify_mf` or a plan file that lists it in
+    outcome-bit order, a :class:`BranchTable`; any Mapping from prefix to
+    op is read the same way.  The stored op commutes with the branch's
+    reduced Hamiltonian; the construction check is the Gram kernel bound,
+    which is equivalent to a direct commutator-norm bound (see
+    :func:`factor_l2`).
     """
 
     qubit: int
@@ -329,7 +411,9 @@ class MFCertificate:
 
     ``steps`` covers every support qubit in a fixed order shared by all
     outcome branches; ``terminal_values`` maps each full outcome sequence
-    to the scalar the chain terminates in.
+    to the scalar the chain terminates in: a :class:`ProductTerminalMap`
+    for an axis-pure chain, else a :class:`BranchTable` held in
+    outcome-bit order (or any Mapping of the same keys).
     """
 
     n_qubits: int
@@ -625,13 +709,15 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
     At each step the lowest-indexed remaining support qubit that is
     factorable (l = 2) or absent (l = 3) in every live branch is measured;
     both outcomes of every branch are then reduced and the search recurses.
-    Each live outcome prefix maps to a sign class and a sign, so each class
-    is decided and reduced once per step and its op serves all its
-    prefixes.  Absent qubits get a Z placeholder op whose outcome cannot
-    change the terminal value.  Returns None when no step qubit qualifies,
-    or when the live branch count would exceed ``MAX_BRANCHES``.  That cap
-    and ``GRAM_TOL_SCALE`` are read at call time.  Raises ValueError when
-    h's squared coefficients do not sum to a finite number.
+    Each live outcome prefix, in outcome-bit order, maps to a sign class
+    and a sign, so each class is decided and reduced once per step and its
+    op serves all its prefixes; the ops of a step and the terminal values
+    are kept as :class:`BranchTable` mappings.  Absent qubits get a Z
+    placeholder op whose outcome cannot change the terminal value.
+    Returns None when no step qubit qualifies, or when the live branch
+    count would exceed ``MAX_BRANCHES``.  That cap and ``GRAM_TOL_SCALE``
+    are read at call time.  Raises ValueError when h's squared
+    coefficients do not sum to a finite number.
     """
     if not math.isfinite(h.norm()):
         raise ValueError(_OVERFLOW)
@@ -640,7 +726,9 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
         return _pure_axis_certificate(h, axes)
 
     classes: list[dict[tuple[int, int], float]] = []
-    branches = {(): _sign_class(_branch_of(h), {}, classes)}
+    # The (class, sign) of every live prefix in bit order: the children of
+    # entry b are entries 2b (+1) and 2b+1 (-1) one step down.
+    branches = [_sign_class(_branch_of(h), {}, classes)]
     remaining = list(h.support())
     steps: list[ReductionStep] = []
     while remaining:
@@ -659,7 +747,7 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
             return None
         k, class_ops = chosen
         remaining.remove(k)
-        steps.append(ReductionStep(k, {p: class_ops[c] for p, (c, _) in branches.items()}))
+        steps.append(ReductionStep(k, BranchTable(len(steps), [class_ops[c] for c, _ in branches])))
         # Classes are interned afresh at each step, so only live ones are kept.
         old, classes, interned = classes, [], {}
         children = [
@@ -667,16 +755,13 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
              for o in (1, -1)]
             for bh, op in zip(old, class_ops)
         ]
-        branches = {
-            prefix + (o,): (child, sign * child_sign)
-            for prefix, (c, sign) in branches.items()
-            for o, (child, child_sign) in zip((1, -1), children[c])
-        }
+        branches = [
+            (child, sign * child_sign) for c, sign in branches for child, child_sign in children[c]
+        ]
 
     if any(x | z for bh in classes for x, z in bh):
         raise AssertionError("reduction chain left a non-scalar branch")
     # A class with no constant term is zero, +0.0 under either sign.
-    terminal = {
-        p: sign * classes[c][0, 0] if classes[c] else 0.0 for p, (c, sign) in branches.items()
-    }
+    ends = [(bh[0, 0], -bh[0, 0]) if bh else (0.0, 0.0) for bh in classes]
+    terminal = BranchTable(len(steps), [ends[c][sign < 0] for c, sign in branches])
     return MFCertificate(n_qubits=h.n_qubits, steps=tuple(steps), terminal_values=terminal)

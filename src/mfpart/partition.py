@@ -47,7 +47,7 @@ from .meanfield import (
     reduce_qubit,
     verify_mf,
 )
-from .pauli import AXES, PauliSum
+from .pauli import AXES, COEFF_PRUNE, PauliSum
 from .qwc import qwc_partition
 
 __all__ = [
@@ -240,7 +240,7 @@ def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str
     classes, interned, children, held, scalars = [], {}, {}, [], {}
     reduced = [_sign_class(h.terms, interned, classes)]
     path: tuple[int, ...] = ()
-    for outcomes in tv:
+    for outcomes, value in tv.items():
         # Every key has one outcome per step (checked above).
         depth = 0
         while depth < len(path) and path[depth] == outcomes[depth]:
@@ -271,7 +271,7 @@ def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str
             # A scalar holds at most the identity term.
             scalars[c] = next(iter(classes[c].values()), 0.0)
         # Written so that a NaN terminal value counts as a mismatch.
-        if not abs(sign * scalars[c] - tv[outcomes]) <= 1e-9:
+        if not abs(sign * scalars[c] - value) <= 1e-9:
             return f"branch {outcomes} terminal mismatch"
     return None
 
@@ -299,12 +299,18 @@ def validate_plan(plan: PartitionPlan) -> list[str]:
     """
     problems: list[str] = []
     n = plan.source.n_qubits
-    total = PauliSum.zero(n)
+    # One accumulator, pruned word by word as PauliSum.__add__ prunes.
+    total = {}
     for frag in plan.fragments:
         if frag.hamiltonian.n_qubits == n:
-            total = total + frag.hamiltonian
+            for word, coeff in frag.hamiltonian.terms.items():
+                c = total.get(word, 0.0) + coeff
+                if abs(c) > COEFF_PRUNE:
+                    total[word] = c
+                else:
+                    total.pop(word, None)
     scale = max(map(abs, plan.source.terms.values()), default=0.0)
-    if not total.allclose(plan.source, atol=1e-10 * max(1.0, scale)):
+    if not PauliSum(n, total).allclose(plan.source, atol=1e-10 * max(1.0, scale)):
         problems.append("fragments do not sum to the source Hamiltonian")
     for fi, frag in enumerate(plan.fragments):
         spec = frag.entangler

@@ -1,0 +1,233 @@
+"""Table certificates held in outcome-bit order (``meanfield.BranchTable``)."""
+
+import dataclasses
+import functools
+import gc
+import itertools
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import random_amplitudes, random_sum
+from mfpart.hamio import parse_hamiltonian, parse_plan, serialize_plan
+from mfpart.meanfield import BranchTable, ReductionStep, UniformBranchOps, verify_mf
+from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
+from mfpart.pauli import SingleQubitOp
+from mfpart.simulator import StateVector, branch_distribution, estimate_energy
+
+
+def acceptance6_sum(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    return random_sum(rng, n, int(rng.integers(3, min(60, 4**n - 2) + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def w2_plans():
+    """The mf2 plans of the 50 acceptance-6 sums, in memory, then reloaded."""
+    plans = [greedy_partition(acceptance6_sum(seed), "mf2") for seed in range(6000, 6050)]
+    return tuple(plans + [parse_plan(serialize_plan(plan)) for plan in plans])
+
+
+def test_a_table_reads_its_values_in_bit_order():
+    values = [f"v{b}" for b in range(8)]
+    table = BranchTable(3, values)
+    prefixes = list(itertools.product((1, -1), repeat=3))
+    assert list(table) == prefixes and len(table) == 8 and table.depth == 3
+    assert list(table.values()) == values
+    assert list(table.items()) == list(zip(prefixes, values))
+    assert table == dict(zip(prefixes, values))
+    # Children of entry b are 2b (+1) and 2b + 1 (-1).
+    assert table[1, -1, -1] == "v3" and table.get((-1, 1, 1)) == "v4"
+    assert BranchTable(0, [2.5]) == {(): 2.5}
+
+
+@pytest.mark.parametrize("n_values", [0, 1, 3, 5, 8])
+def test_a_table_refuses_a_value_list_of_the_wrong_length(n_values):
+    with pytest.raises(ValueError, match="holds 4 values"):
+        BranchTable(2, [0.0] * n_values)
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    [(), (1,), (1, -1, 1), (1, 0), (2, -1), (1, "+"), ("-", -1), (1, None), (1, [1]), "+-"],
+)
+def test_a_table_refuses_a_prefix_as_uniform_ops_do(prefix):
+    table = BranchTable(2, [0.0, 1.0, 2.0, 3.0])
+    uniform = UniformBranchOps(2, SingleQubitOp(0, (0.0, 0.0, 1.0)))
+    for mapping in (table, uniform):
+        with pytest.raises(KeyError):
+            mapping[prefix]
+    assert table.get(prefix, "absent") == "absent"
+    assert prefix not in table
+
+
+def dict_copy(plan):
+    """The plan with every BranchTable replaced by a dict of its items."""
+
+    def copy(table):
+        return dict(table) if isinstance(table, BranchTable) else table
+
+    fragments = []
+    for frag in plan.fragments:
+        cert = frag.certificate
+        steps = tuple(ReductionStep(step.qubit, copy(step.ops)) for step in cert.steps)
+        cert = dataclasses.replace(cert, steps=steps, terminal_values=copy(cert.terminal_values))
+        copied = dataclasses.replace(frag, certificate=cert)
+        # The same rotated sum, so only the table type differs.
+        object.__setattr__(copied, "_rotated", frag._rotated)
+        fragments.append(copied)
+    return dataclasses.replace(plan, fragments=tuple(fragments))
+
+
+def with_negated_value(plan, fi, as_dict):
+    """The plan with one nonzero terminal value of fragment fi negated."""
+    frag = plan.fragments[fi]
+    values = list(frag.certificate.terminal_values.values())
+    b = next(b for b, v in enumerate(values) if v != 0.0)
+    values[b] = -values[b]
+    table = BranchTable(len(frag.certificate.steps), values)
+    cert = dataclasses.replace(frag.certificate, terminal_values=dict(table) if as_dict else table)
+    fragments = list(plan.fragments)
+    fragments[fi] = dataclasses.replace(frag, certificate=cert)
+    object.__setattr__(fragments[fi], "_rotated", frag._rotated)
+    return dataclasses.replace(plan, fragments=tuple(fragments))
+
+
+def test_a_dict_copy_of_every_table_reads_the_same_as_the_table():
+    tables = mutated = 0
+    for i, plan in enumerate(w2_plans()):
+        certs = [frag.certificate for frag in plan.fragments]
+        # No table is held as a dict, in memory or reloaded.
+        for cert in certs:
+            for step in cert.steps:
+                assert isinstance(step.ops, (BranchTable, UniformBranchOps))
+        table_fragments = [
+            fi for fi, cert in enumerate(certs) if isinstance(cert.terminal_values, BranchTable)
+        ]
+        tables += len(table_fragments)
+        copied = dict_copy(plan)
+        assert serialize_plan(copied) == serialize_plan(plan)
+        assert validate_plan(copied) == validate_plan(plan) == []
+        n = plan.source.n_qubits
+        psi = StateVector(n, random_amplitudes(np.random.default_rng(i), n))
+        for got, want in zip(copied.fragments, plan.fragments):
+            for a, b in zip(branch_distribution(got, psi), branch_distribution(want, psi)):
+                assert a.tobytes() == b.tobytes()
+        assert estimate_energy(copied, psi, 200, i) == estimate_energy(plan, psi, 200, i)
+        for fi in table_fragments[:1]:
+            problems = validate_plan(with_negated_value(plan, fi, as_dict=False))
+            assert problems and problems == validate_plan(with_negated_value(plan, fi, True))
+            mutated += 1
+    assert tables >= 200 and mutated >= 50
+
+
+# A three-step chain measured in the order 0, 2, 1 with a per-branch table.
+THREE_STEP = "1.0 Z0\n0.5 Z0 X1\n0.3 X1 Z2\n0.2 Z1\n0.4 Z2\n"
+
+
+def three_step_file(edit):
+    """The plan file of THREE_STEP with its certificate edited in place."""
+    h = parse_hamiltonian(THREE_STEP)
+    cert = verify_mf(h)
+    plan = PartitionPlan(source=h, fragments=(MFFragment(h, cert),), level="mf1")
+    doc = json.loads(serialize_plan(plan))
+    edit(doc["fragments"][0]["certificate"])
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reverse(rows):
+    items = list(rows.items())
+    rows.clear()
+    rows.update(reversed(items))
+
+
+def swap_first_two(rows):
+    items = list(rows.items())
+    rows.clear()
+    rows.update([items[1], items[0]] + items[2:])
+
+
+def rename(rows, old, new):
+    items = list(rows.items())
+    rows.clear()
+    rows.update((new if key == old else key, value) for key, value in items)
+
+
+# Each listing, the tables it leaves as dicts, and what validate_plan
+# reports on it, as it did when every table was read into a dict.
+MISMATCH = "fragment 0: certificate does not give one terminal value per branch of its 3 steps"
+LISTINGS = {
+    "reversed values": (lambda c: reverse(c["terminal_values"]), {"values"}, []),
+    "reversed ops": (lambda c: reverse(c["steps"][2]["ops"]), {2}, []),
+    "swapped values": (lambda c: swap_first_two(c["terminal_values"]), {"values"}, []),
+    "missing value": (lambda c: c["terminal_values"].pop("+-+"), {"values"}, [MISMATCH]),
+    # A key of the wrong length in the place whose bit index it reads as.
+    "short value key": (lambda c: rename(c["terminal_values"], "++-", "-"), {"values"}, [MISMATCH]),
+    "missing op": (
+        lambda c: c["steps"][2]["ops"].pop("-+"),
+        {2},
+        ["fragment 0: branch (-1, 1, 1) has no op at step 2"],
+    ),
+    "long op key": (
+        lambda c: rename(c["steps"][1]["ops"], "-", "-+"),
+        {1},
+        ["fragment 0: branch (-1, 1, 1) has no op at step 1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LISTINGS))
+def test_a_table_listed_out_of_bit_order_or_incomplete_stays_a_dict(name):
+    edit, dicts, expected = LISTINGS[name]
+    text = three_step_file(edit)
+    loaded = parse_plan(text)
+    cert = loaded.fragments[0].certificate
+    tables = {"values": cert.terminal_values, **{d: s.ops for d, s in enumerate(cert.steps)}}
+    assert {key for key, table in tables.items() if type(table) is dict} == dicts
+    assert all(isinstance(tables[key], BranchTable) for key in tables.keys() - dicts)
+    assert serialize_plan(loaded) == text
+    assert validate_plan(loaded) == expected
+
+
+def test_table_certificates_hold_no_key_per_prefix():
+    sums = [f.effective_hamiltonian() for plan in w2_plans()[:50] for f in plan.fragments]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        certs = [verify_mf(h) for h in sums]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del certs
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # Measured 1.07 MB.  Dicts keyed by a new outcome tuple per prefix came
+    # to 2.62 MB, and dicts keyed by the shared prefix tuples to 1.46 MB.
+    assert held < 1.3e6
+
+
+def forty_step_file(edit):
+    """The plan file of a 40-qubit Z sum, its certificate edited in place."""
+    h = parse_hamiltonian("".join(f"1.0 Z{q}\n" for q in range(40)))
+    doc = json.loads(serialize_plan(greedy_partition(h, "mf1")))
+    cert = doc["fragments"][0]["certificate"]
+    del cert["terminal_products"]
+    edit(cert)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "values", [{}, {"+" * 40: 1.0}, {"+" * 40: 1.0, "+" * 39 + "-": 1.0}]
+)
+def test_a_short_table_of_a_deep_chain_is_read_without_listing_its_prefixes(values):
+    # 2^40 prefix keys would not fit in memory; a table this short is
+    # read as a dict and reported as it was when every table was a dict.
+    loaded = parse_plan(forty_step_file(lambda cert: cert.update(terminal_values=values)))
+    assert type(loaded.fragments[0].certificate.terminal_values) is dict
+    assert validate_plan(loaded) == [
+        "fragment 0: certificate does not give one terminal value per branch of its 40 steps"
+    ]

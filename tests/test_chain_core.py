@@ -16,7 +16,14 @@ import pytest
 from conftest import README_MODEL, dense_sum, random_sum
 from mfpart import meanfield
 from mfpart.hamio import parse_hamiltonian, serialize_plan
-from mfpart.meanfield import GRAM_TOL_SCALE, _branch_gram, compute_l, decompose_by_qubit, verify_mf
+from mfpart.meanfield import (
+    GRAM_TOL_SCALE,
+    BranchTable,
+    _branch_gram,
+    compute_l,
+    decompose_by_qubit,
+    verify_mf,
+)
 from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
 from mfpart.pauli import PauliSum, PauliWord
 
@@ -250,7 +257,7 @@ def test_a_negated_sum_gets_the_same_ops_and_negated_terminal_values():
             continue
         assert negated.qubit_order == cert.qubit_order
         assert _op_bits(negated) == _op_bits(cert)
-        if isinstance(cert.terminal_values, dict):
+        if isinstance(cert.terminal_values, BranchTable):
             tables += 1
             values = {o: -v if v else 0.0 for o, v in cert.terminal_values.items()}
             assert {o: _bits(v) for o, v in negated.terminal_values.items()} == {
@@ -268,7 +275,7 @@ def test_a_branch_without_a_constant_reads_positive_zero_under_either_sign():
     h = parse_hamiltonian("1 Z0\n-1 X0\n1 Z0 Y1 Y2\n-1 X0 Y1 Y2\n")
     for s in (h, h.scale(-1.0)):
         cert = verify_mf(s)
-        assert isinstance(cert.terminal_values, dict)
+        assert isinstance(cert.terminal_values, BranchTable)
         zeros = [v for v in cert.terminal_values.values() if v == 0.0]
         assert len(zeros) == 4 and {_bits(v) for v in zeros} == {_bits(0.0)}
         plan = PartitionPlan(source=s, fragments=(MFFragment(s, cert),), level="mf1")

@@ -21,6 +21,7 @@ from mfpart.entangler import (
 from mfpart.hamio import parse_plan, serialize_plan
 from mfpart.meanfield import (
     GRAM_TOL_SCALE,
+    BranchTable,
     MFCertificate,
     ProductTerminalMap,
     ReductionStep,
@@ -365,7 +366,7 @@ def three_step_plan():
     )
     cert = verify_mf(h)
     assert cert.qubit_order == (0, 2, 1)
-    assert isinstance(cert.terminal_values, dict)
+    assert isinstance(cert.terminal_values, BranchTable)
     return PartitionPlan(source=h, fragments=(MFFragment(h, cert),), level="mf1")
 
 
@@ -827,7 +828,7 @@ def test_sign_class_walk_reports_what_a_per_node_walk_reports(monkeypatch):
         tables = [
             fi
             for fi, f in enumerate(plan.fragments)
-            if isinstance(f.certificate.terminal_values, dict)
+            if isinstance(f.certificate.terminal_values, BranchTable)
         ]
         for fi in rng.permutation(tables)[:2]:
             frag = plan.fragments[fi]

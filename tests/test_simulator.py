@@ -16,6 +16,7 @@ from mfpart import simulator
 from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
 from mfpart.pauli import PauliSum, PauliWord, SingleQubitOp
 from mfpart.meanfield import (
+    BranchTable,
     MFCertificate,
     ProductTerminalMap,
     ReductionStep,
@@ -268,7 +269,8 @@ def test_branch_distribution_matches_dense_projectors():
                 expected = dense_branch_probability(frag, psi.amplitudes, outcomes)
                 assert prob == pytest.approx(expected, abs=1e-12)
             steps = cert.steps
-            if any(isinstance(st.ops, dict) and len(set(st.ops.values())) > 1 for st in steps):
+            tables = [st.ops for st in steps if isinstance(st.ops, BranchTable)]
+            if any(len(set(ops.values())) > 1 for ops in tables):
                 seen.add("per-prefix ops")
             if any(isinstance(st.ops, UniformBranchOps) and st.ops.depth >= 1 for st in steps):
                 seen.add("uniform ops below the root")
@@ -333,7 +335,7 @@ def test_estimate_energy_samples_a_wide_branch_table():
     plan = greedy_partition(h)
     wide = max(plan.fragments, key=lambda f: f.certificate.n_branches)
     assert wide.certificate.n_branches == 1 << n
-    assert isinstance(wide.certificate.steps[-1].ops, dict)
+    assert isinstance(wide.certificate.steps[-1].ops, BranchTable)
     rng = np.random.default_rng(13)
     psi = StateVector(n, random_amplitudes(rng, n))
     shots = 2000
