@@ -131,7 +131,7 @@ def _check_word(word: PauliWord, subset: tuple[int, ...]):
         raise ValueError(f"word {word.label()} not supported on the subset")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KQubitOp:
     """Hermitian operator on a small qubit subset, as real word coefficients."""
 
@@ -193,7 +193,7 @@ def op_spectrum(o: KQubitOp) -> SpectrumReport:
     return SpectrumReport(eigenvalues=evals[order], eigenvectors=evecs[:, order])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntanglerSpec:
     """A subset unitary together with the commuting operator that produced it.
 

@@ -296,28 +296,44 @@ def _bloch(value, path: tuple) -> tuple:
     return tuple(_check(v, float, (path, i)) for i, v in enumerate(value))
 
 
-def _certificate_from_payload(payload: dict, path: tuple) -> MFCertificate:
+def _read_op(made: dict, qubit: int, value, path: tuple) -> SingleQubitOp:
+    """The op of a Bloch field, made and checked once per qubit and bit pattern
+    of three floats, so 0.0 and -0.0 differ; any other value is checked on its own."""
+    if not (type(value) is list and len(value) == 3 and {*map(type, value)} == {float}):
+        return _named(SingleQubitOp, path, qubit, _bloch(value, path))
+    op = made.get(key := (qubit, struct.pack("3d", *value)))
+    if op is None:
+        op = made[key] = _named(SingleQubitOp, path, qubit, _bloch(value, path))
+    return op
+
+
+def _read_value(made: dict, value, path: tuple):
+    """A terminal value, one float object made and checked per bit pattern."""
+    if type(value) is not float:
+        return _check(value, float, path)
+    found = made.get(key := struct.pack("d", value))
+    if found is None:
+        found = made[key] = _check(value, float, path)
+    return found
+
+
+def _certificate_from_payload(
+    payload: dict, path: tuple, ops: dict, values: dict
+) -> MFCertificate:
+    """A certificate whose ops and terminal values are shared through ``ops`` and ``values``."""
     steps = []
     for depth, (here, row) in enumerate(_items(payload, "steps", dict, path)):
         qubit = _get(row, "qubit", int, here)
         if "uniform_op" in row:
-            op_path = (here, "uniform_op")
-            op = _named(SingleQubitOp, op_path, qubit, _bloch(row["uniform_op"], op_path))
-            ops = UniformBranchOps(depth, op)
+            step_ops = UniformBranchOps(
+                depth, _read_op(ops, qubit, row["uniform_op"], (here, "uniform_op"))
+            )
         else:
-            shared = {}
-
-            # One op, checked once, per bit pattern of three floats, so 0.0
-            # and -0.0 differ; any other value is checked on its own.
-            def read_op(value, at):
-                floats = type(value) is list and len(value) == 3 and {*map(type, value)} == {float}
-                bits = struct.pack("3d", *value) if floats else at
-                if bits not in shared:
-                    shared[bits] = _named(SingleQubitOp, at, qubit, _bloch(value, at))
-                return shared[bits]
-
-            ops = _table(depth, _get(row, "ops", dict, here), (here, "ops"), read_op)
-        steps.append(ReductionStep(qubit, ops))
+            step_ops = _table(
+                depth, _get(row, "ops", dict, here), (here, "ops"),
+                lambda value, at: _read_op(ops, qubit, value, at),
+            )
+        steps.append(ReductionStep(qubit, step_ops))
     order = [q for _, q in _items(payload, "qubit_order", int, path)]
     measured = [step.qubit for step in steps]
     if order != measured:
@@ -335,7 +351,8 @@ def _certificate_from_payload(payload: dict, path: tuple) -> MFCertificate:
     else:
         rows = _get(payload, "terminal_values", dict, path)
         terminal = _table(
-            len(steps), rows, (path, "terminal_values"), lambda value, at: _check(value, float, at)
+            len(steps), rows, (path, "terminal_values"),
+            lambda value, at: _read_value(values, value, at),
         )
     return MFCertificate(_get(payload, "n_qubits", int, path), tuple(steps), terminal)
 
@@ -467,6 +484,9 @@ def parse_plan(text: str) -> PartitionPlan:
     raises ValueError naming the field.  A table listed in outcome-bit
     order, as :func:`serialize_plan` writes it, is read into a
     :class:`~mfpart.meanfield.BranchTable`; any other listing into a dict.
+    Across the plan, each distinct op (qubit and bit pattern of its Bloch
+    vector) and each distinct terminal value (its bit pattern) is made and
+    checked once and shared, so 0.0 and -0.0 never merge.
     """
     try:
         doc = json.loads(text)
@@ -482,6 +502,8 @@ def parse_plan(text: str) -> PartitionPlan:
     if level not in ("mf1", "mf2"):
         raise ValueError(f"plan field 'level' must be 'mf1' or 'mf2', not {level!r}")
     fragments = []
+    ops: dict[tuple[int, bytes], SingleQubitOp] = {}
+    values: dict[bytes, float] = {}
     for here, row in _items(doc, "fragments", dict, ()):
         spec = None
         # A null entangler is allowed; a missing one is reported by _get.
@@ -491,7 +513,7 @@ def parse_plan(text: str) -> PartitionPlan:
                 raise ValueError(f"plan field {_name((here, 'entangler'))!r} must be null at mf1")
             spec = _entangler_from_payload(payload, (here, "entangler"), n)
         certificate = _certificate_from_payload(
-            _get(row, "certificate", dict, here), (here, "certificate")
+            _get(row, "certificate", dict, here), (here, "certificate"), ops, values
         )
         fragments.append(
             MFFragment(

@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -252,6 +253,8 @@ def _reduction_weights(op: SingleQubitOp) -> tuple[float, float, float, float]:
 class UniformBranchOps(Mapping):
     """Branch-op mapping that returns the same operator for every prefix."""
 
+    __slots__ = ("_depth", "_op")
+
     def __init__(self, depth: int, op: SingleQubitOp):
         self._depth = depth
         self._op = op
@@ -347,6 +350,19 @@ class BranchTable(Mapping):
         return f"BranchTable({self._depth}, {list(self._values)!r})"
 
 
+def _in_bit_order(table: Mapping, depth: int) -> list:
+    """The values of a table of one depth, in outcome-bit order, from any Mapping.
+
+    A table that lists its prefixes in bit order, as every
+    :class:`BranchTable` and any dict built in that order does, is read in
+    one pass over ``values()``; any other is looked up prefix by prefix.
+    """
+    prefixes = list(_prefix_index(depth))
+    if list(table) == prefixes:
+        return list(table.values())
+    return [table[p] for p in prefixes]
+
+
 class ProductTerminalMap(Mapping):
     """Terminal values of an axis-pure chain, computed on demand.
 
@@ -355,6 +371,8 @@ class ProductTerminalMap(Mapping):
     is enough; nothing exponential is materialized until iterated.  A
     product whose positions leave the ``n_steps`` steps is refused.
     """
+
+    __slots__ = ("_n_steps", "_terms")
 
     def __init__(self, n_steps: int, terms: tuple[tuple[tuple[int, ...], float], ...]):
         if not all(0 <= p < n_steps for positions, _ in terms for p in positions):
@@ -388,7 +406,7 @@ class ProductTerminalMap(Mapping):
         return self._n_steps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionStep:
     """One chain step: the qubit measured and the op for each outcome prefix.
 
@@ -405,7 +423,7 @@ class ReductionStep:
     ops: Mapping[tuple[int, ...], SingleQubitOp]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MFCertificate:
     """Witness that a sum is mean-field measurable.
 
@@ -713,7 +731,10 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
     and a sign, so each class is decided and reduced once per step and its
     op serves all its prefixes; the ops of a step and the terminal values
     are kept as :class:`BranchTable` mappings.  Absent qubits get a Z
-    placeholder op whose outcome cannot change the terminal value.
+    placeholder op whose outcome cannot change the terminal value.  The
+    call makes one op object per distinct qubit and bit pattern of the
+    Bloch vector, the placeholder included, so equal ops are shared and
+    ops that differ only in the sign of a zero are not.
     Returns None when no step qubit qualifies, or when the live branch
     count would exceed ``MAX_BRANCHES``.  That cap and ``GRAM_TOL_SCALE``
     are read at call time.  Raises ValueError when h's squared
@@ -729,6 +750,8 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
     # The (class, sign) of every live prefix in bit order: the children of
     # entry b are entries 2b (+1) and 2b+1 (-1) one step down.
     branches = [_sign_class(_branch_of(h), {}, classes)]
+    # One op per (qubit, Bloch bit pattern), so 0.0 and -0.0 never share.
+    made: dict[tuple[int, bytes], SingleQubitOp] = {}
     remaining = list(h.support())
     steps: list[ReductionStep] = []
     while remaining:
@@ -739,7 +762,11 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
                 l, top = _branch_gram(bh, k)
                 if l < 2:
                     break
-                class_ops.append(SingleQubitOp(k, top if l == 2 else (0.0, 0.0, 1.0)))
+                bloch = top if l == 2 else _AXIS_BLOCH["Z"]
+                op = made.get(key := (k, struct.pack("3d", *bloch)))
+                if op is None:
+                    op = made[key] = SingleQubitOp(k, bloch)
+                class_ops.append(op)
             else:
                 chosen = (k, class_ops)
                 break

@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MFFragment:
     """A summand measurable in one feedforward pass.
 
@@ -87,7 +87,7 @@ class MFFragment:
         return self._rotated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionPlan:
     source: PauliSum
     fragments: tuple[MFFragment, ...]

@@ -54,13 +54,19 @@ def _set_bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PauliWord:
-    """A tensor product of single-qubit Pauli factors with unit coefficient."""
+    """A tensor product of single-qubit Pauli factors with unit coefficient.
+
+    Words spend their lives as dict keys, so the hash is computed once
+    and held in a slot; caching it is measurably cheaper than the
+    generated tuple hash.
+    """
 
     n_qubits: int
     x_mask: int = 0
     z_mask: int = 0
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_qubits < 0:
@@ -68,8 +74,6 @@ class PauliWord:
         limit = 1 << self.n_qubits
         if not (0 <= self.x_mask < limit and 0 <= self.z_mask < limit):
             raise ValueError("mask bits outside the qubit register")
-        # Words spend their lives as dict keys; caching the hash once is
-        # measurably cheaper than the generated tuple hash.
         object.__setattr__(
             self, "_hash", hash((self.n_qubits, self.x_mask, self.z_mask))
         )
@@ -212,7 +216,7 @@ def _word_matrix(n: int, x_mask: int, z_mask: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliSum:
     """Real linear combination of Pauli words on a common register.
 
@@ -321,7 +325,7 @@ class PauliSum:
         return "  ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingleQubitOp:
     """A single-qubit operator a*X + b*Y + c*Z."""
 

@@ -18,7 +18,6 @@ per-fragment moments are plain operator moments of the certified sum.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import ProductTerminalMap, UniformBranchOps
+from .meanfield import ProductTerminalMap, UniformBranchOps, _in_bit_order
 from .partition import MFFragment, PartitionPlan
 from .pauli import PauliSum, PauliWord, _word_action, _word_matrix
 
@@ -284,17 +283,17 @@ def branch_distribution(
         if isinstance(step.ops, UniformBranchOps):
             rotations = _z_rotation(struct.pack("3d", *step.ops.op.bloch))
         else:
-            ops = (step.ops[p] for p in itertools.product((1, -1), repeat=d))
+            ops = _in_bit_order(step.ops, d)
             rotations = np.array([_z_rotation(struct.pack("3d", *op.bloch)) for op in ops])
         amps = rotations @ amps.reshape(1 << d, 2, -1)
     probs = np.square(np.abs(amps.reshape(1 << m, -1))).sum(axis=1)
     tv = cert.terminal_values
     if isinstance(tv, ProductTerminalMap):
         return probs, _product_values(tv)
-    return probs, np.array([tv[o] for o in itertools.product((1, -1), repeat=m)])
+    return probs, np.array(_in_bit_order(tv, m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FragmentEstimate:
     index: int
     shots: int
@@ -304,7 +303,7 @@ class FragmentEstimate:
     analytic_variance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EstimatorReport:
     """Per-fragment sampling statistics next to their analytic counterparts.
 
@@ -325,15 +324,17 @@ class EstimatorReport:
 def _estimate_fragment(
     frag: MFFragment, fi: int, psi: StateVector, shots: int, seed: int
 ) -> FragmentEstimate:
+    # Sampling first lets its rotated copy of the state go before the
+    # moments make theirs, so one copy is alive at a time.
+    probs, values = branch_distribution(frag, psi)
+    samples = values[_draw(probs, np.random.default_rng([seed, fi]).random(shots))]
+
     eff = frag.effective_hamiltonian()
     eff_state = psi
     if frag.entangler is not None:
         eff_state = StateVector(psi.n_qubits, _prepare_fragment_state(frag, psi))
     exact_mean = expectation(eff, eff_state)
     exact_var = variance(eff, eff_state)
-
-    probs, values = branch_distribution(frag, psi)
-    samples = values[_draw(probs, np.random.default_rng([seed, fi]).random(shots))]
 
     return FragmentEstimate(
         index=fi,

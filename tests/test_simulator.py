@@ -1,10 +1,12 @@
 import itertools
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import (
+    README_MODEL,
     dense_sum,
     dense_word,
     embed_on_subset,
@@ -13,6 +15,7 @@ from conftest import (
     random_sum,
 )
 from mfpart import simulator
+from mfpart.hamio import parse_hamiltonian
 from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
 from mfpart.pauli import PauliSum, PauliWord, SingleQubitOp
 from mfpart.meanfield import (
@@ -306,6 +309,48 @@ def test_branch_order_does_not_depend_on_how_a_table_is_listed():
     ):
         assert got.tobytes() == want.tobytes()
     assert estimate_energy(reversed_plan, psi, 50, 3) == estimate_energy(plan, psi, 50, 3)
+
+
+def test_op_tables_listed_out_of_bit_order_are_looked_up_by_prefix():
+    plan = feedforward_plan()
+    frag = plan.fragments[0]
+    cert = frag.certificate
+    backwards = [
+        ReductionStep(st.qubit, dict(reversed(list(st.ops.items())))) for st in cert.steps
+    ]
+    assert [list(st.ops) for st in backwards] != [list(st.ops) for st in cert.steps]
+    table = cert.steps[1].ops
+    assert isinstance(table, BranchTable) and len(set(table.values())) > 1
+    tv = dict(reversed(list(cert.terminal_values.items())))
+    reversed_frag = MFFragment(frag.hamiltonian, MFCertificate(2, tuple(backwards), tv))
+    psi = StateVector(2, random_amplitudes(np.random.default_rng(4), 2))
+    for got, want in zip(branch_distribution(reversed_frag, psi), branch_distribution(frag, psi)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_one_rotated_copy_of_the_state_is_alive_at_a_time(monkeypatch):
+    plan = greedy_partition(parse_hamiltonian(README_MODEL), level="mf2")
+    entangled = [frag for frag in plan.fragments if frag.entangler is not None]
+    assert entangled
+    _, ground = eigensolve(plan.source)
+    prepare = simulator._prepare_fragment_state
+    copies = []
+
+    def tracked(frag, psi):
+        if frag.entangler is None:
+            return prepare(frag, psi)
+        # Every earlier rotated copy is gone before the next is made.
+        assert all(ref() is None for ref in copies)
+        amps = prepare(frag, psi)
+        copies.append(weakref.ref(amps))
+        return amps
+
+    monkeypatch.setattr(simulator, "_prepare_fragment_state", tracked)
+    report = estimate_energy(plan, ground, shots=100, seed=7)
+    # One copy to sample from and one for the moments, per entangled fragment.
+    assert len(copies) == 2 * len(entangled)
+    monkeypatch.undo()
+    assert estimate_energy(plan, ground, shots=100, seed=7) == report
 
 
 def test_measure_fragment_draws_the_dense_branch_distribution():

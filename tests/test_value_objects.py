@@ -1,0 +1,209 @@
+"""Plans are built from slotted value objects, with one object per distinct op and value."""
+
+import dataclasses
+import functools
+import gc
+import json
+import math
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import README_MODEL, random_sum
+from mfpart.entangler import EntanglerSpec, KQubitOp
+from mfpart.hamio import parse_hamiltonian, parse_plan, serialize_plan
+from mfpart.meanfield import (
+    BranchTable,
+    MFCertificate,
+    ProductTerminalMap,
+    ReductionStep,
+    UniformBranchOps,
+    reduce_qubit,
+    verify_mf,
+)
+from mfpart.partition import MFFragment, PartitionPlan, greedy_partition
+from mfpart.pauli import PauliSum, PauliWord, SingleQubitOp
+from mfpart.simulator import EstimatorReport, FragmentEstimate, eigensolve, estimate_energy
+
+SLOTTED = (
+    PauliWord, PauliSum, SingleQubitOp, ReductionStep, MFCertificate, MFFragment,
+    PartitionPlan, KQubitOp, EntanglerSpec, FragmentEstimate, EstimatorReport,
+    UniformBranchOps, BranchTable, ProductTerminalMap,
+)
+
+
+def acceptance6_sum(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    return random_sum(rng, n, int(rng.integers(3, min(60, 4**n - 2) + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def w2_plans():
+    """The mf2 plans of the 50 acceptance-6 sums."""
+    return tuple(greedy_partition(acceptance6_sum(seed), "mf2") for seed in range(6000, 6050))
+
+
+def readme_plan():
+    return greedy_partition(parse_hamiltonian(README_MODEL), level="mf2")
+
+
+def sum_on(n, *terms):
+    return PauliSum.from_terms(n, [(PauliWord.from_axes(n, axes), c) for c, axes in terms])
+
+
+def one_of_each():
+    """An instance of every slotted class, from the README model's mf2 plan and report."""
+    plan = readme_plan()
+    _, ground = eigensolve(plan.source)
+    report = estimate_energy(plan, ground, shots=50, seed=1)
+    frag = next(f for f in plan.fragments if f.entangler is not None)
+    table = verify_mf(sum_on(2, (1.0, {1: "X"}), (1.0, {0: "Z", 1: "Y"}))).steps[1]
+    product = verify_mf(sum_on(2, (1.0, {0: "Z", 1: "Z"})))
+    found = [
+        plan.source.sorted_terms()[0][0], plan.source, product.steps[0].ops.op, table,
+        frag.certificate, frag, plan, frag.entangler.origin, frag.entangler,
+        report.fragments[0], report, product.steps[1].ops, table.ops, product.terminal_values,
+    ]
+    assert [type(obj) for obj in found] == list(SLOTTED)
+    return found
+
+
+def test_every_value_object_has_slots_and_no_instance_dict():
+    for obj in one_of_each():
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+        with pytest.raises(AttributeError):
+            object.__setattr__(obj, "extra", 1)
+
+
+def test_a_word_holds_its_hash_in_a_slot():
+    word = PauliWord(3, 0b101, 0b110)
+    assert hash(word) == hash((3, 0b101, 0b110)) == hash(PauliWord(3, 0b101, 0b110))
+    assert repr(word) == "PauliWord(n_qubits=3, x_mask=5, z_mask=6)"
+    assert dataclasses.replace(word, z_mask=0) == PauliWord(3, 0b101)
+    assert hash(dataclasses.replace(word, z_mask=0)) == hash(PauliWord(3, 0b101))
+
+
+def test_replace_makes_a_fragment_without_the_kept_rotated_sum():
+    frag = next(f for f in readme_plan().fragments if f.entangler is not None)
+    rotated = frag.effective_hamiltonian()
+    assert frag._rotated is rotated
+    copy = dataclasses.replace(frag)
+    assert copy == frag and copy._rotated is None
+    assert copy.effective_hamiltonian().terms == rotated.terms
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(frag, _rotated=rotated)
+
+
+def table_ops(cert):
+    tables = [step.ops for step in cert.steps if isinstance(step.ops, BranchTable)]
+    return [op for table in tables for op in table.values()]
+
+
+def bits(op):
+    return op.qubit, struct.pack("3d", *op.bloch)
+
+
+def test_verify_mf_makes_one_op_per_qubit_and_bit_pattern():
+    shared = signed_zeros = 0
+    for plan in w2_plans():
+        for frag in plan.fragments:
+            # Every certificate of a plan in memory comes from one verify_mf call.
+            ops = table_ops(frag.certificate)
+            by_bits, by_value = {}, {}
+            for op in ops:
+                by_bits.setdefault(bits(op), set()).add(id(op))
+                by_value.setdefault((op.qubit, op.bloch), set()).add(bits(op))
+            assert all(len(ids) == 1 for ids in by_bits.values())
+            shared += len(ops) - len(by_bits)
+            # Equal ops whose bits differ only in the sign of a zero stay apart.
+            signed_zeros += sum(len(patterns) - 1 for patterns in by_value.values())
+    assert shared > 0
+    # Seed 6020 has ops (a, 0.0, c) and (a, -0.0, c) on one qubit.
+    assert signed_zeros >= 1
+
+
+def test_the_z_placeholder_is_the_op_of_a_measured_z():
+    h = sum_on(3, (0.5, {0: "Y", 1: "X"}), (1.0, {0: "Y", 1: "Y"}), (0.5, {2: "Z"}),
+               (0.5, {0: "Y", 2: "Z"}))
+    cert = verify_mf(h)
+    assert cert.qubit_order == (0, 1, 2)
+    # Y0 = -1 leaves qubit 2 out; Y0 = +1 leaves 0.5 X1 + Y1 + Z2, whose
+    # outcomes on qubit 1 give two sign classes, each measured along Z2.
+    absent = reduce_qubit(h, cert.steps[0].ops[()], -1)
+    assert not any(word.touches(2) for word in absent.terms)
+    ops = list(cert.steps[2].ops.values())
+    assert ops[0].bloch == (0.0, 0.0, 1.0)
+    assert all(op is ops[0] for op in ops)
+
+
+def test_a_reloaded_plan_shares_ops_across_the_plan_and_values_by_bits():
+    across = 0
+    for plan in map(parse_plan, map(serialize_plan, w2_plans())):
+        ops, values = {}, {}
+        for fi, frag in enumerate(plan.fragments):
+            cert = frag.certificate
+            for step in cert.steps:
+                uniform = isinstance(step.ops, UniformBranchOps)
+                for op in [step.ops.op] if uniform else step.ops.values():
+                    ops.setdefault(bits(op), {}).setdefault(id(op), set()).add(fi)
+            if isinstance(cert.terminal_values, BranchTable):
+                for value in cert.terminal_values.values():
+                    values.setdefault(struct.pack("d", value), set()).add(id(value))
+        assert all(len(objects) == 1 for objects in ops.values())
+        assert all(len(objects) == 1 for objects in values.values())
+        across += sum(len(fis) > 1 for objects in ops.values() for fis in objects.values())
+    assert across > 0
+
+
+def test_a_reloaded_plan_keeps_the_sign_of_zero_and_its_text():
+    doc = json.loads(serialize_plan(w2_plans()[20]))
+    fi, cert = next(
+        (fi, frag["certificate"]) for fi, frag in enumerate(doc["fragments"])
+        if len(frag["certificate"].get("terminal_values", ())) >= 4
+    )
+    si, step = next((si, st) for si, st in enumerate(cert["steps"]) if len(st["ops"]) >= 2)
+    tv = cert["terminal_values"]
+    for key, value in zip(list(tv), (-0.0, 0.0, 1.5, 1.5)):
+        tv[key] = value
+    first, second = list(step["ops"])[:2]
+    step["ops"][first] = [0.0, -0.0, 1.0]
+    step["ops"][second] = [0.0, 0.0, 1.0]
+    text = json.dumps(doc, indent=2) + "\n"
+    plan = parse_plan(text)
+    assert serialize_plan(plan) == text
+    reloaded = plan.fragments[fi].certificate
+    values = list(reloaded.terminal_values.values())
+    assert [math.copysign(1.0, v) for v in values[:2]] == [-1.0, 1.0]
+    assert values[0] is not values[1] and values[2] is values[3]
+    a, b = list(reloaded.steps[si].ops.values())[:2]
+    assert a == b and a is not b and bits(a) != bits(b)
+
+
+def traced_size(make):
+    """Bytes that what ``make()`` returns holds under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        made = make()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del made
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held
+
+
+def test_the_w2_mf2_plans_stay_small_in_memory_and_reloaded():
+    sums = [acceptance6_sum(seed) for seed in range(6000, 6050)]
+    texts = [serialize_plan(plan) for plan in w2_plans()]
+    in_memory = traced_size(lambda: [greedy_partition(h, "mf2") for h in sums])
+    reloaded = traced_size(lambda: [parse_plan(text) for text in texts])
+    # Measured 1.22 MB in memory and 1.12 MB reloaded; with an instance
+    # dict per object and an object per op and value, 1.65 and 1.71 MB.
+    assert in_memory < 1.4e6
+    assert reloaded < 1.3e6
