@@ -266,11 +266,12 @@ def _word_from_label(n_qubits: int, label: str, path: tuple) -> PauliWord:
 
 
 def _step_payload(step: ReductionStep) -> dict:
+    # Each op's own Bloch tuple, which _write renders once per object.
     if isinstance(step.ops, UniformBranchOps):
-        return {"qubit": step.qubit, "uniform_op": list(step.ops.op.bloch)}
+        return {"qubit": step.qubit, "uniform_op": step.ops.op.bloch}
     return {
         "qubit": step.qubit,
-        "ops": {_prefix_key(prefix): list(op.bloch) for prefix, op in step.ops.items()},
+        "ops": {_prefix_key(prefix): op.bloch for prefix, op in step.ops.items()},
     }
 
 
@@ -423,9 +424,15 @@ def _entangler_from_payload(payload: dict, path: tuple, n: int) -> EntanglerSpec
     return _named(EntanglerSpec, path, subset, unitary, origin)
 
 
-def _write(value, indent: str, out: list[str]) -> None:
+def _write(value, indent: str, out: list[str], memo: dict) -> None:
     """Append ``value`` as ``json.dumps(indent=2)`` writes it at this indent,
-    with json.encoder's dispatch; keys must be strings, as plan keys are."""
+    with json.encoder's dispatch; keys must be strings, as plan keys are.
+
+    A tuple is rendered once per object and indent and kept in ``memo``,
+    so a shared op's Bloch tuple is written from one string; the caller
+    keeps every value alive while ``memo`` is in use.  A list or dict of
+    finite floats is rendered with one join.
+    """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or value is True or value is False:
@@ -434,19 +441,46 @@ def _write(value, indent: str, out: list[str]) -> None:
         out.append(int.__repr__(value))
     elif isinstance(value, float):
         out.append("NaN" if value != value else _INFINITIES.get(value) or float.__repr__(value))
-    elif isinstance(value, (list, tuple, dict)):
-        is_dict = isinstance(value, dict)
-        inner = indent + "  "
-        out.append("{" if is_dict else "[")
-        for i, item in enumerate(value.items() if is_dict else value):
-            out.append(",\n" + inner if i else "\n" + inner)
-            if is_dict:
-                key, item = item
-                out.append(encode_basestring_ascii(key) + ": ")
-            _write(item, inner, out)
-        out.append(("\n" + indent if value else "") + ("}" if is_dict else "]"))
+    elif isinstance(value, tuple):
+        text = memo.get(key := (id(value), indent))
+        if text is None:
+            part: list[str] = []
+            _write_container(value, indent, part, memo)
+            text = memo[key] = "".join(part)
+        out.append(text)
+    elif isinstance(value, (list, dict)):
+        _write_container(value, indent, out, memo)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _finite_float(value) -> bool:
+    return type(value) is float and math.isfinite(value)
+
+
+def _write_container(value, indent: str, out: list[str], memo: dict) -> None:
+    is_dict = isinstance(value, dict)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    open_, close = ("{", "}") if is_dict else ("[", "]")
+    if value and all(map(_finite_float, value.values() if is_dict else value)):
+        if is_dict:
+            body = sep.join(
+                encode_basestring_ascii(key) + ": " + float.__repr__(item)
+                for key, item in value.items()
+            )
+        else:
+            body = sep.join(map(float.__repr__, value))
+        out.append(f"{open_}\n{inner}{body}\n{indent}{close}")
+        return
+    out.append(open_)
+    for i, item in enumerate(value.items() if is_dict else value):
+        out.append(sep if i else "\n" + inner)
+        if is_dict:
+            key, item = item
+            out.append(encode_basestring_ascii(key) + ": ")
+        _write(item, inner, out, memo)
+    out.append(("\n" + indent if value else "") + close)
 
 
 def _plan_payload(plan: PartitionPlan) -> dict:
@@ -472,8 +506,9 @@ def _plan_payload(plan: PartitionPlan) -> dict:
 
 def serialize_plan(plan: PartitionPlan) -> str:
     out: list[str] = []
-    _write(_plan_payload(plan), "", out)
-    return "".join(out) + "\n"
+    _write(_plan_payload(plan), "", out, {})
+    out.append("\n")
+    return "".join(out)
 
 
 def parse_plan(text: str) -> PartitionPlan:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass, field
 
 from .entangler import (
@@ -33,8 +34,11 @@ from .entangler import (
 )
 from .meanfield import (
     _OVERFLOW,
+    BranchTable,
     MFCertificate,
+    ReductionStep,
     SingleQubitOp,
+    UniformBranchOps,
     _branch_commutes,
     _branch_of,
     _l_values,
@@ -47,7 +51,7 @@ from .meanfield import (
     reduce_qubit,
     verify_mf,
 )
-from .pauli import AXES, COEFF_PRUNE, PauliSum
+from .pauli import AXES, COEFF_PRUNE, PauliSum, PauliWord
 from .qwc import qwc_partition
 
 __all__ = [
@@ -130,35 +134,88 @@ def _try_entangler(s: PauliSum) -> tuple[EntanglerSpec, MFCertificate, PauliSum]
     return None
 
 
-def _qwc_fragments(groups: tuple[PauliSum, ...]) -> list[MFFragment]:
+class _Pool:
+    """One op per qubit and Bloch bit pattern, and one word per value, for one partition run.
+
+    Keys are the ``struct.pack`` bits, as in :func:`verify_mf`, so 0.0
+    and -0.0 never merge.  Words start as the source's own.
+    """
+
+    __slots__ = ("ops", "words")
+
+    def __init__(self, source: PauliSum):
+        self.ops: dict[tuple[int, bytes], SingleQubitOp] = {}
+        self.words: dict[PauliWord, PauliWord] = {word: word for word in source.terms}
+
+    def op(self, op: SingleQubitOp) -> SingleQubitOp:
+        return self.ops.setdefault((op.qubit, struct.pack("3d", *op.bloch)), op)
+
+    def sum(self, s: PauliSum) -> PauliSum:
+        """s over pooled words, in its own term order; s itself if it has them all."""
+        words = self.words
+        if all(words.setdefault(word, word) is word for word in s.terms):
+            return s
+        return PauliSum(s.n_qubits, {words.setdefault(w, w): c for w, c in s.terms.items()})
+
+    def certificate(self, cert: MFCertificate) -> MFCertificate:
+        """cert over pooled ops; verify_mf's steps are uniform or BranchTables."""
+        steps = []
+        for step in cert.steps:
+            ops = step.ops
+            if isinstance(ops, UniformBranchOps):
+                op = self.op(ops.op)
+                if op is not ops.op:
+                    ops = UniformBranchOps(ops.depth, op)
+            else:
+                # Each distinct op object of the table is looked up once.
+                distinct = {id(op): op for op in ops.values()}
+                pooled = {key: self.op(op) for key, op in distinct.items()}
+                if any(pooled[key] is not op for key, op in distinct.items()):
+                    ops = BranchTable(ops.depth, [pooled[id(op)] for op in ops.values()])
+            steps.append(step if ops is step.ops else ReductionStep(step.qubit, ops))
+        return MFCertificate(cert.n_qubits, tuple(steps), cert.terminal_values)
+
+    def fragment(
+        self,
+        s: PauliSum,
+        cert: MFCertificate,
+        spec: EntanglerSpec | None = None,
+        rotated: PauliSum | None = None,
+    ) -> MFFragment:
+        """A fragment of s, with the rotated sum its certificate describes kept."""
+        frag = MFFragment(self.sum(s), self.certificate(cert), spec)
+        if rotated is not None:
+            object.__setattr__(frag, "_rotated", self.sum(rotated))
+        return frag
+
+
+def _qwc_fragments(groups: tuple[PauliSum, ...], pool: _Pool) -> list[MFFragment]:
     fragments = []
     for group in groups:
         cert = verify_mf(group)
         if cert is None:
             raise AssertionError("a qubit-wise commuting group failed verification")
-        fragments.append(MFFragment(hamiltonian=group, certificate=cert))
+        fragments.append(pool.fragment(group, cert))
     return fragments
 
 
-def _recurse(s: PauliSum, level: str) -> list[MFFragment]:
+def _recurse(s: PauliSum, level: str, pool: _Pool) -> list[MFFragment]:
     cert = verify_mf(s)
     if cert is not None:
-        return [MFFragment(hamiltonian=s, certificate=cert)]
+        return [pool.fragment(s, cert)]
 
     if level == "mf2":
         found = _try_entangler(s)
         if found is not None:
             spec, tcert, rotated = found
-            frag = MFFragment(hamiltonian=s, certificate=tcert, entangler=spec)
-            object.__setattr__(frag, "_rotated", rotated)
-            return [frag]
+            return [pool.fragment(s, tcert, spec, rotated)]
 
     ls = _l_values(s, s.support())
     candidates = [k for k, l in ls.items() if l <= 1]
     if not candidates:
         # Only reachable when verification hit the branch cap: every qubit
         # is factorable, so QWC groups are a safe way to shrink the problem.
-        return _qwc_fragments(qwc_partition(s).groups)
+        return _qwc_fragments(qwc_partition(s).groups, pool)
     k = min(candidates, key=lambda q: (-ls[q], q))
 
     parts: list[PauliSum]
@@ -176,7 +233,7 @@ def _recurse(s: PauliSum, level: str) -> list[MFFragment]:
     for part in parts:
         if part.is_zero:
             continue
-        out.extend(_recurse(part, level))
+        out.extend(_recurse(part, level, pool))
     return out
 
 
@@ -189,16 +246,19 @@ def greedy_partition(h: PauliSum, level: str = "mf1") -> PartitionPlan:
     ``GRAM_TOL_SCALE``.  A sum whose chain would need more than
     ``MAX_BRANCHES`` live branches is split further.  A sum whose squared
     coefficients do not sum to a finite number is refused by the first
-    :func:`verify_mf`.
+    :func:`verify_mf`.  Across the run, fragments share one op object per
+    qubit and Bloch bit pattern and one word object per word, the
+    source's own where it has it.
     """
     if level not in ("mf1", "mf2"):
         raise ValueError(f"unknown level {level!r}")
     if h.is_zero:
         raise ValueError("cannot partition an empty Hamiltonian")
-    fragments = _recurse(h, level)
+    pool = _Pool(h)
+    fragments = _recurse(h, level, pool)
     baseline = qwc_partition(h)
     if len(fragments) > baseline.n_groups:
-        fragments = _qwc_fragments(baseline.groups)
+        fragments = _qwc_fragments(baseline.groups, pool)
     return PartitionPlan(source=h, fragments=tuple(fragments), level=level)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import operator
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,8 +268,8 @@ def branch_distribution(
     -1 exactly when bit m-1-d of b is set, however the certificate lists
     its table; a probability is the squared weight of its bit pattern.
     Rotations come from a bounded cache of read-only arrays keyed by the
-    bits of the Bloch vector (0.0 and -0.0 never share one), stacked for
-    a table step.
+    bits of the Bloch vector (0.0 and -0.0 never share one); a table step
+    looks one up per distinct op object and gathers them by entry.
     """
     cert = frag.certificate
     if cert.n_qubits != psi.n_qubits:
@@ -283,8 +282,13 @@ def branch_distribution(
         if isinstance(step.ops, UniformBranchOps):
             rotations = _z_rotation(struct.pack("3d", *step.ops.op.bloch))
         else:
+            # One rotation per distinct op object, gathered by entry.
             ops = _in_bit_order(step.ops, d)
-            rotations = np.array([_z_rotation(struct.pack("3d", *op.bloch)) for op in ops])
+            distinct = {id(op): op for op in ops}
+            slot = {key: i for i, key in enumerate(distinct)}
+            rotations = np.array(
+                [_z_rotation(struct.pack("3d", *op.bloch)) for op in distinct.values()]
+            )[[slot[id(op)] for op in ops]]
         amps = rotations @ amps.reshape(1 << d, 2, -1)
     probs = np.square(np.abs(amps.reshape(1 << m, -1))).sum(axis=1)
     tv = cert.terminal_values
@@ -364,6 +368,9 @@ def estimate_energy(
     if not plan.fragments:
         raise ValueError("plan has no fragments")
     if workers is not None and workers > 1:
+        # Imported here: it loads threading and logging, which no serial run needs.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             estimates = list(
                 pool.map(

@@ -5,6 +5,7 @@ compare two separately written constructions.  Qubit 0 is the least
 significant amplitude bit everywhere.
 """
 
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,37 @@ qubits: 3
  0.70 Y1 Y2
 -1.00
 """
+
+
+def _openblas() -> tuple[str, str]:
+    """Core name and thread count of the OpenBLAS numpy loaded, or "unknown".
+
+    The plan and report digest tests pass only on the kernel the digests
+    were taken with, so the header shows which one ran.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and "/" in line})
+    except OSError:
+        libs = []
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            get_core = getattr(handle, f"{prefix}openblas_get_corename{suffix}", None)
+            get_threads = getattr(handle, f"{prefix}openblas_get_num_threads{suffix}", None)
+            if get_core is not None and get_threads is not None:
+                get_core.restype, get_threads.restype = ctypes.c_char_p, ctypes.c_int
+                return get_core().decode(), str(get_threads())
+    return "unknown", "unknown"
+
+
+def pytest_report_header(config):
+    core, threads = _openblas()
+    return f"OpenBLAS core: {core}, threads: {threads}"
+
 
 _SIGMA = {
     "I": np.eye(2, dtype=complex),

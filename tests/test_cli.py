@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,3 +471,14 @@ def test_measure_refuses_a_fragment_whose_squares_overflow(tmp_path, capsys, lab
         f"error: {plan_path}: plan fails validation: fragment 1: "
         "coefficients are too large: the sum of their squares is not finite"
     )
+
+
+def test_importing_the_cli_leaves_the_thread_pool_unloaded():
+    # Only estimate_energy with workers > 1 needs concurrent.futures.
+    code = "import sys, mfpart.cli; print('concurrent.futures' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "False"

@@ -216,16 +216,16 @@ def test_writer_follows_the_json_encoder():
         "": {"nested": [{"a": [0.1, 0.2]}]},
     }
     out = []
-    hamio._write(payload, "", out)
+    hamio._write(payload, "", out, {})
     assert "".join(out) + "\n" == oracle(payload)
     for refused in ({"x": np.int64(1)}, [object()]):
         with pytest.raises(TypeError):
             json.dumps(refused, indent=2)
         with pytest.raises(TypeError):
-            hamio._write(refused, "", [])
+            hamio._write(refused, "", [], {})
     # Every plan key is a string; other keys are refused, not converted.
     with pytest.raises(TypeError):
-        hamio._write({1: 2.0}, "", [])
+        hamio._write({1: 2.0}, "", [], {})
 
 
 def test_parse_plan_refuses_a_deeply_nested_document():

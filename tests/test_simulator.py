@@ -13,6 +13,7 @@ from conftest import (
     h2_model,
     random_amplitudes,
     random_sum,
+    wide_table_model,
 )
 from mfpart import simulator
 from mfpart.hamio import parse_hamiltonian
@@ -461,6 +462,29 @@ def test_cached_rotations_stack_to_the_batched_rotations_bit_for_bit():
     assert plus is not minus
     with pytest.raises(ValueError):
         plus[0, 0] = 0.0
+
+
+def test_a_table_step_looks_up_one_rotation_per_distinct_op(monkeypatch):
+    h = wide_table_model()
+    frag = greedy_partition(h).fragments[0]
+    tables = [st.ops for st in frag.certificate.steps if isinstance(st.ops, BranchTable)]
+    assert frag.certificate.n_branches == 512 and len(tables) > 1
+    psi = StateVector(h.n_qubits, random_amplitudes(np.random.default_rng(21), h.n_qubits))
+    want = branch_distribution(frag, psi)
+    looked_up = []
+    rotation = simulator._z_rotation
+
+    def counted(key):
+        looked_up.append(key)
+        return rotation(key)
+
+    monkeypatch.setattr(simulator, "_z_rotation", counted)
+    got = branch_distribution(frag, psi)
+    distinct = sum(len({id(op) for op in table.values()}) for table in tables)
+    uniform = len(frag.certificate.steps) - len(tables)
+    assert len(looked_up) == distinct + uniform < sum(map(len, tables))
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_product_values_match_the_map_bit_for_bit():

@@ -207,3 +207,71 @@ def test_the_w2_mf2_plans_stay_small_in_memory_and_reloaded():
     # dict per object and an object per op and value, 1.65 and 1.71 MB.
     assert in_memory < 1.4e6
     assert reloaded < 1.3e6
+
+
+def plan_ops(plan):
+    """(fragment index, op, uniform?) of every step op of every certificate of a plan."""
+    for fi, frag in enumerate(plan.fragments):
+        for step in frag.certificate.steps:
+            uniform = isinstance(step.ops, UniformBranchOps)
+            for op in [step.ops.op] if uniform else step.ops.values():
+                yield fi, op, uniform
+
+
+def test_a_partition_run_makes_one_op_per_qubit_and_bit_pattern():
+    # Ops in more than one fragment, from table and from uniform steps.
+    across = {False: 0, True: 0}
+    signed_zeros = n_ops = 0
+    for plan in w2_plans():
+        objects, by_value, fragments_of = {}, {}, {}
+        for fi, op, uniform in plan_ops(plan):
+            objects.setdefault(bits(op), set()).add(id(op))
+            by_value.setdefault((op.qubit, op.bloch), set()).add(bits(op))
+            fragments_of.setdefault((id(op), uniform), set()).add(fi)
+        assert all(len(ids) == 1 for ids in objects.values())
+        for (_, uniform), fis in fragments_of.items():
+            across[uniform] += len(fis) > 1
+        signed_zeros += sum(len(patterns) - 1 for patterns in by_value.values())
+        n_ops += len(objects)
+    assert across[False] > 0 and across[True] > 0
+    # As many op objects as a reloaded plan holds; 2,229 with one pool per verify_mf call.
+    assert n_ops == 1178
+    # Seed 6020's (a, 0.0, c) and (a, -0.0, c) stay two ops.
+    assert signed_zeros >= 1
+
+
+def test_fragment_words_are_the_source_words():
+    rotated = 0
+    for plan in w2_plans():
+        source = {word: word for word in plan.source.terms}
+        seen = dict(source)
+        for frag in plan.fragments:
+            sums = [frag.hamiltonian]
+            if frag.entangler is not None:
+                # The rotated sum the partitioner certified is kept, over shared words.
+                sums.append(frag._rotated)
+                rotated += 1
+            for s in sums:
+                for word in s.terms:
+                    assert seen.setdefault(word, word) is word
+            # A fragment may also hold words that cancel against other fragments.
+            assert all(source.get(word, word) is word for word in frag.hamiltonian.terms)
+    assert rotated > 0
+
+
+def test_serialize_plan_peak_memory_stays_near_its_text():
+    plan = max(w2_plans(), key=lambda p: len(serialize_plan(p)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = serialize_plan(plan)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # Measured 3.03 times the text's length: 3.67 when each op's Bloch
+    # tuple is rendered at every entry, 3.69 when every number is a
+    # fragment of its own, and 7.8 with both and a list per table entry.
+    assert len(text) > 150_000
+    assert peak < 3.4 * len(text)
