@@ -162,13 +162,19 @@ def serialize_state(psi: StateVector) -> str:
     ) + "\n"
 
 
-# Prefix keys and word labels repeat across fragments: each is made once.
+# Prefix keys repeat across fragments and plans: each is made once.  Word
+# labels are plan data and live in a dict of one serialize_plan call.
 @functools.lru_cache(maxsize=4096)
 def _prefix_key(prefix: tuple[int, ...]) -> str:
     return "".join("+" if s == 1 else "-" for s in prefix)
 
 
-_label = functools.lru_cache(maxsize=4096)(PauliWord.label)
+class _Labels(dict):
+    """Each word's label, made once per word value."""
+
+    def __missing__(self, word: PauliWord) -> str:
+        label = self[word] = word.label()
+        return label
 
 
 def _table(depth: int, rows: dict, path: tuple, read) -> Mapping:
@@ -241,28 +247,28 @@ def _items(obj: dict, key: str, kind: type, path: tuple) -> list[tuple[tuple, ob
     ]
 
 
-def _terms_payload(h: PauliSum) -> list[dict]:
-    return [{"word": _label(word), "coeff": float(coeff)} for word, coeff in h.sorted_terms()]
+def _terms_payload(h: PauliSum, labels: _Labels) -> list[dict]:
+    return [{"word": labels[word], "coeff": float(coeff)} for word, coeff in h.sorted_terms()]
 
 
-def _sum_from_payload(n_qubits: int, doc: dict, key: str, path: tuple) -> PauliSum:
+def _sum_from_payload(words: dict, n_qubits: int, doc: dict, key: str, path: tuple) -> PauliSum:
     terms = []
     for here, row in _items(doc, key, dict, path):
-        word = _word_from_label(n_qubits, _get(row, "word", str, here), (here, "word"))
+        word = _word_from_label(words, n_qubits, _get(row, "word", str, here), (here, "word"))
         terms.append((word, _get(row, "coeff", float, here)))
     return PauliSum.from_terms(n_qubits, terms, prune=None)
 
 
-@functools.lru_cache(maxsize=4096)
-def _decode_word(n_qubits: int, label: str) -> PauliWord:
-    return PauliWord.from_axes(n_qubits, _factors([] if label == "I" else label.split()))
-
-
-def _word_from_label(n_qubits: int, label: str, path: tuple) -> PauliWord:
-    try:
-        return _decode_word(n_qubits, label)
-    except ValueError as exc:
-        raise ValueError(f"plan field {_name(path)!r}: word {label!r}: {exc}") from None
+def _word_from_label(words: dict, n_qubits: int, label: str, path: tuple) -> PauliWord:
+    """The word of a label, decoded once per label and kept in ``words``."""
+    word = words.get(label)
+    if word is None:
+        try:
+            axes = _factors([] if label == "I" else label.split())
+            word = words[label] = PauliWord.from_axes(n_qubits, axes)
+        except ValueError as exc:
+            raise ValueError(f"plan field {_name(path)!r}: word {label!r}: {exc}") from None
+    return word
 
 
 def _step_payload(step: ReductionStep) -> dict:
@@ -358,7 +364,7 @@ def _certificate_from_payload(
     return MFCertificate(_get(payload, "n_qubits", int, path), tuple(steps), terminal)
 
 
-def _entangler_payload(spec: EntanglerSpec) -> dict:
+def _entangler_payload(spec: EntanglerSpec, labels: _Labels) -> dict:
     return {
         "subset": list(spec.subset),
         "unitary_re": spec.unitary.real.tolist(),
@@ -367,7 +373,7 @@ def _entangler_payload(spec: EntanglerSpec) -> dict:
             "n_qubits": spec.origin.n_qubits,
             "subset": list(spec.origin.subset),
             "coefficients": {
-                _label(word): float(coeff)
+                labels[word]: float(coeff)
                 for word, coeff in sorted(
                     spec.origin.coefficients.items(), key=lambda kv: kv[0].sort_key()
                 )
@@ -396,7 +402,7 @@ def _named(check, path: tuple, *args):
         raise ValueError(f"plan field {_name(path)!r}: {exc}") from None
 
 
-def _entangler_from_payload(payload: dict, path: tuple, n: int) -> EntanglerSpec:
+def _entangler_from_payload(payload: dict, path: tuple, n: int, words: dict) -> EntanglerSpec:
     # Set part by part, the unitary keeps the sign of every zero; re + 1j * im does not.
     unitary = _matrix(payload, "unitary_re", path).astype(complex)
     unitary.imag = _matrix(payload, "unitary_im", path)
@@ -410,7 +416,7 @@ def _entangler_from_payload(payload: dict, path: tuple, n: int) -> EntanglerSpec
     coeff_path = (origin_path, "coefficients")
     coefficients = {}
     for label, coeff in _get(origin_data, "coefficients", dict, origin_path).items():
-        word = _word_from_label(n, label, (coeff_path, label))
+        word = _word_from_label(words, n, label, (coeff_path, label))
         _named(_check_word, (coeff_path, label), word, origin_subset)
         coefficients[word] = _check(coeff, float, (coeff_path, label))
     # The subset and every word passed; what the operator can still refuse
@@ -484,19 +490,21 @@ def _write_container(value, indent: str, out: list[str], memo: dict) -> None:
 
 
 def _plan_payload(plan: PartitionPlan) -> dict:
+    labels = _Labels()
     return {
         "format": "mf-partition-plan",
         "version": 1,
         "level": plan.level,
         "n_qubits": plan.source.n_qubits,
         "n_fragments": plan.n_fragments,
-        "source_terms": _terms_payload(plan.source),
+        "source_terms": _terms_payload(plan.source, labels),
         "fragments": [
             {
-                "terms": _terms_payload(frag.hamiltonian),
+                "terms": _terms_payload(frag.hamiltonian, labels),
                 "certificate": _certificate_payload(frag.certificate),
                 "entangler": (
-                    None if frag.entangler is None else _entangler_payload(frag.entangler)
+                    None if frag.entangler is None
+                    else _entangler_payload(frag.entangler, labels)
                 ),
             }
             for frag in plan.fragments
@@ -521,7 +529,9 @@ def parse_plan(text: str) -> PartitionPlan:
     :class:`~mfpart.meanfield.BranchTable`; any other listing into a dict.
     Across the plan, each distinct op (qubit and bit pattern of its Bloch
     vector) and each distinct terminal value (its bit pattern) is made and
-    checked once and shared, so 0.0 and -0.0 never merge.
+    checked once and shared, so 0.0 and -0.0 never merge, and each word
+    label is decoded once, so equal words are one object.  These memos
+    are dicts of the call: nothing outlives it but the plan.
     """
     try:
         doc = json.loads(text)
@@ -539,6 +549,7 @@ def parse_plan(text: str) -> PartitionPlan:
     fragments = []
     ops: dict[tuple[int, bytes], SingleQubitOp] = {}
     values: dict[bytes, float] = {}
+    words: dict[str, PauliWord] = {}
     for here, row in _items(doc, "fragments", dict, ()):
         spec = None
         # A null entangler is allowed; a missing one is reported by _get.
@@ -546,13 +557,13 @@ def parse_plan(text: str) -> PartitionPlan:
             payload = _get(row, "entangler", dict, here)
             if level == "mf1":
                 raise ValueError(f"plan field {_name((here, 'entangler'))!r} must be null at mf1")
-            spec = _entangler_from_payload(payload, (here, "entangler"), n)
+            spec = _entangler_from_payload(payload, (here, "entangler"), n, words)
         certificate = _certificate_from_payload(
             _get(row, "certificate", dict, here), (here, "certificate"), ops, values
         )
         fragments.append(
             MFFragment(
-                hamiltonian=_sum_from_payload(n, row, "terms", here),
+                hamiltonian=_sum_from_payload(words, n, row, "terms", here),
                 certificate=certificate,
                 entangler=spec,
             )
@@ -560,5 +571,5 @@ def parse_plan(text: str) -> PartitionPlan:
     listed = _get(doc, "n_fragments", int, ())
     if listed != len(fragments):
         raise ValueError(f"plan field 'n_fragments' is {listed}, but {len(fragments)} are listed")
-    source = _sum_from_payload(n, doc, "source_terms", ())
+    source = _sum_from_payload(words, n, doc, "source_terms", ())
     return PartitionPlan(source=source, fragments=tuple(fragments), level=level)

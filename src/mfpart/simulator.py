@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,20 +81,13 @@ class StateVector:
 #: X, Y and Z, the Bloch basis of a single-qubit op.
 _PAULIS = np.array([_word_matrix(1, x, z) for x, z in ((1, 0), (1, 1), (0, 1))])
 
-#: Words on at most this many qubits keep their action in a cache of
-#: _WORD_CACHE_SIZE entries, at most 24 KiB each.
-_WORD_CACHE_QUBITS = 10
-_WORD_CACHE_SIZE = 256
-
-
-# lru_cache is thread-safe; threads that miss together build equal arrays.
-_cached_word_action = functools.lru_cache(maxsize=_WORD_CACHE_SIZE)(_word_action)
-
 
 def _apply_word_raw(word: PauliWord, amps: np.ndarray) -> np.ndarray:
-    """word |psi> via bit arithmetic; exact fourth-root-of-unity phases."""
-    action = _cached_word_action if word.n_qubits <= _WORD_CACHE_QUBITS else _word_action
-    dest, factor = action(word.n_qubits, word.x_mask, word.z_mask)
+    """word |psi> via bit arithmetic; exact fourth-root-of-unity phases.
+
+    The word's action is made for this call and not kept.
+    """
+    dest, factor = _word_action(word.n_qubits, word.x_mask, word.z_mask)
     out = np.empty_like(amps)
     out[dest] = amps * factor
     return out
@@ -238,14 +230,6 @@ def _z_rotations(blochs: np.ndarray) -> np.ndarray:
     return vecs[..., ::-1].conj().swapaxes(-1, -2)
 
 
-@functools.lru_cache(maxsize=4096)
-def _z_rotation(bits: bytes) -> np.ndarray:
-    """Read-only ``_z_rotations`` of the Bloch vector packed in ``bits``."""
-    rotation = _z_rotations(np.frombuffer(bits))
-    rotation.flags.writeable = False
-    return rotation
-
-
 def _product_values(tv: ProductTerminalMap) -> np.ndarray:
     """``tv``'s values in bit order, bit for bit: terms add in stored order."""
     m = tv.n_steps
@@ -267,9 +251,9 @@ def branch_distribution(
     Entry b of both arrays belongs to the outcomes in which step d reads
     -1 exactly when bit m-1-d of b is set, however the certificate lists
     its table; a probability is the squared weight of its bit pattern.
-    Rotations come from a bounded cache of read-only arrays keyed by the
-    bits of the Bloch vector (0.0 and -0.0 never share one); a table step
-    looks one up per distinct op object and gathers them by entry.
+    The rotations are one stacked eigendecomposition over the fragment's
+    distinct op objects, which gives each the bits a call of its own
+    would, and every step gathers its rows by entry; none outlives the call.
     """
     cert = frag.certificate
     if cert.n_qubits != psi.n_qubits:
@@ -278,18 +262,16 @@ def branch_distribution(
     axes = [n - 1 - q for q in cert.qubit_order]
     axes += [a for a in range(n) if a not in axes]
     amps = _prepare_fragment_state(frag, psi).reshape((2,) * n).transpose(axes)
-    for d, step in enumerate(cert.steps):
-        if isinstance(step.ops, UniformBranchOps):
-            rotations = _z_rotation(struct.pack("3d", *step.ops.op.bloch))
-        else:
-            # One rotation per distinct op object, gathered by entry.
-            ops = _in_bit_order(step.ops, d)
-            distinct = {id(op): op for op in ops}
-            slot = {key: i for i, key in enumerate(distinct)}
-            rotations = np.array(
-                [_z_rotation(struct.pack("3d", *op.bloch)) for op in distinct.values()]
-            )[[slot[id(op)] for op in ops]]
-        amps = rotations @ amps.reshape(1 << d, 2, -1)
+    entries = [
+        [step.ops.op] if isinstance(step.ops, UniformBranchOps) else _in_bit_order(step.ops, d)
+        for d, step in enumerate(cert.steps)
+    ]
+    distinct = {id(op): op for ops in entries for op in ops}
+    slot = {key: i for i, key in enumerate(distinct)}
+    rotations = _z_rotations(np.array([op.bloch for op in distinct.values()]).reshape(-1, 3))
+    for d, ops in enumerate(entries):
+        # A uniform step's one row broadcasts over every prefix.
+        amps = rotations[[slot[id(op)] for op in ops]] @ amps.reshape(1 << d, 2, -1)
     probs = np.square(np.abs(amps.reshape(1 << m, -1))).sum(axis=1)
     tv = cert.terminal_values
     if isinstance(tv, ProductTerminalMap):

@@ -1,5 +1,4 @@
 import itertools
-import struct
 import weakref
 
 import numpy as np
@@ -438,51 +437,49 @@ def test_estimate_energy_validation():
         estimate_energy(empty, psi, shots=10, seed=1)
 
 
-def test_threaded_estimate_from_a_cold_word_cache_matches_serial():
+def test_threaded_estimate_matches_serial():
     rng = np.random.default_rng(44)
     h = random_sum(rng, 5, 24)
     plan = greedy_partition(h, level="mf2")
     assert plan.n_fragments > 4
     psi = StateVector(5, random_amplitudes(rng, 5))
-    simulator._cached_word_action.cache_clear()
     threaded = estimate_energy(plan, psi, shots=300, seed=9, workers=4)
-    simulator._cached_word_action.cache_clear()
     assert threaded == estimate_energy(plan, psi, shots=300, seed=9)
 
 
-def test_cached_rotations_stack_to_the_batched_rotations_bit_for_bit():
+def test_stacked_rotations_equal_per_op_rotations_bit_for_bit():
     rng = np.random.default_rng(4242)
     blochs = [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(64, 3))]
     blochs += [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
     blochs += [(-0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (1.0, -0.0, -0.0), (-0.0, -1.0, 0.0)]
-    cached = np.array([simulator._z_rotation(struct.pack("3d", *b)) for b in blochs])
+    per_op = np.array([simulator._z_rotations(np.array(b)) for b in blochs])
     # Byte equality also compares the sign bit of every zero.
-    assert cached.tobytes() == simulator._z_rotations(np.array(blochs)).tobytes()
-    plus, minus = (simulator._z_rotation(struct.pack("3d", z, 0.0, 1.0)) for z in (0.0, -0.0))
-    assert plus is not minus
-    with pytest.raises(ValueError):
-        plus[0, 0] = 0.0
+    assert per_op.tobytes() == simulator._z_rotations(np.array(blochs)).tobytes()
 
 
-def test_a_table_step_looks_up_one_rotation_per_distinct_op(monkeypatch):
+def test_a_fragment_rotates_each_distinct_op_once_in_one_stacked_call(monkeypatch):
     h = wide_table_model()
     frag = greedy_partition(h).fragments[0]
-    tables = [st.ops for st in frag.certificate.steps if isinstance(st.ops, BranchTable)]
+    steps = frag.certificate.steps
+    tables = [st.ops for st in steps if isinstance(st.ops, BranchTable)]
     assert frag.certificate.n_branches == 512 and len(tables) > 1
     psi = StateVector(h.n_qubits, random_amplitudes(np.random.default_rng(21), h.n_qubits))
     want = branch_distribution(frag, psi)
-    looked_up = []
-    rotation = simulator._z_rotation
+    rows = []
+    rotations = simulator._z_rotations
 
-    def counted(key):
-        looked_up.append(key)
-        return rotation(key)
+    def counted(blochs):
+        rows.append(len(blochs))
+        return rotations(blochs)
 
-    monkeypatch.setattr(simulator, "_z_rotation", counted)
+    monkeypatch.setattr(simulator, "_z_rotations", counted)
     got = branch_distribution(frag, psi)
-    distinct = sum(len({id(op) for op in table.values()}) for table in tables)
-    uniform = len(frag.certificate.steps) - len(tables)
-    assert len(looked_up) == distinct + uniform < sum(map(len, tables))
+    ops = [
+        op for st in steps
+        for op in (st.ops.values() if isinstance(st.ops, BranchTable) else [st.ops.op])
+    ]
+    assert rows == [len({id(op) for op in ops})]
+    assert rows[0] < sum(map(len, tables))
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
 
