@@ -163,18 +163,12 @@ def serialize_state(psi: StateVector) -> str:
 
 
 # Prefix keys repeat across fragments and plans: each is made once.  Word
-# labels are plan data and live in a dict of one serialize_plan call.
+# labels are plan data and live in a dict of one serialize_plan call,
+# made at a word's first sight: no label is empty, so "get(word) or"
+# stops at a kept one.
 @functools.lru_cache(maxsize=4096)
 def _prefix_key(prefix: tuple[int, ...]) -> str:
     return "".join("+" if s == 1 else "-" for s in prefix)
-
-
-class _Labels(dict):
-    """Each word's label, made once per word value."""
-
-    def __missing__(self, word: PauliWord) -> str:
-        label = self[word] = word.label()
-        return label
 
 
 def _table(depth: int, rows: dict, path: tuple, read) -> Mapping:
@@ -247,8 +241,11 @@ def _items(obj: dict, key: str, kind: type, path: tuple) -> list[tuple[tuple, ob
     ]
 
 
-def _terms_payload(h: PauliSum, labels: _Labels) -> list[dict]:
-    return [{"word": labels[word], "coeff": float(coeff)} for word, coeff in h.sorted_terms()]
+def _terms_payload(h: PauliSum, labels: dict) -> list[dict]:
+    return [
+        {"word": labels.get(word) or labels.setdefault(word, word.label()), "coeff": float(coeff)}
+        for word, coeff in h.sorted_terms()
+    ]
 
 
 def _sum_from_payload(words: dict, n_qubits: int, doc: dict, key: str, path: tuple) -> PauliSum:
@@ -364,7 +361,7 @@ def _certificate_from_payload(
     return MFCertificate(_get(payload, "n_qubits", int, path), tuple(steps), terminal)
 
 
-def _entangler_payload(spec: EntanglerSpec, labels: _Labels) -> dict:
+def _entangler_payload(spec: EntanglerSpec, labels: dict) -> dict:
     return {
         "subset": list(spec.subset),
         "unitary_re": spec.unitary.real.tolist(),
@@ -373,7 +370,7 @@ def _entangler_payload(spec: EntanglerSpec, labels: _Labels) -> dict:
             "n_qubits": spec.origin.n_qubits,
             "subset": list(spec.origin.subset),
             "coefficients": {
-                labels[word]: float(coeff)
+                labels.get(word) or labels.setdefault(word, word.label()): float(coeff)
                 for word, coeff in sorted(
                     spec.origin.coefficients.items(), key=lambda kv: kv[0].sort_key()
                 )
@@ -490,7 +487,7 @@ def _write_container(value, indent: str, out: list[str], memo: dict) -> None:
 
 
 def _plan_payload(plan: PartitionPlan) -> dict:
-    labels = _Labels()
+    labels: dict[PauliWord, str] = {}
     return {
         "format": "mf-partition-plan",
         "version": 1,

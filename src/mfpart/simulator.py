@@ -17,6 +17,7 @@ per-fragment moments are plain operator moments of the certified sum.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import operator
 from dataclasses import dataclass
@@ -81,13 +82,23 @@ class StateVector:
 #: X, Y and Z, the Bloch basis of a single-qubit op.
 _PAULIS = np.array([_word_matrix(1, x, z) for x, z in ((1, 0), (1, 1), (0, 1))])
 
+#: The word actions made while one fragment's moments are taken, so its
+#: variance reuses what its expectation made: both are public calls with
+#: no memo argument.  None at any other time, so no action outlives them.
+_fragment_actions: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_fragment_actions", default=None
+)
+
 
 def _apply_word_raw(word: PauliWord, amps: np.ndarray) -> np.ndarray:
-    """word |psi> via bit arithmetic; exact fourth-root-of-unity phases.
-
-    The word's action is made for this call and not kept.
-    """
-    dest, factor = _word_action(word.n_qubits, word.x_mask, word.z_mask)
+    """word |psi> via bit arithmetic; exact fourth-root-of-unity phases."""
+    actions = _fragment_actions.get()
+    action = None if actions is None else actions.get(word)
+    if action is None:
+        action = _word_action(word.n_qubits, word.x_mask, word.z_mask)
+        if actions is not None:
+            actions[word] = action
+    dest, factor = action
     out = np.empty_like(amps)
     out[dest] = amps * factor
     return out
@@ -226,7 +237,9 @@ def measure_fragment(
 
 def _z_rotations(blochs: np.ndarray) -> np.ndarray:
     """Unitaries taking each Bloch op onto Z: rows are its +1 and -1 eigenbras."""
-    _, vecs = np.linalg.eigh(np.tensordot(blochs, _PAULIS, 1))
+    # The one dot that np.tensordot(blochs, _PAULIS, 1) makes, without its set-up.
+    ops = np.dot(blochs.reshape(-1, 3), _PAULIS.reshape(3, 4)).reshape(blochs.shape[:-1] + (2, 2))
+    _, vecs = np.linalg.eigh(ops)
     return vecs[..., ::-1].conj().swapaxes(-1, -2)
 
 
@@ -319,8 +332,12 @@ def _estimate_fragment(
     eff_state = psi
     if frag.entangler is not None:
         eff_state = StateVector(psi.n_qubits, _prepare_fragment_state(frag, psi))
-    exact_mean = expectation(eff, eff_state)
-    exact_var = variance(eff, eff_state)
+    token = _fragment_actions.set({})
+    try:
+        exact_mean = expectation(eff, eff_state)
+        exact_var = variance(eff, eff_state)
+    finally:
+        _fragment_actions.reset(token)
 
     return FragmentEstimate(
         index=fi,
