@@ -51,7 +51,6 @@ from .simulator import (
     estimate_energy,
     expectation,
     measure_fragment,
-    shifted_square_expectation,
     to_dense,
     variance,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "expectation",
     "variance",
     "covariance",
-    "shifted_square_expectation",
     "eigensolve",
     "measure_fragment",
     "branch_distribution",

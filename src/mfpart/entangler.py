@@ -171,7 +171,7 @@ class SpectrumReport:
 
     def __post_init__(self):
         gram = self.eigenvectors.conj().T @ self.eigenvectors
-        if not np.allclose(gram, np.eye(len(self.eigenvalues)), rtol=0.0, atol=1e-10):
+        if not (np.abs(gram - np.eye(len(self.eigenvalues))) <= 1e-10).all():
             raise ValueError("eigenvectors not orthonormal")
 
     def degenerate_groups(self) -> list[slice]:
@@ -213,7 +213,7 @@ class EntanglerSpec:
         u = self.unitary
         if u.shape != (dim, dim):
             raise ValueError(f"unitary shape {u.shape} does not match subset")
-        if not np.allclose(u.conj().T @ u, np.eye(dim), rtol=0.0, atol=1e-10):
+        if not (np.abs(u.conj().T @ u - np.eye(dim)) <= 1e-10).all():
             raise ValueError("matrix is not unitary")
         if tuple(self.subset) != tuple(self.origin.subset):
             raise ValueError("spec subset differs from its origin's")
@@ -322,12 +322,11 @@ def _no_commuting_word(h: PauliSum, subset: tuple[int, ...]) -> bool:
 
 
 def commutator_norm(h: PauliSum, o: KQubitOp) -> float:
-    """Coefficient two-norm of the commutator [h, o], from :func:`_commutator_matrix`."""
+    """Coefficient two-norm of [h, o], from :func:`_commutator_matrix` over o's own words."""
     if o.n_qubits != h.n_qubits:
         raise ValueError("qubit count mismatch")
-    words = _subset_words(h.n_qubits, o.subset)
-    coeffs = np.array([o.coefficients.get(w, 0.0) for w in words])
-    return float(np.linalg.norm(_commutator_matrix(h, o.subset, words) @ coeffs))
+    coeffs = np.array(list(o.coefficients.values()), dtype=float)
+    return float(np.linalg.norm(_commutator_matrix(h, o.subset, tuple(o.coefficients)) @ coeffs))
 
 
 def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:

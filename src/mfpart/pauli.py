@@ -348,12 +348,3 @@ class SingleQubitOp:
         r = self.norm
         a, b, c = self.bloch
         return SingleQubitOp(self.qubit, (a / r, b / r, c / r))
-
-    def as_sum(self, n_qubits: int) -> PauliSum:
-        if self.qubit >= n_qubits:
-            raise ValueError("qubit outside register")
-        terms: list[tuple[PauliWord, float]] = []
-        for axis, weight in zip(AXES, self.bloch):
-            if abs(weight) > COEFF_PRUNE:
-                terms.append((PauliWord.from_axes(n_qubits, {self.qubit: axis}), weight))
-        return PauliSum.from_terms(n_qubits, terms)

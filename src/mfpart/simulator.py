@@ -36,9 +36,7 @@ __all__ = [
     "expectation",
     "variance",
     "covariance",
-    "shifted_square_expectation",
     "eigensolve",
-    "apply_matrix_to_subset",
     "measure_fragment",
     "branch_distribution",
     "estimate_energy",
@@ -72,11 +70,6 @@ class StateVector:
         amps = np.zeros(1 << n_qubits, dtype=complex)
         amps[index] = 1.0
         return cls(n_qubits, amps)
-
-    @classmethod
-    def normalized(cls, n_qubits: int, amplitudes) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex)
-        return cls(n_qubits, amps / np.linalg.norm(amps))
 
 
 #: X, Y and Z, the Bloch basis of a single-qubit op.
@@ -163,13 +156,6 @@ def covariance(a: PauliSum, b: PauliSum, psi: StateVector) -> float:
     return float(np.vdot(apsi, bpsi).real - mean_a * mean_b)
 
 
-def shifted_square_expectation(h: PauliSum, omega: float, psi: StateVector) -> float:
-    """<(H - omega)^2>, the variance-like cost of a trial shift."""
-    _check_match(h, psi)
-    residual = _apply_sum_raw(h, psi.amplitudes) - omega * psi.amplitudes
-    return float(np.vdot(residual, residual).real)
-
-
 def eigensolve(h: PauliSum) -> tuple[float, StateVector]:
     """Ground eigenvalue and eigenvector by dense diagonalization."""
     dense = to_dense(h)
@@ -181,37 +167,21 @@ def eigensolve(h: PauliSum) -> tuple[float, StateVector]:
     return float(evals[0]), StateVector(h.n_qubits, vec)
 
 
-def _apply_matrix_raw(
-    amps: np.ndarray, matrix: np.ndarray, subset: tuple[int, ...], n_qubits: int
-) -> np.ndarray:
-    """Apply a 2^k matrix to the subset qubits (subset[0] = low bit)."""
-    k = len(subset)
-    tensor = amps.reshape((2,) * n_qubits)
-    # Axis of qubit q in the reshaped tensor is n-1-q; order the moved
-    # axes so that C-order flattening makes subset[0] the fastest bit.
-    src = [n_qubits - 1 - q for q in reversed(subset)]
-    tensor = np.moveaxis(tensor, src, range(k))
-    head = tensor.reshape(1 << k, -1)
-    head = matrix @ head
-    tensor = head.reshape((2,) * n_qubits)
-    tensor = np.moveaxis(tensor, range(k), src)
-    return tensor.reshape(-1)
-
-
-def apply_matrix_to_subset(
-    psi: StateVector, matrix: np.ndarray, subset: tuple[int, ...]
-) -> StateVector:
-    out = _apply_matrix_raw(psi.amplitudes, matrix, tuple(subset), psi.n_qubits)
-    return StateVector(psi.n_qubits, out)
-
-
 def _prepare_fragment_state(frag: MFFragment, psi: StateVector) -> np.ndarray:
-    """The amplitudes the certificate is measured on: psi's own, only read, without an entangler."""
+    """The amplitudes the certificate is measured on: psi's own, only read, without an entangler.
+
+    With one, U^dagger of the entangler acts on its subset, subset[0] as its low bit.
+    """
     spec = frag.entangler
     if spec is None:
         return psi.amplitudes
-    amps = psi.amplitudes.copy()
-    return _apply_matrix_raw(amps, spec.unitary.conj().T, spec.subset, psi.n_qubits)
+    n, k = psi.n_qubits, len(spec.subset)
+    # Axis of qubit q in the reshaped tensor is n-1-q; order the moved
+    # axes so that C-order flattening makes subset[0] the fastest bit.
+    src = [n - 1 - q for q in reversed(spec.subset)]
+    head = np.moveaxis(psi.amplitudes.reshape((2,) * n), src, range(k)).reshape(1 << k, -1)
+    head = spec.unitary.conj().T @ head
+    return np.moveaxis(head.reshape((2,) * n), range(k), src).reshape(-1)
 
 
 def _draw(probs: np.ndarray, uniforms):
@@ -364,6 +334,8 @@ def estimate_energy(
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not plan.fragments:
         raise ValueError("plan has no fragments")
     if workers is not None and workers > 1:

@@ -215,6 +215,21 @@ def test_measure_reports_a_shot_count_beyond_memory(tmp_path, capsys):
     assert lines[0].startswith("error:") and "allocate" in lines[0]
 
 
+def test_measure_refuses_a_negative_seed(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    assert main(["partition", EXAMPLE, "--output", str(plan_path)]) == 0
+    capsys.readouterr()
+    state_path, _ = write_state(tmp_path, 3)
+    argv = measure_args(plan_path, state_path)
+    argv[argv.index("--seed") + 1] = "-1"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "seed" in lines[0] and "-1" in lines[0]
+
+
 def test_measure_refuses_a_plan_that_fails_validation(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     assert main(["partition", EXAMPLE, "--output", str(plan_path)]) == 0

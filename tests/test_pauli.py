@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_sum, dense_word, random_sum, random_word
+from mfpart.partition import _attach_op
 from mfpart.pauli import (
     PauliSum,
     PauliWord,
@@ -143,7 +144,8 @@ def test_single_qubit_op_unit_and_sum():
     assert op.norm == 5.0
     unit = op.unit()
     assert np.isclose(np.linalg.norm(unit.bloch), 1.0)
-    dense = dense_sum(op.as_sum(2))
+    one = PauliSum.from_terms(2, [(PauliWord.identity(2), 1.0)])
+    dense = dense_sum(_attach_op(one, op))
     expected = 3.0 * dense_word(PauliWord.from_axes(2, {1: "X"})) + 4.0 * dense_word(
         PauliWord.from_axes(2, {1: "Z"})
     )
