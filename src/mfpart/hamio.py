@@ -21,7 +21,6 @@ import re
 import struct
 import warnings
 from json.encoder import encode_basestring_ascii
-from typing import Mapping
 
 import numpy as np
 
@@ -171,24 +170,23 @@ def _prefix_key(prefix: tuple[int, ...]) -> str:
     return "".join("+" if s == 1 else "-" for s in prefix)
 
 
-def _table(depth: int, rows: dict, path: tuple, read) -> Mapping:
+def _table(depth: int, rows: dict, path: tuple, read) -> BranchTable:
     """A table field keyed by runs of + and -, each value read by ``read(value, at)``.
 
-    Values are read, and keys checked, in file order.  When the keys are
-    the 2^depth outcome prefixes in bit order, as :func:`serialize_plan`
-    writes them, the values make a :class:`BranchTable`; any other listing
-    stays a dict keyed by outcome tuples, for validate_plan to report on.
+    The 2^depth outcome prefixes may be listed in any order, and the values
+    make a :class:`BranchTable` in bit order; a field that misses or adds a
+    prefix raises ValueError naming the field.
     """
-    # The length is checked first, so keys are only made for a table of
-    # the size the file itself lists.
-    if len(rows) == 1 << depth and list(rows) == list(map(_prefix_key, _prefix_index(depth))):
-        return BranchTable(depth, [read(value, (path, key)) for key, value in rows.items()])
-    table = {}
-    for key, value in rows.items():
+    for key in rows:
         if key.strip("+-"):
             raise ValueError(f"plan field {_name(path)!r}: key {key!r} is not a run of + and -")
-        table[tuple(1 if c == "+" else -1 for c in key)] = read(value, (path, key))
-    return table
+        if len(key) != depth:
+            raise ValueError(f"plan field {_name(path)!r}: key {key!r} is not of length {depth}")
+    # Distinct keys of one length: the right count is every prefix once.
+    if len(rows) != 1 << depth:
+        raise ValueError(f"plan field {_name(path)!r} lists {len(rows)} of {1 << depth} prefixes")
+    keys = map(_prefix_key, _prefix_index(depth))
+    return BranchTable(depth, [read(rows[key], (path, key)) for key in keys])
 
 
 # Field paths are nested pairs (parent, key or index), turned into names
@@ -521,9 +519,9 @@ def parse_plan(text: str) -> PartitionPlan:
 
     A missing or mistyped field, or a header that contradicts the rest
     of the plan (version, level, fragment count, a chain's qubit order),
-    raises ValueError naming the field.  A table listed in outcome-bit
-    order, as :func:`serialize_plan` writes it, is read into a
-    :class:`~mfpart.meanfield.BranchTable`; any other listing into a dict.
+    raises ValueError naming the field, as does a table that misses or
+    adds an outcome prefix; its prefixes may be listed in any order, and
+    it is read into a :class:`~mfpart.meanfield.BranchTable` in bit order.
     Across the plan, each distinct op (qubit and bit pattern of its Bloch
     vector) and each distinct terminal value (its bit pattern) is made and
     checked once and shared, so 0.0 and -0.0 never merge, and each word

@@ -50,7 +50,6 @@ import functools
 import itertools
 import math
 import struct
-from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -285,16 +284,6 @@ def _prefix_index(depth: int) -> dict[tuple[int, ...], int]:
     return {prefix: b for b, prefix in enumerate(itertools.product((1, -1), repeat=depth))}
 
 
-class _TableValues(ValuesView):
-    def __iter__(self) -> Iterator:
-        return iter(self._mapping._values)
-
-
-class _TableItems(ItemsView):
-    def __iter__(self) -> Iterator:
-        return zip(self._mapping, self._mapping._values)
-
-
 class BranchTable(Mapping):
     """One chain depth's values, held as a tuple in outcome-bit order.
 
@@ -302,8 +291,8 @@ class BranchTable(Mapping):
     bit depth-1-d of b is set, the order of ``itertools.product((1, -1),
     repeat=depth)``; the children of entry b are 2b (+1) and 2b+1 (-1).
     Prefix keys come from one index per depth shared by every table, so a
-    table stores only its values, and ``values()`` and ``items()`` read
-    them in bit order without a lookup.
+    table stores only its values: ``values()`` is that tuple, and
+    ``items()`` zips it with the keys.
     """
 
     __slots__ = ("_depth", "_values", "_index")
@@ -324,23 +313,17 @@ class BranchTable(Mapping):
         except (KeyError, TypeError):
             raise KeyError(prefix) from None
 
-    def get(self, prefix: tuple[int, ...], default=None):
-        try:
-            return self._values[self._index[prefix]]
-        except (KeyError, TypeError):
-            return default
-
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self._index)
 
     def __len__(self) -> int:
         return len(self._values)
 
-    def values(self) -> ValuesView:
-        return _TableValues(self)
+    def values(self) -> tuple:
+        return self._values
 
-    def items(self) -> ItemsView:
-        return _TableItems(self)
+    def items(self) -> Iterator[tuple[tuple[int, ...], object]]:
+        return zip(self._index, self._values)
 
     @property
     def depth(self) -> int:
@@ -348,19 +331,6 @@ class BranchTable(Mapping):
 
     def __repr__(self) -> str:
         return f"BranchTable({self._depth}, {list(self._values)!r})"
-
-
-def _in_bit_order(table: Mapping, depth: int) -> list:
-    """The values of a table of one depth, in outcome-bit order, from any Mapping.
-
-    A table that lists its prefixes in bit order, as every
-    :class:`BranchTable` and any dict built in that order does, is read in
-    one pass over ``values()``; any other is looked up prefix by prefix.
-    """
-    prefixes = list(_prefix_index(depth))
-    if list(table) == prefixes:
-        return list(table.values())
-    return [table[p] for p in prefixes]
 
 
 class ProductTerminalMap(Mapping):
@@ -406,17 +376,27 @@ class ProductTerminalMap(Mapping):
         return self._n_steps
 
 
+def _read_table(table: Mapping, depth: int, what: str) -> BranchTable:
+    """A Mapping keyed by the 2^depth outcome prefixes, read into a BranchTable in bit order."""
+    # Checked first, so no prefix is listed for a table of another size.
+    if len(table) != 1 << depth:
+        raise ValueError(f"{what} must list the {1 << depth} outcome prefixes, not {len(table)}")
+    try:
+        return BranchTable(depth, [table[prefix] for prefix in _prefix_index(depth)])
+    except KeyError as exc:
+        raise ValueError(f"{what} must list the prefix {exc.args[0]}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class ReductionStep:
     """One chain step: the qubit measured and the op for each outcome prefix.
 
     ``ops`` is a :class:`UniformBranchOps` when one op serves every prefix,
-    and otherwise, from :func:`verify_mf` or a plan file that lists it in
-    outcome-bit order, a :class:`BranchTable`; any Mapping from prefix to
-    op is read the same way.  The stored op commutes with the branch's
-    reduced Hamiltonian; the construction check is the Gram kernel bound,
-    which is equivalent to a direct commutator-norm bound (see
-    :func:`factor_l2`).
+    and otherwise a :class:`BranchTable`, into which :class:`MFCertificate`
+    reads any other Mapping from prefix to op.  The stored op commutes
+    with the branch's reduced Hamiltonian; the construction check is the
+    Gram kernel bound, which is equivalent to a direct commutator-norm
+    bound (see :func:`factor_l2`).
     """
 
     qubit: int
@@ -431,12 +411,28 @@ class MFCertificate:
     outcome branches; ``terminal_values`` maps each full outcome sequence
     to the scalar the chain terminates in: a :class:`ProductTerminalMap`
     for an axis-pure chain, else a :class:`BranchTable` held in
-    outcome-bit order (or any Mapping of the same keys).
+    outcome-bit order.  Construction keeps these tables when their depth
+    fits (depth i for step i's ops, one outcome per step for the terminal
+    values), reads any other Mapping into a :class:`BranchTable`, and
+    raises ValueError for a table that misses or adds a prefix.
     """
 
     n_qubits: int
     steps: tuple[ReductionStep, ...]
     terminal_values: Mapping[tuple[int, ...], float]
+
+    def __post_init__(self):
+        steps = tuple(
+            step if isinstance(step.ops, (UniformBranchOps, BranchTable)) and step.ops.depth == i
+            else ReductionStep(step.qubit, _read_table(step.ops, i, f"the ops of step {i}"))
+            for i, step in enumerate(self.steps)
+        )
+        tv, m = self.terminal_values, len(steps)
+        if not (isinstance(tv, BranchTable) and tv.depth == m
+                or isinstance(tv, ProductTerminalMap) and tv.n_steps == m):
+            tv = _read_table(tv, m, "the terminal values")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "terminal_values", tv)
 
     @property
     def qubit_order(self) -> tuple[int, ...]:
@@ -492,12 +488,12 @@ def _product_differences(h: PauliSum, cert: MFCertificate) -> dict[tuple[int, ..
     the chain.
     """
     tv = cert.terminal_values
-    if not isinstance(tv, ProductTerminalMap) or tv.n_steps != len(cert.steps):
+    if not isinstance(tv, ProductTerminalMap):
         return None
     at: dict[int, tuple[int, tuple[float, float, float, float]]] = {}
     for i, step in enumerate(cert.steps):
         ops = step.ops
-        if not isinstance(ops, UniformBranchOps) or (ops.depth, ops.op.qubit) != (i, step.qubit):
+        if not isinstance(ops, UniformBranchOps) or ops.op.qubit != step.qubit:
             return None
         at[step.qubit] = (i, _reduction_weights(ops.op))
     diff: dict[tuple[int, ...], float] = {}

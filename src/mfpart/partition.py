@@ -269,19 +269,13 @@ def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str
     """
     if cert.n_qubits != n_qubits:
         return "certificate register size mismatch"
-    # Each step measures its own register qubit, and the terminal values
-    # are keyed by exactly the 2^m outcome sequences of the m steps.
+    # Each step measures its own register qubit.
     order = cert.qubit_order
     for i, q in enumerate(order):
         if q >= n_qubits:
             return f"certificate measures qubit {q} outside the register"
         if q in order[:i]:
             return f"certificate measures qubit {q} twice"
-    tv = cert.terminal_values
-    if len(tv) != cert.n_branches or (
-        isinstance(tv, dict) and any(len(o) != len(order) for o in tv)
-    ):
-        return f"certificate does not give one terminal value per branch of its {len(order)} steps"
     if not set(h.support()) <= set(order):
         return "certificate does not cover the support"
     diff = _product_differences(h, cert)
@@ -296,28 +290,27 @@ def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str
         return f"terminal products are off by up to {bound:.3g}"
     # reduced[d] is h reduced along the first d outcomes of path, as a
     # (class, sign) pair of _sign_class.  A class's children under an op
-    # that commutes with it are kept by the op's id; held keeps that op alive.
-    classes, interned, children, held, scalars = [], {}, {}, [], {}
+    # that commutes with it are kept by the op's id; its table holds the op.
+    classes, interned, children, scalars = [], {}, {}, {}
     reduced = [_sign_class(h.terms, interned, classes)]
     path: tuple[int, ...] = ()
-    for outcomes, value in tv.items():
-        # Every key has one outcome per step (checked above).
+    for outcomes, value in cert.terminal_values.items():
         depth = 0
         while depth < len(path) and path[depth] == outcomes[depth]:
             depth += 1
         path = outcomes
         del reduced[depth + 1 :]
         for si in range(depth, len(path)):
-            op = cert.steps[si].ops.get(path[:si])
-            if op is None:
-                return f"branch {outcomes} has no op at step {si}"
+            op = cert.steps[si].ops[path[:si]]
             c, sign = reduced[si]
             pair = children.get((c, id(op)))
             if pair is None:
+                if op.qubit != order[si]:
+                    return (f"branch {outcomes} op at step {si} "
+                            f"acts on qubit {op.qubit}, not {order[si]}")
                 branch = PauliSum(h.n_qubits, classes[c])
                 if not _branch_commutes(_branch_of(branch), op):
                     return f"branch {outcomes} op at step {si} does not commute"
-                held.append(op)
                 pair = children[c, id(op)] = {
                     o: _sign_class(reduce_qubit(branch, op, o).terms, interned, classes)
                     for o in (1, -1)
@@ -348,14 +341,14 @@ def validate_plan(plan: PartitionPlan) -> list[str]:
     A certificate of uniform ops and outcome products whose op weights
     are all +1 or -1 is decided from its word data, which covers every
     branch at once.  Any other certificate is walked over all its
-    branches in its branch order: each op must commute with the sum it
-    is measured on, and the reductions must land on the stored terminal
-    values.  Consecutive branches share the reductions of their common
-    outcome prefix, and branches equal up to sign share one check and one
-    reduction per op (sign classes, see :mod:`mfpart.meanfield`).  A
-    partitioner certificate that is not a product chain has at most
-    ``MAX_BRANCHES`` branches, and a loaded one no more than the table its
-    file lists.
+    branches in its branch order: each op must act on its step's qubit
+    and commute with the sum it is measured on, and the reductions must
+    land on the stored terminal values.  Consecutive branches share the
+    reductions of their common outcome prefix, and branches equal up to
+    sign share one check and one reduction per op (sign classes, see
+    :mod:`mfpart.meanfield`).  A partitioner certificate that is not a
+    product chain has at most ``MAX_BRANCHES`` branches, and a loaded one
+    no more than the table its file lists.
     """
     problems: list[str] = []
     n = plan.source.n_qubits

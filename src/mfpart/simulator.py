@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import ProductTerminalMap, UniformBranchOps, _in_bit_order
+from .meanfield import ProductTerminalMap, UniformBranchOps
 from .partition import MFFragment, PartitionPlan
 from .pauli import PauliSum, PauliWord, _word_action, _word_matrix
 
@@ -191,6 +191,11 @@ def _draw(probs: np.ndarray, uniforms):
     return np.searchsorted(cdf, uniforms, side="right")
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def measure_fragment(
     frag: MFFragment, psi: StateVector, rng_seed
 ) -> tuple[float, tuple[int, ...]]:
@@ -199,6 +204,7 @@ def measure_fragment(
     Returns the energy sample (the terminal value of the realized branch)
     and the outcome sequence itself.
     """
+    _check_seed(rng_seed)
     probs, values = branch_distribution(frag, psi)
     b = int(_draw(probs, np.random.default_rng(rng_seed).random()))
     m = len(frag.certificate.steps)
@@ -246,8 +252,8 @@ def branch_distribution(
     axes += [a for a in range(n) if a not in axes]
     amps = _prepare_fragment_state(frag, psi).reshape((2,) * n).transpose(axes)
     entries = [
-        [step.ops.op] if isinstance(step.ops, UniformBranchOps) else _in_bit_order(step.ops, d)
-        for d, step in enumerate(cert.steps)
+        [step.ops.op] if isinstance(step.ops, UniformBranchOps) else step.ops.values()
+        for step in cert.steps
     ]
     distinct = {id(op): op for ops in entries for op in ops}
     slot = {key: i for i, key in enumerate(distinct)}
@@ -259,7 +265,7 @@ def branch_distribution(
     tv = cert.terminal_values
     if isinstance(tv, ProductTerminalMap):
         return probs, _product_values(tv)
-    return probs, np.array(_in_bit_order(tv, m))
+    return probs, np.array(tv.values())
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,8 +340,7 @@ def estimate_energy(
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     if not plan.fragments:
         raise ValueError("plan has no fragments")
     if workers is not None and workers > 1:

@@ -11,8 +11,16 @@ import numpy as np
 import pytest
 
 from conftest import random_amplitudes, random_sum
+from mfpart import hamio, meanfield
 from mfpart.hamio import parse_hamiltonian, parse_plan, serialize_plan
-from mfpart.meanfield import BranchTable, ReductionStep, UniformBranchOps, verify_mf
+from mfpart.meanfield import (
+    BranchTable,
+    MFCertificate,
+    ProductTerminalMap,
+    ReductionStep,
+    UniformBranchOps,
+    verify_mf,
+)
 from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
 from mfpart.pauli import SingleQubitOp
 from mfpart.simulator import StateVector, branch_distribution, estimate_energy
@@ -156,40 +164,47 @@ def rename(rows, old, new):
     rows.update((new if key == old else key, value) for key, value in items)
 
 
-# Each listing, the tables it leaves as dicts, and what validate_plan
-# reports on it, as it did when every table was read into a dict.
-MISMATCH = "fragment 0: certificate does not give one terminal value per branch of its 3 steps"
+# Each listing, and the refusal parse_plan gives it when it misses or adds
+# a prefix (None: it reads as the canonical file does).
+VALUES = r"'fragments\[0\]\.certificate\.terminal_values'"
 LISTINGS = {
-    "reversed values": (lambda c: reverse(c["terminal_values"]), {"values"}, []),
-    "reversed ops": (lambda c: reverse(c["steps"][2]["ops"]), {2}, []),
-    "swapped values": (lambda c: swap_first_two(c["terminal_values"]), {"values"}, []),
-    "missing value": (lambda c: c["terminal_values"].pop("+-+"), {"values"}, [MISMATCH]),
-    # A key of the wrong length in the place whose bit index it reads as.
-    "short value key": (lambda c: rename(c["terminal_values"], "++-", "-"), {"values"}, [MISMATCH]),
+    "reversed values": (lambda c: reverse(c["terminal_values"]), None),
+    "reversed ops": (lambda c: reverse(c["steps"][2]["ops"]), None),
+    "swapped values": (lambda c: swap_first_two(c["terminal_values"]), None),
+    "missing value": (lambda c: c["terminal_values"].pop("+-+"), VALUES + " lists 7 of 8 prefixes"),
+    "short value key": (
+        lambda c: rename(c["terminal_values"], "++-", "-"),
+        VALUES + ": key '-' is not of length 3",
+    ),
     "missing op": (
         lambda c: c["steps"][2]["ops"].pop("-+"),
-        {2},
-        ["fragment 0: branch (-1, 1, 1) has no op at step 2"],
+        r"'fragments\[0\]\.certificate\.steps\[2\]\.ops' lists 3 of 4 prefixes",
     ),
     "long op key": (
         lambda c: rename(c["steps"][1]["ops"], "-", "-+"),
-        {1},
-        ["fragment 0: branch (-1, 1, 1) has no op at step 1"],
+        r"'fragments\[0\]\.certificate\.steps\[1\]\.ops': key '-\+' is not of length 1",
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(LISTINGS))
 def test_a_table_listed_out_of_bit_order_or_incomplete_stays_a_dict(name):
-    edit, dicts, expected = LISTINGS[name]
+    # No table stays a dict: one listed in another order reads as the
+    # canonical file does, and an incomplete one is refused, naming the field.
+    edit, refusal = LISTINGS[name]
     text = three_step_file(edit)
+    if refusal is not None:
+        with pytest.raises(ValueError, match=refusal):
+            parse_plan(text)
+        return
     loaded = parse_plan(text)
     cert = loaded.fragments[0].certificate
-    tables = {"values": cert.terminal_values, **{d: s.ops for d, s in enumerate(cert.steps)}}
-    assert {key for key, table in tables.items() if type(table) is dict} == dicts
-    assert all(isinstance(tables[key], BranchTable) for key in tables.keys() - dicts)
-    assert serialize_plan(loaded) == text
-    assert validate_plan(loaded) == expected
+    assert all(
+        isinstance(table, BranchTable)
+        for table in (cert.terminal_values, *(step.ops for step in cert.steps))
+    )
+    assert validate_plan(loaded) == []
+    assert serialize_plan(loaded) == three_step_file(lambda c: None)
 
 
 def test_table_certificates_hold_no_key_per_prefix():
@@ -223,11 +238,93 @@ def forty_step_file(edit):
 @pytest.mark.parametrize(
     "values", [{}, {"+" * 40: 1.0}, {"+" * 40: 1.0, "+" * 39 + "-": 1.0}]
 )
-def test_a_short_table_of_a_deep_chain_is_read_without_listing_its_prefixes(values):
+def test_a_short_table_of_a_deep_chain_is_read_without_listing_its_prefixes(values, monkeypatch):
     # 2^40 prefix keys would not fit in memory; a table this short is
-    # read as a dict and reported as it was when every table was a dict.
-    loaded = parse_plan(forty_step_file(lambda cert: cert.update(terminal_values=values)))
-    assert type(loaded.fragments[0].certificate.terminal_values) is dict
-    assert validate_plan(loaded) == [
-        "fragment 0: certificate does not give one terminal value per branch of its 40 steps"
-    ]
+    # refused from its length before any prefix is listed.
+    text = forty_step_file(lambda cert: cert.update(terminal_values=values))
+
+    def no_listing(depth):
+        raise AssertionError(f"listed the prefixes of depth {depth}")
+
+    monkeypatch.setattr(hamio, "_prefix_index", no_listing)
+    with pytest.raises(ValueError, match=f"{VALUES} lists {len(values)} of {1 << 40} prefixes"):
+        parse_plan(text)
+
+
+def three_step_plan_with(edit):
+    """The plan of THREE_STEP with its certificate rebuilt from ``edit(cert)``'s fields."""
+    h = parse_hamiltonian(THREE_STEP)
+    cert = verify_mf(h)
+    rebuilt = MFCertificate(cert.n_qubits, *edit(cert))
+    return PartitionPlan(source=h, fragments=(MFFragment(h, rebuilt),), level="mf1")
+
+
+def listed(table, order):
+    """A dict of the table's items in the given order of bit indices."""
+    items = list(table.items())
+    return {items[b][0]: items[b][1] for b in order}
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_a_certificate_reads_a_dict_in_any_order_into_a_table(order):
+    def shuffle(n):
+        if order == "reversed":
+            return range(n - 1, -1, -1)
+        return np.random.default_rng(5).permutation(n)
+
+    def as_dicts(cert):
+        steps = tuple(
+            ReductionStep(step.qubit, listed(step.ops, shuffle(len(step.ops))))
+            for step in cert.steps
+        )
+        return steps, listed(cert.terminal_values, shuffle(len(cert.terminal_values)))
+
+    plan = three_step_plan_with(lambda cert: (cert.steps, cert.terminal_values))
+    dicts = three_step_plan_with(as_dicts)
+    got, want = dicts.fragments[0].certificate, plan.fragments[0].certificate
+    assert list(as_dicts(want)[1]) != list(want.terminal_values)
+    for a, b in zip((got.terminal_values, *(s.ops for s in got.steps)),
+                    (want.terminal_values, *(s.ops for s in want.steps))):
+        assert type(a) is BranchTable and a.depth == b.depth and a.values() == b.values()
+    assert serialize_plan(dicts) == serialize_plan(plan)
+    assert validate_plan(dicts) == []
+    psi = StateVector(3, random_amplitudes(np.random.default_rng(8), 3))
+    assert estimate_energy(dicts, psi, 100, 8) == estimate_energy(plan, psi, 100, 8)
+
+
+def test_a_certificate_refuses_a_table_of_another_depth():
+    h = parse_hamiltonian(THREE_STEP)
+    cert = verify_mf(h)
+    steps, tv = cert.steps, cert.terminal_values
+    op = steps[1].ops[(1,)]
+    for si, ops, match in (
+        (1, UniformBranchOps(2, op), "the ops of step 1 must list the 2 outcome prefixes, not 4"),
+        (1, BranchTable(0, [op]), "the ops of step 1 must list the 2 outcome prefixes, not 1"),
+        (2, {(1,): op, (-1,): op}, "the ops of step 2 must list the 4 outcome prefixes, not 2"),
+    ):
+        changed = steps[:si] + (ReductionStep(steps[si].qubit, ops),) + steps[si + 1 :]
+        with pytest.raises(ValueError, match=match):
+            MFCertificate(3, changed, tv)
+    with pytest.raises(ValueError, match="terminal values must list the 8 outcome prefixes, not 4"):
+        MFCertificate(3, steps, BranchTable(2, tv.values()[:4]))
+    product = verify_mf(parse_hamiltonian("1.0 Z0 Z1\n0.5 X2\n"))
+    assert isinstance(product.terminal_values, ProductTerminalMap)
+    with pytest.raises(ValueError, match="terminal values must list the 8 outcome prefixes, not 4"):
+        MFCertificate(3, product.steps, ProductTerminalMap(2, (((), 1.0),)))
+    # Same size, one prefix swapped for a longer one.
+    longer = dict(tv)
+    longer[(1, -1, 1, 1)] = longer.pop((1, -1, 1))
+    with pytest.raises(ValueError, match=r"values must list the prefix \(1, -1, 1\)"):
+        MFCertificate(3, steps, longer)
+
+
+def test_a_certificate_refuses_a_short_table_of_a_deep_chain_at_once(monkeypatch):
+    cert = verify_mf(parse_hamiltonian("".join(f"1.0 Z{q}\n" for q in range(40))))
+    assert len(cert.steps) == 40
+
+    def no_listing(depth):
+        raise AssertionError(f"listed the prefixes of depth {depth}")
+
+    monkeypatch.setattr(meanfield, "_prefix_index", no_listing)
+    with pytest.raises(ValueError, match=f"must list the {1 << 40} outcome prefixes, not 2"):
+        MFCertificate(40, cert.steps, {(1,) * 40: 1.0, (-1,) * 40: 1.0})

@@ -230,6 +230,23 @@ def test_measure_refuses_a_negative_seed(tmp_path, capsys):
     assert lines[0].startswith("error:") and "seed" in lines[0] and "-1" in lines[0]
 
 
+def test_measure_refuses_a_plan_whose_op_table_misses_a_prefix(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    assert main(["partition", EXAMPLE, "--output", str(plan_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(plan_path.read_text())
+    del doc["fragments"][1]["certificate"]["steps"][2]["ops"]["-+"]
+    plan_path.write_text(json.dumps(doc, indent=2))
+    state_path, _ = write_state(tmp_path, 3)
+    assert main(measure_args(plan_path, state_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {plan_path}: plan field 'fragments[1].certificate.steps[2].ops' "
+        "lists 3 of 4 prefixes"
+    ]
+
+
 def test_measure_refuses_a_plan_that_fails_validation(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     assert main(["partition", EXAMPLE, "--output", str(plan_path)]) == 0

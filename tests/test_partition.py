@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dense_word, h2_model, random_sum, wide_table_model
+from conftest import dense_word, h2_model, random_amplitudes, random_sum, wide_table_model
 from mfpart import meanfield, partition
 from mfpart.entangler import (
     EntanglerSpec,
@@ -33,7 +33,13 @@ from mfpart.meanfield import (
 from mfpart.partition import MFFragment, PartitionPlan, greedy_partition, validate_plan
 from mfpart.pauli import PauliSum, PauliWord, SingleQubitOp
 from mfpart.qwc import qwc_partition
-from mfpart.simulator import eigensolve, to_dense
+from mfpart.simulator import (
+    StateVector,
+    branch_distribution,
+    eigensolve,
+    expectation,
+    to_dense,
+)
 
 
 def sum_on(n_qubits, *terms):
@@ -405,6 +411,9 @@ def root_walk_problem(frag):
         reduced = frag.effective_hamiltonian()
         for si, (step, outcome) in enumerate(zip(cert.steps, outcomes)):
             op = step.ops[outcomes[:si]]
+            if op.qubit != step.qubit:
+                return (f"branch {outcomes} op at step {si} "
+                        f"acts on qubit {op.qubit}, not {step.qubit}")
             if not dense_commutes(reduced, op):
                 return f"branch {outcomes} op at step {si} does not commute"
             reduced = reduce_qubit(reduced, op, outcome)
@@ -437,13 +446,13 @@ def test_validate_finds_a_non_scalar_branch():
     steps = list(plan.fragments[0].certificate.steps)
     last = steps[2]
     ops = {prefix: last.ops[prefix] for prefix in last.ops}
-    # An op on an already measured qubit leaves qubit 1 unreduced in the
-    # two branches below (-1, +1).
+    # An op on an already measured qubit would leave qubit 1 unreduced in
+    # the two branches below (-1, +1); the walk names the op's qubit first.
     ops[(-1, 1)] = SingleQubitOp(0, (0.0, 0.0, 1.0))
     steps[2] = ReductionStep(last.qubit, ops)
     bad = with_certificate(plan, steps=tuple(steps))
     problems = validate_plan(bad)
-    assert problems == ["fragment 0: branch (-1, 1, 1) left a non-scalar"]
+    assert problems == ["fragment 0: branch (-1, 1, 1) op at step 2 acts on qubit 0, not 1"]
     assert problems == root_walk_problems(bad)
 
 
@@ -587,6 +596,25 @@ def test_validate_refuses_a_certificate_that_measures_a_qubit_twice():
     assert problems == ["fragment 0: certificate measures qubit 2 twice"]
 
 
+def test_validate_refuses_steps_that_trade_qubit_numbers_but_keep_their_ops():
+    plan = three_step_plan()
+    steps = plan.fragments[0].certificate.steps
+    assert [step.qubit for step in steps] == [0, 2, 1]
+    # Reducing each op's own qubit, every branch still lands on its value;
+    # sampling measures each step's qubit, and its energy is biased.
+    traded = (ReductionStep(2, steps[0].ops), ReductionStep(0, steps[1].ops), steps[2])
+    bad = with_certificate(plan, steps=traded)
+    problems = validate_plan(bad)
+    assert problems == ["fragment 0: branch (1, 1, 1) op at step 0 acts on qubit 0, not 2"]
+    assert problems == root_walk_problems(bad)
+    psi = StateVector(3, random_amplitudes(np.random.default_rng(12), 3))
+    exact = expectation(plan.source, psi)
+    probs, values = branch_distribution(plan.fragments[0], psi)
+    assert probs @ values == pytest.approx(exact, abs=1e-12)
+    probs, values = branch_distribution(bad.fragments[0], psi)
+    assert abs(probs @ values - exact) > 0.1
+
+
 def test_validate_refuses_a_chain_whose_bits_do_not_name_its_branches():
     plan = three_step_plan()
     cert = plan.fragments[0].certificate
@@ -598,15 +626,15 @@ def test_validate_refuses_a_chain_whose_bits_do_not_name_its_branches():
         terminal_values={o + (s,): v for o, v in values.items() for s in (1, -1)},
     )
     assert validate_plan(wide) == ["fragment 0: certificate measures qubit 5 outside the register"]
-    uncovered = [
-        "fragment 0: certificate does not give one terminal value per branch of its 3 steps"
-    ]
+    # A table that misses or adds a prefix cannot be built.
     missing = dict(values)
     del missing[(1, -1, 1)]
-    assert validate_plan(with_certificate(plan, terminal_values=missing)) == uncovered
+    with pytest.raises(ValueError, match="must list the 8 outcome prefixes, not 7"):
+        with_certificate(plan, terminal_values=missing)
     longer = dict(missing)
     longer[(1, -1, 1, 1)] = values[(1, -1, 1)]
-    assert validate_plan(with_certificate(plan, terminal_values=longer)) == uncovered
+    with pytest.raises(ValueError, match=r"must list the prefix \(1, -1, 1\)"):
+        with_certificate(plan, terminal_values=longer)
 
 
 def test_validate_counts_a_nan_terminal_value_as_a_mismatch():
@@ -686,14 +714,14 @@ def test_full_validation_of_product_certificates_matches_the_walk(seed):
     # A term on a position outside the chain cannot be built.
     with pytest.raises(ValueError, match="outside the 6 steps"):
         with_products(plan, terms + (((-1,), 0.0),))
-    # An op placed on another qubit than its step leaves qubit 1 unreduced.
+    # An op placed on another qubit than its step is named by the walk.
     steps = list(plan.fragments[0].certificate.steps)
     assert steps[1].qubit == 1
     steps[1] = ReductionStep(1, UniformBranchOps(1, SingleQubitOp(0, (0.0, 1.0, 0.0))))
     moved = with_certificate(plan, steps=tuple(steps))
     problems = validate_plan(moved)
     assert problems == root_walk_problems(moved)
-    assert problems and "left a non-scalar" in problems[0]
+    assert problems == [f"fragment 0: branch {(1,) * 6} op at step 1 acts on qubit 0, not 1"]
 
 
 def per_node_certificate_problem(h, cert, n_qubits):
@@ -711,10 +739,6 @@ def per_node_certificate_problem(h, cert, n_qubits):
         if q in order[:i]:
             return f"certificate measures qubit {q} twice"
     tv = cert.terminal_values
-    if len(tv) != cert.n_branches or (
-        isinstance(tv, dict) and any(len(o) != len(order) for o in tv)
-    ):
-        return f"certificate does not give one terminal value per branch of its {len(order)} steps"
     if not set(h.support()) <= set(order):
         return "certificate does not cover the support"
     diff = meanfield._product_differences(h, cert)
@@ -731,9 +755,10 @@ def per_node_certificate_problem(h, cert, n_qubits):
             prefix = outcomes[: si + 1]
             if prefix in nodes:
                 continue
-            op = cert.steps[si].ops.get(outcomes[:si])
-            if op is None:
-                return f"branch {outcomes} has no op at step {si}"
+            op = cert.steps[si].ops[outcomes[:si]]
+            if op.qubit != order[si]:
+                return (f"branch {outcomes} op at step {si} "
+                        f"acts on qubit {op.qubit}, not {order[si]}")
             parent = nodes[outcomes[:si]]
             if not meanfield._branch_commutes(meanfield._branch_of(parent), op):
                 return f"branch {outcomes} op at step {si} does not commute"
@@ -815,7 +840,12 @@ def mutants(frag, rng):
     out.append(("list bloch", with_op(si, p, SingleQubitOp(steps[si].qubit, list(bloch)))))
     bloch[int(rng.integers(3))] = float("nan")
     out.append(("nan bloch", with_op(si, p, SingleQubitOp(steps[si].qubit, tuple(bloch)))))
-    out.append(("missing op", with_op(si, p, None)))
+    if len(steps) > 1:
+        other = steps[(si + 1) % len(steps)].qubit
+        out.append(("moved op", with_op(si, p, SingleQubitOp(other, steps[si].ops[p].bloch))))
+    # A table that misses a prefix cannot be built.
+    with pytest.raises(ValueError, match=f"the ops of step {si} must list the {1 << si} "):
+        with_op(si, p, None)
     return out
 
 
@@ -836,7 +866,9 @@ def test_sign_class_walk_reports_what_a_per_node_walk_reports(monkeypatch):
             for name, cert in mutants(frag, rng):
                 expected = per_node_certificate_problem(h, cert, n)
                 assert partition._certificate_problem(h, cert, n) == expected, name
-                kinds = ("has no op", "does not commute", "left a non-scalar", "terminal mismatch")
+                kinds = (
+                    "acts on qubit", "does not commute", "left a non-scalar", "terminal mismatch"
+                )
                 seen.add((name, next((k for k in kinds if expected and k in expected), "accepted")))
             # The same, string for string, through validate_plan.
             fragments = list(plan.fragments)
@@ -847,7 +879,7 @@ def test_sign_class_walk_reports_what_a_per_node_walk_reports(monkeypatch):
                 expected = validate_plan(bad)
             assert validate_plan(bad) == expected
     assert {name for name, _ in seen} == {
-        "paired op", "negated value", "signed zero", "list bloch", "nan bloch", "missing op"
+        "paired op", "negated value", "signed zero", "list bloch", "nan bloch", "moved op"
     }
     assert {
         ("paired op", "does not commute"),
@@ -855,5 +887,5 @@ def test_sign_class_walk_reports_what_a_per_node_walk_reports(monkeypatch):
         ("signed zero", "accepted"),
         ("list bloch", "accepted"),
         ("nan bloch", "does not commute"),
-        ("missing op", "has no op"),
+        ("moved op", "acts on qubit"),
     } <= seen

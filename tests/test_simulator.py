@@ -193,6 +193,20 @@ def test_measure_fragment_register_mismatch():
         measure_fragment(frag, StateVector.computational(3), 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", None])
+def test_measure_fragment_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    frag = single_fragment(sum_on(2, (1.0, {0: "Z"})))
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        measure_fragment(frag, StateVector.computational(2), seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", None])
+def test_estimate_energy_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    plan = greedy_partition(sum_on(2, (1.0, {0: "Z"}), (0.5, {1: "X"})))
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        estimate_energy(plan, StateVector.computational(2), 10, seed)
+
+
 def test_branch_distribution_single_qubit_born_rule():
     frag = single_fragment(sum_on(1, (1.0, {0: "Z"})))
     psi = StateVector(1, [np.sqrt(0.3), np.sqrt(0.7)])
@@ -297,10 +311,18 @@ def feedforward_plan(terminal_values=None):
 
 def test_branch_order_does_not_depend_on_how_a_table_is_listed():
     plan = feedforward_plan()
-    reversed_plan = feedforward_plan(lambda tv: dict(reversed(list(tv.items()))))
-    assert list(reversed_plan.fragments[0].certificate.terminal_values) != list(
-        plan.fragments[0].certificate.terminal_values
-    )
+    listings = []
+
+    def reversed_dict(tv):
+        listings.append(dict(reversed(list(tv.items()))))
+        return listings[-1]
+
+    reversed_plan = feedforward_plan(reversed_dict)
+    table = plan.fragments[0].certificate.terminal_values
+    assert list(listings[0]) != list(table)
+    # The dict is read into a table in bit order when the certificate is built.
+    read = reversed_plan.fragments[0].certificate.terminal_values
+    assert isinstance(read, BranchTable) and read.values() == table.values()
     assert validate_plan(reversed_plan) == []
     psi = StateVector(2, random_amplitudes(np.random.default_rng(3), 2))
     for got, want in zip(
