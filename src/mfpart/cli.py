@@ -32,31 +32,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary):
+    def command(name, summary, run):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("hamiltonian", help="Hamiltonian term-list file")
         return p
 
-    command("info", "qubit/term counts and the per-qubit l table")
-    command("group-qwc", "qubit-wise commuting grouping")
+    command("info", "qubit/term counts and the per-qubit l table", _cmd_info)
+    command("group-qwc", "qubit-wise commuting grouping", _cmd_group_qwc)
 
-    p = command("partition", "build a mean-field measurement plan")
+    p = command("partition", "build a mean-field measurement plan", _cmd_partition)
     p.add_argument("--output", help="write the plan JSON here")
     p.add_argument("--level", choices=("mf1", "mf2"), default="mf1")
 
-    command("verify-mf", "check mean-field measurability")
+    command("verify-mf", "check mean-field measurability", _cmd_verify_mf)
 
-    p = command("variance", "analytic expectation and variance in a state")
+    p = command("variance", "analytic expectation and variance in a state", _cmd_variance)
     p.add_argument("--state", required=True, help="statevector file")
 
     p = sub.add_parser("measure", help="sample a plan and report estimates")
+    p.set_defaults(run=_cmd_measure)
     p.add_argument("--plan", required=True, help="plan JSON from 'partition'")
     p.add_argument("--state", required=True, help="statevector file")
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--output", help="write the JSON report here")
 
-    command("spectrum", "dense eigenvalues (small registers)")
+    command("spectrum", "dense eigenvalues (small registers)", _cmd_spectrum)
     return parser
 
 
@@ -192,21 +194,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "group-qwc": _cmd_group_qwc,
-    "partition": _cmd_partition,
-    "verify-mf": _cmd_verify_mf,
-    "variance": _cmd_variance,
-    "measure": _cmd_measure,
-    "spectrum": _cmd_spectrum,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -344,8 +344,7 @@ def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
     subset = tuple(subset)
     if len(subset) > MAX_SUBSET_SIZE:
         raise ValueError(f"subset of {len(subset)} qubits exceeds the maximum of {MAX_SUBSET_SIZE}")
-    if list(subset) != sorted(set(subset)) or any(not 0 <= q < h.n_qubits for q in subset):
-        raise ValueError("subset must be strictly increasing and within range")
+    _check_subset(h.n_qubits, subset)
 
     if _no_commuting_word(h, subset):
         return []
@@ -391,9 +390,8 @@ def _computational_label(column: np.ndarray) -> int:
 
 
 def _phase_fix(column: np.ndarray) -> np.ndarray:
+    """A unit column on k qubits, its largest entry (at least 2^(-k/2)) made real and positive."""
     pivot = column[_computational_label(column)]
-    if abs(pivot) < 1e-15:
-        return column
     return column * (abs(pivot) / pivot)
 
 

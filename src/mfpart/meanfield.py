@@ -112,16 +112,14 @@ class GramData:
 
     Eigenvalues are sorted descending; eigenvector columns match that
     order and are sign-fixed so the largest-magnitude component is
-    positive.  ``l`` counts eigenvalues at or below ``kernel_tol``.
+    positive.  ``l`` counts eigenvalues at or below
+    ``GRAM_TOL_SCALE``·max(1, trace).
     """
 
     qubit: int
-    basis: tuple[PauliWord, ...]
-    matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     l: int
-    kernel_tol: float
 
 
 def decompose_by_qubit(h: PauliSum, qubit: int) -> ComplementDecomposition:
@@ -140,8 +138,8 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
     return -v if v[idx] < 0 else v
 
 
-def _gram_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
-    """Gram matrix of an M-by-3 complement matrix, its spectrum, l and tolerance.
+def _gram_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Spectrum and l of the Gram matrix of an M-by-3 complement matrix.
 
     Eigenvalues descending; only the leading eigenvector is sign-fixed.
     """
@@ -152,11 +150,11 @@ def _gram_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
     evecs = evecs[:, order]
     evecs[:, 0] = _sign_fix(evecs[:, 0])
     tol = GRAM_TOL_SCALE * max(1.0, float(gram.trace()))
-    return gram, evals, evecs, int((evals <= tol).sum()), tol
+    return evals, evecs, int((evals <= tol).sum())
 
 
 def compute_l(dec: ComplementDecomposition) -> GramData:
-    """Gram matrix, spectrum and kernel dimension for one qubit at ``GRAM_TOL_SCALE``.
+    """Gram spectrum and kernel dimension for one qubit at ``GRAM_TOL_SCALE``.
 
     Raises ValueError when the squared complement coefficients do not
     sum to a finite number.
@@ -167,20 +165,11 @@ def compute_l(dec: ComplementDecomposition) -> GramData:
     for col, part in enumerate(dec.axis_parts()):
         for word, coeff in part.terms.items():
             rows.setdefault(word, [0.0, 0.0, 0.0])[col] = coeff
-    basis_words = sorted(rows, key=lambda w: w.sort_key())
-    a = np.array([rows[w] for w in basis_words]).reshape(-1, 3)
-    gram, evals, evecs, l, tol = _gram_spectrum(a)
+    a = np.array([rows[w] for w in sorted(rows, key=lambda w: w.sort_key())]).reshape(-1, 3)
+    evals, evecs, l = _gram_spectrum(a)
     for col in (1, 2):
         evecs[:, col] = _sign_fix(evecs[:, col])
-    return GramData(
-        qubit=dec.qubit,
-        basis=tuple(basis_words),
-        matrix=gram,
-        eigenvalues=evals,
-        eigenvectors=evecs,
-        l=l,
-        kernel_tol=tol,
-    )
+    return GramData(qubit=dec.qubit, eigenvalues=evals, eigenvectors=evecs, l=l)
 
 
 def _factor(
@@ -378,9 +367,13 @@ class ProductTerminalMap(Mapping):
 
 def _read_table(table: Mapping, depth: int, what: str) -> BranchTable:
     """A Mapping keyed by the 2^depth outcome prefixes, read into a BranchTable in bit order."""
-    # Checked first, so no prefix is listed for a table of another size.
-    if len(table) != 1 << depth:
-        raise ValueError(f"{what} must list the {1 << depth} outcome prefixes, not {len(table)}")
+    # Checked first, so no prefix is listed for a table of another size; the
+    # three table types are sized from their depth, as len() overflows past 62.
+    size = (1 << table.n_steps if isinstance(table, ProductTerminalMap)
+            else 1 << table.depth if isinstance(table, (UniformBranchOps, BranchTable))
+            else len(table))
+    if size != 1 << depth:
+        raise ValueError(f"{what} must list the {1 << depth} outcome prefixes, not {size}")
     try:
         return BranchTable(depth, [table[prefix] for prefix in _prefix_index(depth)])
     except KeyError as exc:
@@ -620,7 +613,7 @@ def _branch_gram(
     if l is not None:
         return l, None
     order = sorted(vectors, key=_word_order)
-    _, _, evecs, l, _ = _gram_spectrum(np.array([vectors[key] for key in order]))
+    _, evecs, l = _gram_spectrum(np.array([vectors[key] for key in order]))
     if l < 2:
         return l, None
     return l, (float(evecs[0, 0]), float(evecs[1, 0]), float(evecs[2, 0]))
@@ -782,9 +775,8 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
             (child, sign * child_sign) for c, sign in branches for child, child_sign in children[c]
         ]
 
-    if any(x | z for bh in classes for x, z in bh):
-        raise AssertionError("reduction chain left a non-scalar branch")
-    # A class with no constant term is zero, +0.0 under either sign.
+    # Every support qubit is reduced in every class, so a class is its
+    # constant term; one with none is zero, +0.0 under either sign.
     ends = [(bh[0, 0], -bh[0, 0]) if bh else (0.0, 0.0) for bh in classes]
     terminal = BranchTable(len(steps), [ends[c][sign < 0] for c, sign in branches])
     return MFCertificate(n_qubits=h.n_qubits, steps=tuple(steps), terminal_values=terminal)

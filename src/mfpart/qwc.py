@@ -16,9 +16,8 @@ __all__ = ["QWCGrouping", "qwc_partition"]
 
 @dataclass(frozen=True)
 class QWCGrouping:
-    """Disjoint qubit-wise commuting groups whose union is the source."""
+    """Disjoint qubit-wise commuting groups that sum to the grouped Hamiltonian."""
 
-    source: PauliSum
     groups: tuple[PauliSum, ...]
 
     @property
@@ -52,4 +51,4 @@ def qwc_partition(h: PauliSum) -> QWCGrouping:
     sums = tuple(
         PauliSum.from_terms(h.n_qubits, group, prune=None) for group in groups
     )
-    return QWCGrouping(source=h, groups=sums)
+    return QWCGrouping(groups=sums)

@@ -311,6 +311,12 @@ def test_a_certificate_refuses_a_table_of_another_depth():
     assert isinstance(product.terminal_values, ProductTerminalMap)
     with pytest.raises(ValueError, match="terminal values must list the 8 outcome prefixes, not 4"):
         MFCertificate(3, product.steps, ProductTerminalMap(2, (((), 1.0),)))
+    # Tables too deep for len() are sized from their depth.
+    with pytest.raises(ValueError, match=f"values must list the 8 outcome prefixes, not {1 << 70}"):
+        MFCertificate(3, steps, ProductTerminalMap(70, ()))
+    changed = steps[:1] + (ReductionStep(steps[1].qubit, UniformBranchOps(70, op)),) + steps[2:]
+    with pytest.raises(ValueError, match=f"step 1 must list the 2 outcome prefixes, not {1 << 70}"):
+        MFCertificate(3, changed, tv)
     # Same size, one prefix swapped for a longer one.
     longer = dict(tv)
     longer[(1, -1, 1, 1)] = longer.pop((1, -1, 1))

@@ -262,6 +262,13 @@ def test_find_commuting_ops_rejects_large_subsets():
         find_commuting_ops(h, (0, 1, 2))
 
 
+def test_find_commuting_ops_rejects_malformed_subsets():
+    h = sum_on(3, (1.0, {0: "Z"}), (0.5, {1: "X", 2: "X"}))
+    for subset in ((), (1, 0), (0, 0), (0, 3)):
+        with pytest.raises(ValueError, match="subset"):
+            find_commuting_ops(h, subset)
+
+
 def test_factorability_requires_commuting_op():
     h = sum_on(2, (1.0, {0: "X"}))
     op = KQubitOp(2, (0, 1), {word(2, {0: "Z"}): 1.0})

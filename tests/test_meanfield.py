@@ -82,6 +82,9 @@ def test_factor_l2_golden(collinear3):
 def test_factor_l2_requires_collinearity(collinear3):
     with pytest.raises(ValueError):
         factor_l2(collinear3, grand(collinear3, 1))
+    # factor_l1 needs l = 1, and qubit 0 has l = 2.
+    with pytest.raises(ValueError, match="has l=2, need l=1"):
+        factor_l1(collinear3, grand(collinear3, 0))
 
 
 def test_factor_l2_keeps_rest_terms():

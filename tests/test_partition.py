@@ -626,6 +626,13 @@ def test_validate_refuses_a_chain_whose_bits_do_not_name_its_branches():
         terminal_values={o + (s,): v for o, v in values.items() for s in (1, -1)},
     )
     assert validate_plan(wide) == ["fragment 0: certificate measures qubit 5 outside the register"]
+    # A chain that leaves out a support qubit.
+    short = with_certificate(
+        plan,
+        steps=cert.steps[:2],
+        terminal_values={o[:2]: v for o, v in values.items() if o[2] == 1},
+    )
+    assert validate_plan(short) == ["fragment 0: certificate does not cover the support"]
     # A table that misses or adds a prefix cannot be built.
     missing = dict(values)
     del missing[(1, -1, 1)]

@@ -191,6 +191,10 @@ def test_measure_fragment_register_mismatch():
     frag = single_fragment(sum_on(2, (1.0, {0: "Z"})))
     with pytest.raises(ValueError, match="register"):
         measure_fragment(frag, StateVector.computational(3), 0)
+    h, psi = frag.hamiltonian, StateVector.computational(3)
+    for moment in (expectation, variance, lambda a, s: covariance(a, a, s)):
+        with pytest.raises(ValueError, match="operator on 2 qubits, state on 3"):
+            moment(h, psi)
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, "7", None])
