@@ -50,6 +50,8 @@ __all__ = [
     "SpectrumReport",
     "EntanglerSpec",
     "FactorabilityVerdict",
+    "op_spectrum",
+    "commutator_norm",
     "find_commuting_ops",
     "factorability_check",
     "build_unentangler",
@@ -355,7 +357,7 @@ def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
         # subset Paulis, so the map has at least 2 * 4^k / 2 rows, more than
         # its 4^k - 1 columns: the thin SVD has every right singular vector.
         _, sing, vt = np.linalg.svd(stacked, full_matrices=False)
-        tol = _NULLSPACE_TOL_SCALE * max(1.0, float(sing[0]) if len(sing) else 0.0)
+        tol = _NULLSPACE_TOL_SCALE * max(1.0, float(sing[0]))
         rank = int(np.sum(sing > tol))
         null_vectors = [vt[r] for r in range(rank, len(words))]
     else:

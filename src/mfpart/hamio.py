@@ -31,6 +31,7 @@ from .meanfield import (
     ProductTerminalMap,
     ReductionStep,
     UniformBranchOps,
+    _op_key,
     _prefix_index,
 )
 from .partition import MFFragment, PartitionPlan
@@ -299,11 +300,11 @@ def _bloch(value, path: tuple) -> tuple:
 
 
 def _read_op(made: dict, qubit: int, value, path: tuple) -> SingleQubitOp:
-    """The op of a Bloch field, made and checked once per qubit and bit pattern
-    of three floats, so 0.0 and -0.0 differ; any other value is checked on its own."""
+    """The op of a Bloch field, made and checked once per :func:`mfpart.meanfield._op_key`
+    of three floats; any other value is checked on its own."""
     if not (type(value) is list and len(value) == 3 and {*map(type, value)} == {float}):
         return _named(SingleQubitOp, path, qubit, _bloch(value, path))
-    op = made.get(key := (qubit, struct.pack("3d", *value)))
+    op = made.get(key := _op_key(qubit, value))
     if op is None:
         op = made[key] = _named(SingleQubitOp, path, qubit, _bloch(value, path))
     return op
@@ -400,7 +401,12 @@ def _named(check, path: tuple, *args):
 def _entangler_from_payload(payload: dict, path: tuple, n: int, words: dict) -> EntanglerSpec:
     # Set part by part, the unitary keeps the sign of every zero; re + 1j * im does not.
     unitary = _matrix(payload, "unitary_re", path).astype(complex)
-    unitary.imag = _matrix(payload, "unitary_im", path)
+    imag = _matrix(payload, "unitary_im", path)
+    if imag.shape != unitary.shape:
+        name = _name((path, "unitary_im"))
+        raise ValueError(f"plan field {name!r} has shape {imag.shape}, but "
+                         f"'unitary_re' has {unitary.shape}")
+    unitary.imag = imag
     origin_path = (path, "origin")
     origin_data = _get(payload, "origin", dict, path)
     if (origin_n := _get(origin_data, "n_qubits", int, origin_path)) != n:

@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -74,7 +75,7 @@ __all__ = [
     "verify_mf",
 ]
 
-#: The one kernel tolerance, GRAM_TOL_SCALE * max(1, trace(S)), read at call time.
+#: Scale of the one kernel tolerance; :func:`_kernel_tol` reads it at call time.
 GRAM_TOL_SCALE = 1e-8
 
 #: Live-branch cap for the exhaustive chain search in verify_mf.
@@ -133,6 +134,16 @@ def decompose_by_qubit(h: PauliSum, qubit: int) -> ComplementDecomposition:
     return ComplementDecomposition(qubit, h_x, h_y, h_z, h_e)
 
 
+def _kernel_tol(trace: float) -> float:
+    """The kernel tolerance of a Gram matrix of this trace: GRAM_TOL_SCALE * max(1, trace)."""
+    return GRAM_TOL_SCALE * max(1.0, trace)
+
+
+def _op_key(qubit: int, bloch: Iterable[float]) -> tuple[int, bytes]:
+    """Key of an op shared by qubit and Bloch bit pattern, so 0.0 and -0.0 never merge."""
+    return qubit, struct.pack("3d", *bloch)
+
+
 def _sign_fix(v: np.ndarray) -> np.ndarray:
     idx = int(np.argmax(np.abs(v)))
     return -v if v[idx] < 0 else v
@@ -149,8 +160,7 @@ def _gram_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     evals = evals[order]
     evecs = evecs[:, order]
     evecs[:, 0] = _sign_fix(evecs[:, 0])
-    tol = GRAM_TOL_SCALE * max(1.0, float(gram.trace()))
-    return evals, evecs, int((evals <= tol).sum())
+    return evals, evecs, int((evals <= _kernel_tol(float(gram.trace()))).sum())
 
 
 def compute_l(dec: ComplementDecomposition) -> GramData:
@@ -327,8 +337,9 @@ class ProductTerminalMap(Mapping):
 
     Every word of an axis-pure sum evaluates on an outcome assignment to
     the product of the outcomes on its support, so storing the word data
-    is enough; nothing exponential is materialized until iterated.  A
-    product whose positions leave the ``n_steps`` steps is refused.
+    is enough; nothing exponential is materialized until iterated or
+    ``values()`` is read.  A product whose positions leave the
+    ``n_steps`` steps is refused.
     """
 
     __slots__ = ("_n_steps", "_terms")
@@ -355,6 +366,15 @@ class ProductTerminalMap(Mapping):
 
     def __len__(self) -> int:
         return 1 << self._n_steps
+
+    def values(self) -> np.ndarray:
+        """Every value in :class:`BranchTable` bit order, bit for bit: terms add in stored order."""
+        m = self._n_steps
+        branches, values = np.arange(1 << m), np.zeros(1 << m)
+        for positions, coeff in self._terms:
+            mask = functools.reduce(operator.xor, (1 << (m - 1 - p) for p in positions), 0)
+            values += np.where(np.bitwise_count(branches & mask) & 1, -coeff, coeff)
+        return values
 
     @property
     def terms(self) -> tuple[tuple[tuple[int, ...], float], ...]:
@@ -567,7 +587,7 @@ def _settled_l(rows: Iterable[list[float]], n_rows: int) -> int | None:
         xz += x * z
         yz += y * z
     t = xx + yy + zz
-    tol = GRAM_TOL_SCALE * max(1.0, t)
+    tol = _kernel_tol(t)
     u = _UNIT_ROUNDOFF
     slack = (8 * n_rows + 64) * u * t
     tau = 2 * tol + slack
@@ -604,7 +624,7 @@ def _branch_gram(
         col = seen.bit_length() - 1
         order = sorted(vectors, key=_word_order)
         lam = sum(vectors[key][col] ** 2 for key in order)
-        if lam <= GRAM_TOL_SCALE * max(1.0, lam):
+        if lam <= _kernel_tol(lam):
             return 3, None
         top = [0.0, 0.0, 0.0]
         top[col] = 1.0
@@ -635,7 +655,7 @@ def _branch_commutes(branch: dict[tuple[int, int], float], op: SingleQubitOp) ->
     for vx, vy, vz in rows.values():
         cross += (vy * nz - vz * ny) ** 2 + (vz * nx - vx * nz) ** 2 + (vx * ny - vy * nx) ** 2
         total += vx * vx + vy * vy + vz * vz
-    return cross <= 4 * GRAM_TOL_SCALE * max(1.0, total)
+    return cross <= 4 * _kernel_tol(total)
 
 
 def _reduce_branch(
@@ -739,7 +759,6 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
     # The (class, sign) of every live prefix in bit order: the children of
     # entry b are entries 2b (+1) and 2b+1 (-1) one step down.
     branches = [_sign_class(_branch_of(h), {}, classes)]
-    # One op per (qubit, Bloch bit pattern), so 0.0 and -0.0 never share.
     made: dict[tuple[int, bytes], SingleQubitOp] = {}
     remaining = list(h.support())
     steps: list[ReductionStep] = []
@@ -752,7 +771,7 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
                 if l < 2:
                     break
                 bloch = top if l == 2 else _AXIS_BLOCH["Z"]
-                op = made.get(key := (k, struct.pack("3d", *bloch)))
+                op = made.get(key := _op_key(k, bloch))
                 if op is None:
                     op = made[key] = SingleQubitOp(k, bloch)
                 class_ops.append(op)

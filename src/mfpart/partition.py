@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass, field
 
 from .entangler import (
@@ -42,6 +41,7 @@ from .meanfield import (
     _branch_commutes,
     _branch_of,
     _l_values,
+    _op_key,
     _product_differences,
     _sign_class,
     _stuck_support,
@@ -60,6 +60,10 @@ __all__ = [
     "greedy_partition",
     "validate_plan",
 ]
+
+#: How far a walked branch's scalar, or a product chain's summed terminal
+#: error, may sit from the stored terminal values.
+_TERMINAL_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,8 +141,8 @@ def _try_entangler(s: PauliSum) -> tuple[EntanglerSpec, MFCertificate, PauliSum]
 class _Pool:
     """One op per qubit and Bloch bit pattern, and one word per value, for one partition run.
 
-    Keys are the ``struct.pack`` bits, as in :func:`verify_mf`, so 0.0
-    and -0.0 never merge.  Words start as the source's own.
+    Ops are keyed by :func:`mfpart.meanfield._op_key`, as in
+    :func:`verify_mf`.  Words start as the source's own.
     """
 
     __slots__ = ("ops", "words")
@@ -148,7 +152,7 @@ class _Pool:
         self.words: dict[PauliWord, PauliWord] = {word: word for word in source.terms}
 
     def op(self, op: SingleQubitOp) -> SingleQubitOp:
-        return self.ops.setdefault((op.qubit, struct.pack("3d", *op.bloch)), op)
+        return self.ops.setdefault(_op_key(op.qubit, op.bloch), op)
 
     def sum(self, s: PauliSum) -> PauliSum:
         """s over pooled words, in its own term order; s itself if it has them all."""
@@ -279,17 +283,17 @@ def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str
     diff = _product_differences(h, cert)
     if diff is not None:
         bound = sum(map(abs, diff.values()))
-        if bound <= 1e-9:
+        if bound <= _TERMINAL_TOL:
             return None
         # The summed |diff| bounds every branch's error; the all-(+1) error
         # is the plain sum, written so that a NaN counts as a mismatch.
-        if not abs(sum(diff.values())) <= 1e-9:
+        if not abs(sum(diff.values())) <= _TERMINAL_TOL:
             return f"branch {(1,) * len(order)} terminal mismatch"
         return f"terminal products are off by up to {bound:.3g}"
     # reduced[d] is h reduced along the first d outcomes of path, as a
     # (class, sign) pair of _sign_class.  A class's children under an op
     # that commutes with it are kept by the op's id; its table holds the op.
-    classes, interned, children, scalars = [], {}, {}, {}
+    classes, interned, children = [], {}, {}
     reduced = [_sign_class(h.terms, interned, classes)]
     path: tuple[int, ...] = ()
     for outcomes, value in cert.terminal_values.items():
@@ -316,11 +320,10 @@ def _certificate_problem(h: PauliSum, cert: MFCertificate, n_qubits: int) -> str
             child, child_sign = pair[path[si]]
             reduced.append((child, sign * child_sign))
         c, sign = reduced[-1]
-        if c not in scalars:
-            # A scalar holds at most the identity term.
-            scalars[c] = next(iter(classes[c].values()), 0.0)
+        # A scalar holds at most the identity term.
+        scalar = next(iter(classes[c].values()), 0.0)
         # Written so that a NaN terminal value counts as a mismatch.
-        if not abs(sign * scalars[c] - value) <= 1e-9:
+        if not abs(sign * scalar - value) <= _TERMINAL_TOL:
             return f"branch {outcomes} terminal mismatch"
     return None
 
@@ -339,7 +342,8 @@ def validate_plan(plan: PartitionPlan) -> list[str]:
     branch at once.  Any other certificate is walked over all its
     branches in its branch order: each op must act on its step's qubit
     and commute with the sum it is measured on, and the reductions must
-    land on the stored terminal values.  Consecutive branches share the
+    land on the stored terminal values.  Both checks allow one absolute
+    terminal tolerance, ``_TERMINAL_TOL``.  Consecutive branches share the
     reductions of their common outcome prefix, and branches equal up to
     sign share one check and one reduction per op (sign classes, see
     :mod:`mfpart.meanfield`).  A partitioner certificate that is not a

@@ -54,6 +54,13 @@ def _set_bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _axis_masks(axis: str, bit: int) -> tuple[int, int]:
+    """The x and z mask bits of an axis letter on the qubit of ``bit``."""
+    if axis not in AXES:
+        raise ValueError(f"unknown axis {axis!r}")
+    return (0 if axis == "Z" else bit), (0 if axis == "X" else bit)
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class PauliWord:
     """A tensor product of single-qubit Pauli factors with unit coefficient.
@@ -101,13 +108,9 @@ class PauliWord:
         for qubit, axis in axes.items():
             if not 0 <= qubit < n_qubits:
                 raise ValueError(f"qubit {qubit} outside register of {n_qubits}")
-            bit = 1 << qubit
-            if axis in ("X", "Y"):
-                x |= bit
-            if axis in ("Y", "Z"):
-                z |= bit
-            if axis not in ("X", "Y", "Z"):
-                raise ValueError(f"unknown axis {axis!r}")
+            dx, dz = _axis_masks(axis, 1 << qubit)
+            x |= dx
+            z |= dz
         return cls(n_qubits, x, z)
 
     @property
@@ -136,10 +139,8 @@ class PauliWord:
         """The same word with ``axis`` placed on a currently untouched qubit."""
         if self.touches(qubit):
             raise ValueError(f"qubit {qubit} already carries a factor")
-        bit = 1 << qubit
-        x = self.x_mask | (bit if axis in ("X", "Y") else 0)
-        z = self.z_mask | (bit if axis in ("Y", "Z") else 0)
-        return PauliWord(self.n_qubits, x, z)
+        dx, dz = _axis_masks(axis, 1 << qubit)
+        return PauliWord(self.n_qubits, self.x_mask | dx, self.z_mask | dz)
 
     def sort_key(self) -> tuple[int, int, int]:
         return (self.x_mask | self.z_mask, self.x_mask, self.z_mask)
@@ -291,8 +292,6 @@ class PauliSum:
         return self + other.scale(-1.0)
 
     def scale(self, factor: float) -> "PauliSum":
-        if factor == 0.0:
-            return PauliSum.zero(self.n_qubits)
         scaled = {w: c * factor for w, c in self.terms.items()}
         return PauliSum(
             self.n_qubits, {w: c for w, c in scaled.items() if abs(c) > COEFF_PRUNE}

@@ -18,13 +18,11 @@ per-fragment moments are plain operator moments of the certified sum.
 from __future__ import annotations
 
 import contextvars
-import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import ProductTerminalMap, UniformBranchOps
+from .meanfield import UniformBranchOps
 from .partition import MFFragment, PartitionPlan
 from .pauli import PauliSum, PauliWord, _word_action, _word_matrix
 
@@ -162,8 +160,7 @@ def eigensolve(h: PauliSum) -> tuple[float, StateVector]:
     evals, evecs = np.linalg.eigh(dense)
     vec = evecs[:, 0]
     pivot = int(np.argmax(np.abs(vec)))
-    if abs(vec[pivot]) > 1e-15:
-        vec = vec * (abs(vec[pivot]) / vec[pivot])
+    vec = vec * (abs(vec[pivot]) / vec[pivot])
     return float(evals[0]), StateVector(h.n_qubits, vec)
 
 
@@ -219,16 +216,6 @@ def _z_rotations(blochs: np.ndarray) -> np.ndarray:
     return vecs[..., ::-1].conj().swapaxes(-1, -2)
 
 
-def _product_values(tv: ProductTerminalMap) -> np.ndarray:
-    """``tv``'s values in bit order, bit for bit: terms add in stored order."""
-    m = tv.n_steps
-    branches, values = np.arange(1 << m), np.zeros(1 << m)
-    for positions, coeff in tv.terms:
-        mask = functools.reduce(operator.xor, (1 << (m - 1 - p) for p in positions), 0)
-        values += np.where(np.bitwise_count(branches & mask) & 1, -coeff, coeff)
-    return values
-
-
 def branch_distribution(
     frag: MFFragment, psi: StateVector
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -262,10 +249,7 @@ def branch_distribution(
         # A uniform step's one row broadcasts over every prefix.
         amps = rotations[[slot[id(op)] for op in ops]] @ amps.reshape(1 << d, 2, -1)
     probs = np.square(np.abs(amps.reshape(1 << m, -1))).sum(axis=1)
-    tv = cert.terminal_values
-    if isinstance(tv, ProductTerminalMap):
-        return probs, _product_values(tv)
-    return probs, np.array(tv.values())
+    return probs, np.asarray(cert.terminal_values.values())
 
 
 @dataclass(frozen=True, slots=True)

@@ -329,6 +329,9 @@ def put(doc, value, *path):
          r"'fragments\[0\].entangler': unitary shape \(2, 2\) does not match subset"),
         (lambda d: put(d, [[1.0] * 4] * 4, "fragments", 0, "entangler", "unitary_re"),
          r"'fragments\[0\].entangler': matrix is not unitary"),
+        (lambda d: put(put(d, np.eye(4).tolist(), "fragments", 0, "entangler", "unitary_re"),
+                       [[0.0]], "fragments", 0, "entangler", "unitary_im"),
+         r"'fragments\[0\].entangler.unitary_im' has shape \(1, 1\)"),
     ],
 )
 def test_parse_plan_names_bad_fields(edit, message):

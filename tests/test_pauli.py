@@ -43,6 +43,10 @@ def test_drop_and_with_axis():
     assert w.with_axis(2, "Z") == PauliWord.from_axes(3, {0: "X", 1: "Y", 2: "Z"})
     with pytest.raises(ValueError):
         w.with_axis(0, "Z")
+    with pytest.raises(ValueError, match="unknown axis 'Q'"):
+        w.with_axis(2, "Q")
+    with pytest.raises(ValueError, match="unknown axis 'Q'"):
+        PauliSum.from_terms(3, [(w, 1.0)]).attach(2, "Q")
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -551,5 +551,5 @@ def test_product_values_match_the_map_bit_for_bit():
     terms += (((2, 2, 5), -0.0), ((), 0.1), ((1,), -0.0), ((6, 0), 1e-17))
     tv = ProductTerminalMap(7, terms)
     expected = np.array([tv[outcomes] for outcomes in tv])
-    assert simulator._product_values(tv).tobytes() == expected.tobytes()
+    assert tv.values().tobytes() == expected.tobytes()
 
