@@ -248,19 +248,29 @@ def _reduction_weights(op: SingleQubitOp) -> tuple[float, float, float, float]:
     return (0.0, bx / r, bz / r, by / r)
 
 
-class UniformBranchOps(Mapping):
-    """Branch-op mapping that returns the same operator for every prefix."""
+@functools.cache
+def _prefix_index(depth: int) -> dict[tuple[int, ...], int]:
+    """Bit index of every outcome prefix of one depth, in bit order; shared by all tables."""
+    return {prefix: b for b, prefix in enumerate(itertools.product((1, -1), repeat=depth))}
 
-    __slots__ = ("_depth", "_op")
 
-    def __init__(self, depth: int, op: SingleQubitOp):
-        self._depth = depth
-        self._op = op
+def _bit(d: int, depth: int) -> int:
+    """The bit of a branch index that is set when step d of ``depth`` steps reads -1."""
+    return 1 << (depth - 1 - d)
 
-    def __getitem__(self, prefix: tuple[int, ...]) -> SingleQubitOp:
+
+class _PrefixTable(Mapping):
+    """A Mapping keyed by the 2^depth outcome prefixes of one chain depth, sized from it.
+
+    Keys come lazily in bit order, that of ``itertools.product((1, -1),
+    repeat=depth)``: prefix b reads -1 at step d when ``_bit(d, depth)`` is set in b.
+    """
+
+    __slots__ = ("_depth",)
+
+    def _check(self, prefix: tuple[int, ...]) -> None:
         if len(prefix) != self._depth or any(s not in (1, -1) for s in prefix):
             raise KeyError(prefix)
-        return self._op
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(itertools.product((1, -1), repeat=self._depth))
@@ -269,32 +279,39 @@ class UniformBranchOps(Mapping):
         return 1 << self._depth
 
     @property
-    def op(self) -> SingleQubitOp:
-        return self._op
-
-    @property
     def depth(self) -> int:
         return self._depth
 
 
-@functools.cache
-def _prefix_index(depth: int) -> dict[tuple[int, ...], int]:
-    """Bit index of every outcome prefix of one depth, in bit order; shared by all tables."""
-    return {prefix: b for b, prefix in enumerate(itertools.product((1, -1), repeat=depth))}
+class UniformBranchOps(_PrefixTable):
+    """Branch-op mapping that returns the same operator for every prefix."""
+
+    __slots__ = ("_op",)
+
+    def __init__(self, depth: int, op: SingleQubitOp):
+        self._depth = depth
+        self._op = op
+
+    def __getitem__(self, prefix: tuple[int, ...]) -> SingleQubitOp:
+        self._check(prefix)
+        return self._op
+
+    @property
+    def op(self) -> SingleQubitOp:
+        return self._op
 
 
-class BranchTable(Mapping):
+class BranchTable(_PrefixTable):
     """One chain depth's values, held as a tuple in outcome-bit order.
 
-    Entry b belongs to the prefix in which step d reads -1 exactly when
-    bit depth-1-d of b is set, the order of ``itertools.product((1, -1),
-    repeat=depth)``; the children of entry b are 2b (+1) and 2b+1 (-1).
-    Prefix keys come from one index per depth shared by every table, so a
-    table stores only its values: ``values()`` is that tuple, and
-    ``items()`` zips it with the keys.
+    Entry b belongs to prefix b in :class:`_PrefixTable` order; the
+    children of entry b are 2b (+1) and 2b+1 (-1).  Prefix keys come from
+    one index per depth shared by every table, so a table stores only its
+    values: ``values()`` is that tuple, and ``items()`` zips it with the
+    keys.
     """
 
-    __slots__ = ("_depth", "_values", "_index")
+    __slots__ = ("_values", "_index")
 
     def __init__(self, depth: int, values: Iterable):
         values = tuple(values)
@@ -312,47 +329,36 @@ class BranchTable(Mapping):
         except (KeyError, TypeError):
             raise KeyError(prefix) from None
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
     def values(self) -> tuple:
         return self._values
 
     def items(self) -> Iterator[tuple[tuple[int, ...], object]]:
         return zip(self._index, self._values)
 
-    @property
-    def depth(self) -> int:
-        return self._depth
-
     def __repr__(self) -> str:
         return f"BranchTable({self._depth}, {list(self._values)!r})"
 
 
-class ProductTerminalMap(Mapping):
+class ProductTerminalMap(_PrefixTable):
     """Terminal values of an axis-pure chain, computed on demand.
 
     Every word of an axis-pure sum evaluates on an outcome assignment to
     the product of the outcomes on its support, so storing the word data
     is enough; nothing exponential is materialized until iterated or
-    ``values()`` is read.  A product whose positions leave the
-    ``n_steps`` steps is refused.
+    ``values()`` is read.  A product whose positions leave the ``depth``
+    steps is refused.
     """
 
-    __slots__ = ("_n_steps", "_terms")
+    __slots__ = ("_terms",)
 
-    def __init__(self, n_steps: int, terms: tuple[tuple[tuple[int, ...], float], ...]):
-        if not all(0 <= p < n_steps for positions, _ in terms for p in positions):
-            raise ValueError(f"a product names a step outside the {n_steps} steps")
-        self._n_steps = n_steps
+    def __init__(self, depth: int, terms: tuple[tuple[tuple[int, ...], float], ...]):
+        if not all(0 <= p < depth for positions, _ in terms for p in positions):
+            raise ValueError(f"a product names a step outside the {depth} steps")
+        self._depth = depth
         self._terms = terms
 
     def __getitem__(self, outcomes: tuple[int, ...]) -> float:
-        if len(outcomes) != self._n_steps or any(s not in (1, -1) for s in outcomes):
-            raise KeyError(outcomes)
+        self._check(outcomes)
         total = 0.0
         for positions, coeff in self._terms:
             value = coeff
@@ -361,18 +367,12 @@ class ProductTerminalMap(Mapping):
             total += value
         return total
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(itertools.product((1, -1), repeat=self._n_steps))
-
-    def __len__(self) -> int:
-        return 1 << self._n_steps
-
     def values(self) -> np.ndarray:
         """Every value in :class:`BranchTable` bit order, bit for bit: terms add in stored order."""
-        m = self._n_steps
+        m = self._depth
         branches, values = np.arange(1 << m), np.zeros(1 << m)
         for positions, coeff in self._terms:
-            mask = functools.reduce(operator.xor, (1 << (m - 1 - p) for p in positions), 0)
+            mask = functools.reduce(operator.xor, (_bit(p, m) for p in positions), 0)
             values += np.where(np.bitwise_count(branches & mask) & 1, -coeff, coeff)
         return values
 
@@ -380,18 +380,12 @@ class ProductTerminalMap(Mapping):
     def terms(self) -> tuple[tuple[tuple[int, ...], float], ...]:
         return self._terms
 
-    @property
-    def n_steps(self) -> int:
-        return self._n_steps
-
 
 def _read_table(table: Mapping, depth: int, what: str) -> BranchTable:
     """A Mapping keyed by the 2^depth outcome prefixes, read into a BranchTable in bit order."""
     # Checked first, so no prefix is listed for a table of another size; the
-    # three table types are sized from their depth, as len() overflows past 62.
-    size = (1 << table.n_steps if isinstance(table, ProductTerminalMap)
-            else 1 << table.depth if isinstance(table, (UniformBranchOps, BranchTable))
-            else len(table))
+    # table types are sized from their depth, as len() overflows past 62.
+    size = 1 << table.depth if isinstance(table, _PrefixTable) else len(table)
     if size != 1 << depth:
         raise ValueError(f"{what} must list the {1 << depth} outcome prefixes, not {size}")
     try:
@@ -441,8 +435,7 @@ class MFCertificate:
             for i, step in enumerate(self.steps)
         )
         tv, m = self.terminal_values, len(steps)
-        if not (isinstance(tv, BranchTable) and tv.depth == m
-                or isinstance(tv, ProductTerminalMap) and tv.n_steps == m):
+        if not (isinstance(tv, (BranchTable, ProductTerminalMap)) and tv.depth == m):
             tv = _read_table(tv, m, "the terminal values")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "terminal_values", tv)

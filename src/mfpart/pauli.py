@@ -18,6 +18,7 @@ statevector action of a word is read from it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -336,6 +337,8 @@ class SingleQubitOp:
             raise ValueError("qubit index must be non-negative")
         if all(abs(v) < COEFF_PRUNE for v in self.bloch):
             raise ValueError("Bloch vector must be non-zero")
+        if math.isinf(self.norm):
+            raise ValueError("Bloch vector norm must be finite")
 
     @property
     def norm(self) -> float:

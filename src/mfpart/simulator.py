@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import UniformBranchOps
+from .meanfield import UniformBranchOps, _bit
 from .partition import MFFragment, PartitionPlan
 from .pauli import PauliSum, PauliWord, _word_action, _word_matrix
 
@@ -205,7 +205,7 @@ def measure_fragment(
     probs, values = branch_distribution(frag, psi)
     b = int(_draw(probs, np.random.default_rng(rng_seed).random()))
     m = len(frag.certificate.steps)
-    return float(values[b]), tuple(-1 if (b >> (m - 1 - d)) & 1 else 1 for d in range(m))
+    return float(values[b]), tuple(-1 if b & _bit(d, m) else 1 for d in range(m))
 
 
 def _z_rotations(blochs: np.ndarray) -> np.ndarray:

@@ -65,11 +65,28 @@ def test_a_table_refuses_a_value_list_of_the_wrong_length(n_values):
 def test_a_table_refuses_a_prefix_as_uniform_ops_do(prefix):
     table = BranchTable(2, [0.0, 1.0, 2.0, 3.0])
     uniform = UniformBranchOps(2, SingleQubitOp(0, (0.0, 0.0, 1.0)))
-    for mapping in (table, uniform):
+    products = ProductTerminalMap(2, (((0, 1), 1.0),))
+    for mapping in (table, uniform, products):
         with pytest.raises(KeyError):
             mapping[prefix]
-    assert table.get(prefix, "absent") == "absent"
-    assert prefix not in table
+        assert mapping.get(prefix, "absent") == "absent"
+        assert prefix not in mapping
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_the_three_table_types_share_depth_size_and_prefix_order(depth):
+    op = SingleQubitOp(0, (0.0, 0.0, 1.0))
+    tables = (
+        BranchTable(depth, [0.0] * (1 << depth)),
+        UniformBranchOps(depth, op),
+        ProductTerminalMap(depth, ((tuple(range(depth)), 1.0),)),
+    )
+    for table in tables:
+        assert table.depth == depth and len(table) == 1 << depth
+        assert list(table) == list(meanfield._prefix_index(depth))
+    # A table too deep to list still yields its first prefix at once.
+    for table in (UniformBranchOps(70, op), ProductTerminalMap(70, ())):
+        assert table.depth == 70 and next(iter(table)) == (1,) * 70
 
 
 def dict_copy(plan):

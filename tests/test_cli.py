@@ -360,6 +360,13 @@ def measure_x_on_a_z_qubit(doc):
     assert len(cert["terminal_products"]) == len(products) - 1
 
 
+def overflow_first_op(doc):
+    # Each component is finite but the norm is not: read as a zero direction,
+    # the op would commute with every branch and the chain pass validation.
+    measure_x_on_a_z_qubit(doc)
+    doc["fragments"][0]["certificate"]["steps"][0]["uniform_op"] = [1e308, 0.0, 1e308]
+
+
 def put_header(key, value):
     return lambda doc: doc.update({key: value})
 
@@ -376,6 +383,8 @@ def reverse_qubit_order(doc):
         (nan_product_coeff,
          "'fragments[0].certificate.terminal_products[0].coeff' must be finite, not nan"),
         (measure_x_on_a_z_qubit, "fragment 0: branch (1, 1, 1) op at step 0 does not commute"),
+        (overflow_first_op, "plan field 'fragments[0].certificate.steps[0].uniform_op': "
+         "Bloch vector norm must be finite"),
         (put_header("version", 99), "plan field 'version' must be 1, not 99"),
         (put_header("n_fragments", 7), "plan field 'n_fragments' is 7, but 1 are listed"),
         (put_header("level", "banana"), "plan field 'level' must be 'mf1' or 'mf2', not 'banana'"),

@@ -324,6 +324,9 @@ def put(doc, value, *path):
          r"'fragments\[0\].certificate.steps\[0\].uniform_op': Bloch vector must be non-zero"),
         (lambda d: put(d, [0.0, 0.0, 0.0], "fragments", 0, "certificate", "steps", 1, "ops", "-"),
          r"'fragments\[0\].certificate.steps\[1\].ops.-': Bloch vector must be non-zero"),
+        (lambda d: put(d, [1e308, 0.0, 1e308], "fragments", 0, "certificate", "steps", 0,
+                       "uniform_op"),
+         r"'fragments\[0\].certificate.steps\[0\].uniform_op': Bloch vector norm must be finite"),
         (lambda d: put(put(d, [[1.0, 0.0], [0.0, 1.0]], "fragments", 0, "entangler", "unitary_re"),
                        [[0.0, 0.0], [0.0, 0.0]], "fragments", 0, "entangler", "unitary_im"),
          r"'fragments\[0\].entangler': unitary shape \(2, 2\) does not match subset"),

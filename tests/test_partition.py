@@ -569,7 +569,7 @@ def product_plan(n_qubits, seed):
 def with_products(plan, terms):
     cert = plan.fragments[0].certificate
     return with_certificate(
-        plan, terminal_values=ProductTerminalMap(cert.terminal_values.n_steps, terms)
+        plan, terminal_values=ProductTerminalMap(cert.terminal_values.depth, terms)
     )
 
 

@@ -159,3 +159,13 @@ def test_single_qubit_op_unit_and_sum():
 def test_zero_bloch_has_no_unit():
     with pytest.raises(ValueError):
         SingleQubitOp(0, (0.0, 0.0, 0.0)).unit()
+
+
+def test_a_bloch_vector_whose_norm_overflows_is_refused():
+    # Each component is finite, but the squares overflow, so the norm is inf
+    # and the op would read as a zero direction once divided by it.
+    for bloch in [(1e155, 0.0, 0.0), (0.0, 1e308, 1e308), (float("inf"), 0.0, 0.0)]:
+        with pytest.raises(ValueError, match="Bloch vector norm must be finite"):
+            SingleQubitOp(0, bloch)
+    # A NaN stays constructible, for validate_plan to report.
+    assert np.isnan(SingleQubitOp(0, (float("nan"), 0.0, 1.0)).norm)
