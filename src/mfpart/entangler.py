@@ -16,33 +16,43 @@ degenerate-block factorability check), and offers two kinds of unitary:
   Pauli word.  A quarter-turn-family rotation maps the word onto one
   qubit's axis, preserving Pauli-word structure branch by branch.  The
   partitioner gives a single-word symmetry this form only, and a mixed
-  one the eigenbasis form.
+  one the eigenbasis form.  :func:`apply_unitary` rotates a sum by such a
+  spec as a signed word map, through :func:`mfpart.pauli.multiply_words`,
+  and by any other unitary densely.
 
-Most stuck pairs have no commuting operator, and :func:`_no_commuting_word`
-settles many of them before the map and its SVD are built.  Write h as
-sum_r r (x) B_r over factors r outside the subset.  A block that is one
-word, c * p, maps every subset word that anticommutes with p onto rows of
-its own, scaled by 2|c|.  When every subset word anticommutes with some
-such p whose 2|c| is at least twice the largest tolerance the SVD could
-use, every singular value of the map exceeds that tolerance twice over,
-so the SVD would find no nullspace either: the screen returns no
-operators only where the SVD would, and cannot change a verdict.
+The commutator map is read from one structural table per subset size
+(:func:`_commuting_words`): for each pair of k-qubit words, whether they
+anticommute, and the pattern and sign of their product.  Most stuck
+pairs have no commuting operator, and two proofs settle them without an
+SVD.  :func:`_full_rank` factors the map's Gram matrix shifted by the
+squared tolerance and a rounding margin, which succeeds only when no
+singular value can reach the tolerance.  Before that,
+:func:`_no_commuting_word` settles many pairs without building the map.
+Write h as sum_r r (x) B_r over factors r outside the subset.  A block
+that is one word, c * p, maps every subset word that anticommutes with p
+onto rows of its own, scaled by 2|c|.  When every subset word
+anticommutes with some such p whose 2|c| is at least twice the largest
+tolerance the SVD could use, every singular value of the map exceeds
+that tolerance twice over, so the SVD would find no nullspace either.
+Neither proof can change a verdict.
 
-A word's subset factor is its local masks (subset[0] as bit 0); its
-dense matrix, trace pattern and commutation come from :mod:`mfpart.pauli`.
+A word's subset factor is its local masks (subset[0] as bit 0, read
+through :func:`_local_bits`); its dense matrix, trace pattern and
+commutation come from :mod:`mfpart.pauli`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .meanfield import _l_values, _sign_fix
-from .pauli import PauliSum, PauliWord, _word_action, _word_matrix, commutes
+from .pauli import PauliSum, PauliWord, _word_action, _word_matrix, commutes, multiply_words
 
 __all__ = [
     "MAX_SUBSET_SIZE",
@@ -62,6 +72,7 @@ __all__ = [
 MAX_SUBSET_SIZE = 2
 
 _NULLSPACE_TOL_SCALE = 1e-8
+_EPS = float(np.finfo(float).eps)
 _BLOCK_TOL = 1e-9
 
 @functools.lru_cache(maxsize=1024)
@@ -77,17 +88,28 @@ def _subset_words(n_qubits: int, subset: tuple[int, ...]) -> tuple[PauliWord, ..
 
 
 @functools.lru_cache(maxsize=8)
-def _commuting_words(k: int) -> tuple[int, ...]:
-    """Per k-qubit pattern (x << k) | z, a bit per subset word that commutes with it.
+def _commuting_words(k: int) -> tuple[tuple[int, tuple[tuple[int, float] | None, ...]], ...]:
+    """How each k-qubit word meets each other, both as patterns (x << k) | z.
 
-    Word j is the j-th of :func:`_subset_words`; its i-th axis sits on local bit i.
+    Entry t is ``(commuting, products)``.  Bit p of ``commuting`` is set
+    when word p commutes with word t (bit 0, the identity, always is);
+    ``products[p]`` is None for those and ``(q, s)`` for the others: word t
+    times word p is s * i times word q, with s = 1.0 or -1.0.
     """
-    words = _subset_words(k, tuple(range(k)))
-    return tuple(
-        sum(1 << j for j, word in enumerate(words) if commutes(PauliWord(k, x, z), word))
-        for x in range(1 << k)
-        for z in range(1 << k)
-    )
+    low = (1 << k) - 1
+    words = [PauliWord(k, p >> k, p & low) for p in range(4**k)]
+    table = []
+    for term in words:
+        commuting, products = 0, []
+        for p, word in enumerate(words):
+            if commutes(term, word):
+                commuting |= 1 << p
+                products.append(None)
+            else:
+                phase, product = multiply_words(term, word)
+                products.append(((product.x_mask << k) | product.z_mask, phase.imag))
+        table.append((commuting, tuple(products)))
+    return tuple(table)
 
 
 @functools.lru_cache(maxsize=8)
@@ -106,17 +128,17 @@ def _trace_pattern(k: int) -> tuple[np.ndarray, np.ndarray]:
     return column, phase
 
 
-def _local_masks(word: PauliWord, subset: tuple[int, ...]) -> tuple[int, int]:
-    """The word's x and z bits on the subset, subset[0] as bit 0.
+def _local_bits(subset: tuple[int, ...]) -> tuple[int, dict[int, int]]:
+    """The subset's register mask, and each set of its bits as local bits (subset[0] as bit 0).
 
-    ``_word_matrix(len(subset), *_local_masks(word, subset))`` is the
-    dense matrix of the word's subset factor.
+    A word's subset factor has the local masks ``local[x_mask & inside]``
+    and ``local[z_mask & inside]``: ``_word_matrix(k, x, z)`` of them is its
+    dense matrix and ``(x << k) | z`` its k-qubit pattern.
     """
-    x = z = 0
+    local = {0: 0}
     for i, q in enumerate(subset):
-        x |= ((word.x_mask >> q) & 1) << i
-        z |= ((word.z_mask >> q) & 1) << i
-    return x, z
+        local.update([(mask | 1 << q, bits | 1 << i) for mask, bits in local.items()])
+    return sum(1 << q for q in subset), local
 
 
 def _check_subset(n_qubits: int, subset: tuple[int, ...]):
@@ -149,10 +171,11 @@ class KQubitOp:
             raise ValueError("operator has no coefficient above tolerance")
 
     def dense(self) -> np.ndarray:
-        dim = 1 << len(self.subset)
-        out = np.zeros((dim, dim), dtype=complex)
+        k = len(self.subset)
+        inside, local = _local_bits(self.subset)
+        out = np.zeros((1 << k, 1 << k), dtype=complex)
         for word, coeff in self.coefficients.items():
-            out += coeff * _word_matrix(len(self.subset), *_local_masks(word, self.subset))
+            out += coeff * _word_matrix(k, local[word.x_mask & inside], local[word.z_mask & inside])
         return out
 
     def dominant_word(self) -> PauliWord | None:
@@ -249,42 +272,41 @@ def _commutator_matrix(
     Column j belongs to ``words[j]``; row r holds the real part and row
     r + rows the imaginary part of the r-th product word, numbered by
     first appearance with the subset word as the outer loop and h's terms
-    as the inner one.  Subset words act only on subset bits, so the
-    anticommutation parity and the power of i in each product come from
-    the k-bit subset patterns, and a product word is identified by the
-    term's part outside the subset plus its new subset pattern.
+    as the inner one.  Subset words act only on subset bits, so whether a
+    term anticommutes with a word, and the subset pattern and sign of
+    their product, come from the k-qubit table of :func:`_commuting_words`,
+    and a product word is identified by the term's part outside the
+    subset plus that pattern.  The products of anticommuting Hermitian
+    words are +i or -i times a word, so the real half is zero.
     """
     k = len(subset)
-    outside = ~sum(1 << q for q in subset)
+    table = _commuting_words(k)
+    inside, local = _local_bits(subset)
+    outside = ~inside
     rest_ids: dict[tuple[int, int], int] = {}
-    rest, tx, tz = [], [], []
-    for wu in h.terms:
-        outside_part = (wu.x_mask & outside, wu.z_mask & outside)
-        rest.append(rest_ids.setdefault(outside_part, len(rest_ids)))
-        x, z = _local_masks(wu, subset)
-        tx.append(x)
-        tz.append(z)
-    tx = np.array(tx, dtype=np.int64)[None, :]
-    tz = np.array(tz, dtype=np.int64)[None, :]
-    wx, wz = np.array([_local_masks(w, subset) for w in words], dtype=np.int64).T[:, :, None]
-    count = np.bitwise_count
-    anti = (count(tx & wz) + count(tz & wx)) & 1
-    px, pz = tx ^ wx, tz ^ wz
-    # (term)(word) = i^power (product) with Y = i X Z on every qubit;
-    # anticommuting pairs have power 1 or 3, a phase of +i or -i.
-    power = (count(tx & tz) + count(wx & wz) + 2 * count(tz & wx) - count(px & pz)) & 3
-    sign = 2 - power.astype(np.int64)  # bitwise_count gives uint8
-    cols, terms = np.nonzero(anti)
-    rest = np.array(rest, dtype=np.int64)
-    keys = (rest[terms] << 2 * k) | (px[cols, terms] << k) | pz[cols, terms]
+    terms = []
+    for word, coeff in h.terms.items():
+        x, z = word.x_mask, word.z_mask
+        rest = rest_ids.setdefault((x & outside, z & outside), len(rest_ids))
+        products = table[(local[x & inside] << k) | local[z & inside]][1]
+        terms.append((products, rest << 2 * k, 2.0 * coeff))
     row_of: dict[int, int] = {}
-    rows = np.array([row_of.setdefault(key, len(row_of)) for key in keys.tolist()], dtype=np.int64)
+    rows, cols, values = [], [], []
+    for j, w in enumerate(words):
+        pattern = (local[w.x_mask & inside] << k) | local[w.z_mask & inside]
+        for products, rest, coeff in terms:
+            product = products[pattern]
+            if product is not None:
+                rows.append(row_of.setdefault(rest | product[0], len(row_of)))
+                cols.append(j)
+                values.append(coeff * product[1])
     n_rows = len(row_of)
-    coeffs = np.array(list(h.terms.values()), dtype=float)
     stacked = np.zeros((2 * n_rows, len(words)))
-    # The real half stays +0.0: adding onto zeros (rather than assigning)
-    # matches the signed zeros that the singular vectors depend on.
-    stacked[n_rows + rows, cols] += 2.0 * coeffs[terms] * sign[cols, terms]
+    if rows:
+        # The real half stays +0.0, and adding onto zeros (rather than
+        # assigning) keeps a zero coefficient's entry +0.0 too: the
+        # singular vectors depend on the signed zeros.
+        stacked[n_rows:][rows, cols] += values
     return stacked
 
 
@@ -301,7 +323,7 @@ def _no_commuting_word(h: PauliSum, subset: tuple[int, ...]) -> bool:
     :func:`find_commuting_ops` would find no null vector.
     """
     k = len(subset)
-    inside = sum(1 << q for q in subset)
+    inside, local = _local_bits(subset)
     outside = ~inside
     blocks: dict[tuple[int, int], tuple[PauliWord, float] | None] = {}
     squares = 0.0
@@ -312,15 +334,46 @@ def _no_commuting_word(h: PauliSum, subset: tuple[int, ...]) -> bool:
         key = (word.x_mask & outside, word.z_mask & outside)
         blocks[key] = None if key in blocks else (word, coeff)
     floor = 2 * _NULLSPACE_TOL_SCALE * max(1.0, (2 * 4**k * squares) ** 0.5)
-    commuting = _commuting_words(k)
-    left = (1 << (4**k - 1)) - 1
+    table = _commuting_words(k)
+    left = (1 << 4**k) - 2  # every word pattern but the identity's
     for single in blocks.values():
         if single is not None and 2 * abs(single[1]) > floor:
-            x, z = _local_masks(single[0], subset)
-            left &= commuting[(x << k) | z]
+            word = single[0]
+            left &= table[(local[word.x_mask & inside] << k) | local[word.z_mask & inside]][0]
             if not left:
                 return True
     return False
+
+
+def _full_rank(b: np.ndarray) -> bool:
+    """Whether a Cholesky factorization proves that b has no numerical null vector.
+
+    b is the imaginary half of a map, m rows by n columns, with Frobenius
+    norm F.  The SVD in :func:`find_commuting_ops` counts a null vector
+    for each singular value at or below 1e-8 * max(1, s_max), and
+    s_max <= F, so that tolerance is at most t = 1e-8 * max(1, F).  The
+    factorization of b^T b - mu I, with mu = (2t)^2 + r, completes only if
+    the smallest eigenvalue of b^T b exceeds (2t)^2: the computed product
+    lies within m eps F^2 of b^T b, and a completed factorization is exact
+    for a matrix within n (n + 1) eps (F^2 + mu) of the one factored
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.5);
+    r is twice the sum of both bounds, which covers the rounding of the
+    shift and of F^2 itself.  Then every singular value is at least 2t,
+    and the SVD, whose values are off by a few eps * s_max, finds none at
+    or below its tolerance.
+    """
+    m, n = b.shape
+    gram = b.T @ b
+    frob2 = float(np.trace(gram))
+    if not math.isfinite(frob2):
+        return False
+    floor2 = (2 * _NULLSPACE_TOL_SCALE * max(1.0, frob2 ** 0.5)) ** 2
+    gram.flat[:: n + 1] -= floor2 + 2 * (m + n * (n + 1)) * _EPS * (frob2 + floor2)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def commutator_norm(h: PauliSum, o: KQubitOp) -> float:
@@ -335,13 +388,20 @@ def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
     """Basis of subset operators commuting with h.
 
     Builds the linear map from word coefficients to commutator
-    coefficients and returns sign-fixed unit vectors spanning its
-    nullspace (singular values at or below 1e-8 relative to the largest).
-    Every entry of the map is exact, and its zeros are +0.0 throughout:
-    a -0.0 entry leaves the nullspace the same but can move the singular
-    vectors LAPACK returns by an ulp, and with them the chosen operators.
-    When h's single-word blocks already rule out every subset word
-    (:func:`_no_commuting_word`), the map is not built.
+    coefficients, one entry per anticommuting (subset word, term) pair
+    read from the k-qubit word table of :func:`_commuting_words`, and
+    returns sign-fixed unit vectors spanning its nullspace (singular
+    values at or below 1e-8 relative to the largest).  Every entry of the
+    map is exact, and its zeros are +0.0 throughout: a -0.0 entry leaves
+    the nullspace the same but can move the singular vectors LAPACK
+    returns by an ulp, and with them the chosen operators.
+
+    Two proofs skip the SVD where it would find nothing.  When h's
+    single-word blocks already rule out every subset word
+    (:func:`_no_commuting_word`), the map is not built; when a Cholesky
+    factorization proves the map has full column rank with a margin
+    above the tolerance and its rounding (:func:`_full_rank`), it is not
+    decomposed.  Every operator returned comes from the SVD.
     """
     subset = tuple(subset)
     if len(subset) > MAX_SUBSET_SIZE:
@@ -353,6 +413,8 @@ def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
     words = _subset_words(h.n_qubits, subset)
     stacked = _commutator_matrix(h, subset, words)
     if len(stacked):
+        if _full_rank(stacked[len(stacked) // 2 :]):
+            return []
         # A term that touches the subset anticommutes with half of the 4^k
         # subset Paulis, so the map has at least 2 * 4^k / 2 rows, more than
         # its 4^k - 1 columns: the thin SVD has every right singular vector.
@@ -373,15 +435,18 @@ def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
 
 def _rest_blocks(h: PauliSum, subset: tuple[int, ...]) -> list[np.ndarray]:
     """h = sum_r r (x) block_r over its factors r outside the subset, in r's sort order."""
-    outside = ~sum(1 << q for q in subset)
+    k = len(subset)
+    inside, local = _local_bits(subset)
+    outside = ~inside
     blocks: dict[tuple[int, int, int], np.ndarray] = {}
-    dim = 1 << len(subset)
     for word, coeff in h.terms.items():
         x, z = word.x_mask & outside, word.z_mask & outside
         key = (x | z, x, z)  # the sort key of the outside factor
         if key not in blocks:
-            blocks[key] = np.zeros((dim, dim), dtype=complex)
-        blocks[key] += coeff * _word_matrix(len(subset), *_local_masks(word, subset))
+            blocks[key] = np.zeros((1 << k, 1 << k), dtype=complex)
+        blocks[key] += coeff * _word_matrix(
+            k, local[word.x_mask & inside], local[word.z_mask & inside]
+        )
     return [blocks[r] for r in sorted(blocks)]
 
 
@@ -476,6 +541,18 @@ def _build_unentangler(
     return spec, transformed
 
 
+def _clifford_turn(word: PauliWord, subset: tuple[int, ...]) -> tuple[PauliWord, np.ndarray]:
+    """The generator G of a word's Clifford turn, and the turn cos(theta) I - i sin(theta) G."""
+    target = max(word.support())
+    generator = word.drop_qubit(target).with_axis(target, "X" if word.axis(target) != "X" else "Y")
+    inside, local = _local_bits(subset)
+    dense_g = _word_matrix(
+        len(subset), local[generator.x_mask & inside], local[generator.z_mask & inside]
+    )
+    theta = 3.0 * np.pi / 4.0
+    return generator, np.cos(theta) * np.eye(dense_g.shape[0]) - 1j * np.sin(theta) * dense_g
+
+
 def build_clifford_unentangler(o: KQubitOp) -> EntanglerSpec:
     """Word-symmetry rotation: maps a single-word operator onto one qubit.
 
@@ -492,47 +569,84 @@ def build_clifford_unentangler(o: KQubitOp) -> EntanglerSpec:
     word = o.dominant_word()
     if word is None:
         raise ValueError("Clifford construction needs a single-word operator")
-    target = max(word.support())
-    axis = word.axis(target)
-    swap = "X" if axis != "X" else "Y"
-    generator = word.drop_qubit(target).with_axis(target, swap)
-    dense_g = _word_matrix(len(o.subset), *_local_masks(generator, o.subset))
-    dim = dense_g.shape[0]
-    theta = 3.0 * np.pi / 4.0
-    unitary = np.cos(theta) * np.eye(dim) - 1j * np.sin(theta) * dense_g
+    _, unitary = _clifford_turn(word, o.subset)
     return EntanglerSpec(subset=o.subset, unitary=unitary, origin=o)
 
 
-def apply_unitary(h: PauliSum, spec: EntanglerSpec) -> PauliSum:
-    """Conjugate h by the spec's unitary and re-expand in the word basis.
+def _clifford_generator(spec: EntanglerSpec) -> PauliWord | None:
+    """The generator of a spec whose unitary is its single-word origin's Clifford turn, else None.
 
-    Each distinct subset factor is conjugated once and resolved into
-    subset words by trace inner products; coefficients stay real because
-    the conjugated factors are Hermitian.  Results are pruned at 1e-10.
+    The test reads only the spec, so a spec read back from a plan
+    qualifies as the one :func:`build_clifford_unentangler` returned.
+    """
+    word = spec.origin.dominant_word()
+    if word is None:
+        return None
+    generator, unitary = _clifford_turn(word, spec.subset)
+    return generator if np.array_equal(spec.unitary, unitary) else None
+
+
+def apply_unitary(h: PauliSum, spec: EntanglerSpec) -> PauliSum:
+    """Conjugate h by the spec's unitary and re-expand in the word basis, pruned at 1e-10.
+
+    A Clifford spec (see :func:`_clifford_generator`) maps words to signed
+    words: with G its generator, a word P that commutes with G stays, and
+    any other becomes Im(phi) W, where G P = phi W: U = -(I + i G)/sqrt(2),
+    so U^dagger P U is P or -i G P.  The dense path below gives the same
+    terms bit for bit, as its weights for such a unitary come out as
+    exactly 1.0 or -1.0 and below its 1e-14 cut elsewhere.
+
+    Any other unitary takes the dense path: each distinct subset factor
+    is conjugated once and resolved into subset words by trace inner
+    products; coefficients stay real because the conjugated factors are
+    Hermitian.
     """
     subset = tuple(spec.subset)
     if any(not 0 <= q < h.n_qubits for q in subset):
         raise ValueError("spec subset outside the Hamiltonian register")
+    generator = _clifford_generator(spec)
+    if generator is not None:
+        g = PauliWord(h.n_qubits, generator.x_mask, generator.z_mask)
+        rotated = []
+        for word, coeff in h.terms.items():
+            if commutes(g, word):
+                rotated.append((word, coeff))
+            else:
+                phase, product = multiply_words(g, word)
+                rotated.append((product, phase.imag * coeff))
+        return PauliSum.from_terms(h.n_qubits, rotated, prune=1e-10)
     u = spec.unitary
+    u_dagger = u.conj().T
     dim = 1 << len(subset)
     basis = (PauliWord.identity(h.n_qubits),) + _subset_words(h.n_qubits, subset)
     column, phase = _trace_pattern(len(subset))
-    outside = ~sum(1 << q for q in subset)
+    diagonal = np.arange(dim)
+    inside, local = _local_bits(subset)
+    outside = ~inside
 
-    expansion_cache: dict[tuple[int, int], list[float]] = {}
-    terms: list[tuple[PauliWord, float]] = []
+    # Per distinct subset factor, the (x, z, weight) of each basis word it
+    # resolves into; per output word, the sum of its contributions in term
+    # order, so every coefficient adds up as from_terms would add it.
+    expansion_cache: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
+    acc: dict[tuple[int, int], float] = {}
     for word, coeff in h.terms.items():
-        key = _local_masks(word, subset)
-        if key not in expansion_cache:
-            m = u.conj().T @ _word_matrix(len(subset), *key) @ u
+        key = (local[word.x_mask & inside], local[word.z_mask & inside])
+        expansion = expansion_cache.get(key)
+        if expansion is None:
+            m = u_dagger @ _word_matrix(len(subset), *key) @ u
             # Re trace(b @ m) / dim for every basis word b at once; the
             # complex row sum adds the diagonal up the way a trace does.
-            traces = (phase * m[column, np.arange(dim)]).sum(axis=1)
-            expansion_cache[key] = (traces.real / dim).tolist()
-        weights = expansion_cache[key]
+            traces = (phase * m[column, diagonal]).sum(axis=1)
+            expansion = expansion_cache[key] = [
+                (bw.x_mask, bw.z_mask, w)
+                for bw, w in zip(basis, (traces.real / dim).tolist())
+                if abs(w) >= 1e-14
+            ]
         x, z = word.x_mask & outside, word.z_mask & outside
-        for bw, w_coeff in zip(basis, weights):
-            if abs(w_coeff) < 1e-14:
-                continue
-            terms.append((PauliWord(h.n_qubits, x | bw.x_mask, z | bw.z_mask), coeff * w_coeff))
-    return PauliSum.from_terms(h.n_qubits, terms, prune=1e-10)
+        for bx, bz, w in expansion:
+            out = (x | bx, z | bz)
+            acc[out] = acc.get(out, 0.0) + coeff * w
+    return PauliSum(
+        h.n_qubits,
+        {PauliWord(h.n_qubits, x, z): c for (x, z), c in acc.items() if abs(c) > 1e-10},
+    )

@@ -214,10 +214,16 @@ def _json_type(value) -> str:
 
 
 def _check(value, kind: type, path: tuple):
-    """The value, if it has the JSON type ``kind`` (float: any finite number)."""
-    if type(value) is kind or (kind is float and type(value) is int):
+    """The value, if it has the JSON type ``kind`` (float: any finite number, as a float)."""
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"plan field {_name(path)!r} must be finite, "
+                             f"not an integer of {len(str(abs(value)))} digits") from None
+    if type(value) is kind:
         # json reads NaN, Infinity and overflowing literals such as 1e999.
-        if type(value) is float and not math.isfinite(value):
+        if kind is float and not math.isfinite(value):
             raise ValueError(f"plan field {_name(path)!r} must be finite, not {value!r}")
         return value
     expected = dict(_JSON_TYPES)[kind]

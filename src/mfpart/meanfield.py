@@ -269,7 +269,11 @@ class _PrefixTable(Mapping):
     __slots__ = ("_depth",)
 
     def _check(self, prefix: tuple[int, ...]) -> None:
-        if len(prefix) != self._depth or any(s not in (1, -1) for s in prefix):
+        if (
+            not isinstance(prefix, tuple)
+            or len(prefix) != self._depth
+            or any(s not in (1, -1) for s in prefix)
+        ):
             raise KeyError(prefix)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:

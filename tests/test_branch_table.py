@@ -60,7 +60,11 @@ def test_a_table_refuses_a_value_list_of_the_wrong_length(n_values):
 
 @pytest.mark.parametrize(
     "prefix",
-    [(), (1,), (1, -1, 1), (1, 0), (2, -1), (1, "+"), ("-", -1), (1, None), (1, [1]), "+-"],
+    [
+        (), (1,), (1, -1, 1), (1, 0), (2, -1), (1, "+"), ("-", -1), (1, None), (1, [1]), "+-",
+        # Keys that are not tuples at all, one of them a list of two outcomes.
+        5, None, 1.5, [1, -1],
+    ],
 )
 def test_a_table_refuses_a_prefix_as_uniform_ops_do(prefix):
     table = BranchTable(2, [0.0, 1.0, 2.0, 3.0])

@@ -391,6 +391,13 @@ def reverse_qubit_order(doc):
         (reverse_qubit_order,
          "plan field 'fragments[0].certificate.qubit_order' is [2, 1, 0], "
          "but the steps measure [0, 1, 2]"),
+        # json.dumps writes 10**400 as an integer literal that no float holds.
+        (lambda doc: doc["fragments"][0]["certificate"]["steps"][0].update(
+            uniform_op=[10**400, 0.0, 0.0]),
+         "plan field 'fragments[0].certificate.steps[0].uniform_op[0]' must be finite, "
+         "not an integer of 401 digits"),
+        (lambda doc: doc["fragments"][0]["terms"][0].update(coeff=10**400),
+         "plan field 'fragments[0].terms[0].coeff' must be finite, not an integer of 401 digits"),
     ],
 )
 def test_measure_refuses_a_tampered_product_plan(tmp_path, capsys, edit, message):
@@ -411,6 +418,27 @@ def test_measure_refuses_a_tampered_product_plan(tmp_path, capsys, edit, message
     assert len(lines) == 1
     assert lines[0].startswith("error:")
     assert message in lines[0]
+
+
+def test_measure_reads_an_integer_bloch_entry_as_a_float(tmp_path, capsys):
+    # 2^70 is past numpy's integer types; read as the float it names, it
+    # scales fragment 0's X0 op without turning it, so the report stays.
+    model = tmp_path / "model.txt"
+    model.write_text(README_MODEL)
+    plan_path = tmp_path / "plan.json"
+    assert main(["partition", str(model), "--level", "mf2", "--output", str(plan_path)]) == 0
+    state_path, _ = write_state(tmp_path, 3)
+    capsys.readouterr()
+    assert main(measure_args(plan_path, state_path)) == 0
+    report = capsys.readouterr().out
+    doc = json.loads(plan_path.read_text())
+    assert doc["fragments"][0]["certificate"]["steps"][0]["uniform_op"] == [1.0, 0.0, 0.0]
+    doc["fragments"][0]["certificate"]["steps"][0]["uniform_op"] = [2**70, 0.0, 0.0]
+    plan_path.write_text(json.dumps(doc))
+    assert main(measure_args(plan_path, state_path)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == report
 
 
 def test_measure_refuses_an_entangler_on_another_register(tmp_path, capsys):

@@ -335,6 +335,13 @@ def put(doc, value, *path):
         (lambda d: put(put(d, np.eye(4).tolist(), "fragments", 0, "entangler", "unitary_re"),
                        [[0.0]], "fragments", 0, "entangler", "unitary_im"),
          r"'fragments\[0\].entangler.unitary_im' has shape \(1, 1\)"),
+        # JSON integers that no float holds.
+        (lambda d: put(d, [10**400, 0.0, 0.0], "fragments", 0, "certificate", "steps", 0,
+                       "uniform_op"),
+         r"'fragments\[0\].certificate.steps\[0\].uniform_op\[0\]' must be finite, "
+         r"not an integer of 401 digits"),
+        (lambda d: put(d, 10**400, "fragments", 0, "terms", 0, "coeff"),
+         r"'fragments\[0\].terms\[0\].coeff' must be finite, not an integer of 401 digits"),
     ],
 )
 def test_parse_plan_names_bad_fields(edit, message):
@@ -342,6 +349,22 @@ def test_parse_plan_names_bad_fields(edit, message):
     assert parse_plan(json.dumps(doc)).n_fragments == 1
     with pytest.raises(ValueError, match=message):
         parse_plan(json.dumps(edit(doc)))
+
+
+def test_parse_plan_reads_a_json_integer_as_the_float_it_names():
+    plan = greedy_partition(parse_hamiltonian(README_MODEL), level="mf2")
+    doc = json.loads(serialize_plan(plan))
+    cert = doc["fragments"][0]["certificate"]
+    cert["steps"][0]["uniform_op"] = [2**70, 0, 0]
+    cert["terminal_products"][0]["coeff"] = 1
+    doc["fragments"][1]["terms"][0]["coeff"] = -1
+    loaded = parse_plan(json.dumps(doc))
+    bloch = loaded.fragments[0].certificate.steps[0].ops.op.bloch
+    product_coeff = loaded.fragments[0].certificate.terminal_values.terms[0][1]
+    term_coeff = next(iter(loaded.fragments[1].hamiltonian.terms.values()))
+    values = [*bloch, product_coeff, term_coeff]
+    assert values == [2.0**70, 0.0, 0.0, 1.0, -1.0]
+    assert all(type(v) is float for v in values)
 
 
 def test_parse_plan_refuses_a_unitary_off_by_4e_6():
