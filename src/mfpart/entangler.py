@@ -16,25 +16,20 @@ degenerate-block factorability check), and offers two kinds of unitary:
   Pauli word.  A quarter-turn-family rotation maps the word onto one
   qubit's axis, preserving Pauli-word structure branch by branch.  The
   partitioner gives a single-word symmetry this form only, and a mixed
-  one the eigenbasis form.  :func:`apply_unitary` rotates a sum by such a
-  spec as a signed word map, through :func:`mfpart.pauli.multiply_words`,
-  and by any other unitary densely.
+  one the eigenbasis form.
 
 The commutator map is read from one structural table per subset size
 (:func:`_commuting_words`): for each pair of k-qubit words, whether they
 anticommute, and the pattern and sign of their product.  Most stuck
-pairs have no commuting operator, and two proofs settle them without an
-SVD.  :func:`_full_rank` factors the map's Gram matrix shifted by the
-squared tolerance and a rounding margin, which succeeds only when no
-singular value can reach the tolerance.  Before that,
-:func:`_no_commuting_word` settles many pairs without building the map.
-Write h as sum_r r (x) B_r over factors r outside the subset.  A block
-that is one word, c * p, maps every subset word that anticommutes with p
-onto rows of its own, scaled by 2|c|.  When every subset word
-anticommutes with some such p whose 2|c| is at least twice the largest
-tolerance the SVD could use, every singular value of the map exceeds
-that tolerance twice over, so the SVD would find no nullspace either.
-Neither proof can change a verdict.
+pairs have no commuting operator, and :func:`_no_commuting_word`
+settles many of them before the map and its SVD are built.  Write h as
+sum_r r (x) B_r over factors r outside the subset.  A block that is one
+word, c * p, maps every subset word that anticommutes with p onto rows of
+its own, scaled by 2|c|.  When every subset word anticommutes with some
+such p whose 2|c| is at least twice the largest tolerance the SVD could
+use, every singular value of the map exceeds that tolerance twice over,
+so the SVD would find no nullspace either: the screen returns no
+operators only where the SVD would, and cannot change a verdict.
 
 A word's subset factor is its local masks (subset[0] as bit 0, read
 through :func:`_local_bits`); its dense matrix, trace pattern and
@@ -45,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -72,7 +66,6 @@ __all__ = [
 MAX_SUBSET_SIZE = 2
 
 _NULLSPACE_TOL_SCALE = 1e-8
-_EPS = float(np.finfo(float).eps)
 _BLOCK_TOL = 1e-9
 
 @functools.lru_cache(maxsize=1024)
@@ -345,37 +338,6 @@ def _no_commuting_word(h: PauliSum, subset: tuple[int, ...]) -> bool:
     return False
 
 
-def _full_rank(b: np.ndarray) -> bool:
-    """Whether a Cholesky factorization proves that b has no numerical null vector.
-
-    b is the imaginary half of a map, m rows by n columns, with Frobenius
-    norm F.  The SVD in :func:`find_commuting_ops` counts a null vector
-    for each singular value at or below 1e-8 * max(1, s_max), and
-    s_max <= F, so that tolerance is at most t = 1e-8 * max(1, F).  The
-    factorization of b^T b - mu I, with mu = (2t)^2 + r, completes only if
-    the smallest eigenvalue of b^T b exceeds (2t)^2: the computed product
-    lies within m eps F^2 of b^T b, and a completed factorization is exact
-    for a matrix within n (n + 1) eps (F^2 + mu) of the one factored
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.5);
-    r is twice the sum of both bounds, which covers the rounding of the
-    shift and of F^2 itself.  Then every singular value is at least 2t,
-    and the SVD, whose values are off by a few eps * s_max, finds none at
-    or below its tolerance.
-    """
-    m, n = b.shape
-    gram = b.T @ b
-    frob2 = float(np.trace(gram))
-    if not math.isfinite(frob2):
-        return False
-    floor2 = (2 * _NULLSPACE_TOL_SCALE * max(1.0, frob2 ** 0.5)) ** 2
-    gram.flat[:: n + 1] -= floor2 + 2 * (m + n * (n + 1)) * _EPS * (frob2 + floor2)
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def commutator_norm(h: PauliSum, o: KQubitOp) -> float:
     """Coefficient two-norm of [h, o], from :func:`_commutator_matrix` over o's own words."""
     if o.n_qubits != h.n_qubits:
@@ -396,12 +358,8 @@ def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
     the nullspace the same but can move the singular vectors LAPACK
     returns by an ulp, and with them the chosen operators.
 
-    Two proofs skip the SVD where it would find nothing.  When h's
-    single-word blocks already rule out every subset word
-    (:func:`_no_commuting_word`), the map is not built; when a Cholesky
-    factorization proves the map has full column rank with a margin
-    above the tolerance and its rounding (:func:`_full_rank`), it is not
-    decomposed.  Every operator returned comes from the SVD.
+    When h's single-word blocks already rule out every subset word
+    (:func:`_no_commuting_word`), the map is not built.
     """
     subset = tuple(subset)
     if len(subset) > MAX_SUBSET_SIZE:
@@ -413,8 +371,6 @@ def find_commuting_ops(h: PauliSum, subset: tuple[int, ...]) -> list[KQubitOp]:
     words = _subset_words(h.n_qubits, subset)
     stacked = _commutator_matrix(h, subset, words)
     if len(stacked):
-        if _full_rank(stacked[len(stacked) // 2 :]):
-            return []
         # A term that touches the subset anticommutes with half of the 4^k
         # subset Paulis, so the map has at least 2 * 4^k / 2 rows, more than
         # its 4^k - 1 columns: the thin SVD has every right singular vector.
@@ -541,18 +497,6 @@ def _build_unentangler(
     return spec, transformed
 
 
-def _clifford_turn(word: PauliWord, subset: tuple[int, ...]) -> tuple[PauliWord, np.ndarray]:
-    """The generator G of a word's Clifford turn, and the turn cos(theta) I - i sin(theta) G."""
-    target = max(word.support())
-    generator = word.drop_qubit(target).with_axis(target, "X" if word.axis(target) != "X" else "Y")
-    inside, local = _local_bits(subset)
-    dense_g = _word_matrix(
-        len(subset), local[generator.x_mask & inside], local[generator.z_mask & inside]
-    )
-    theta = 3.0 * np.pi / 4.0
-    return generator, np.cos(theta) * np.eye(dense_g.shape[0]) - 1j * np.sin(theta) * dense_g
-
-
 def build_clifford_unentangler(o: KQubitOp) -> EntanglerSpec:
     """Word-symmetry rotation: maps a single-word operator onto one qubit.
 
@@ -569,52 +513,30 @@ def build_clifford_unentangler(o: KQubitOp) -> EntanglerSpec:
     word = o.dominant_word()
     if word is None:
         raise ValueError("Clifford construction needs a single-word operator")
-    _, unitary = _clifford_turn(word, o.subset)
+    target = max(word.support())
+    axis = word.axis(target)
+    swap = "X" if axis != "X" else "Y"
+    generator = word.drop_qubit(target).with_axis(target, swap)
+    inside, local = _local_bits(o.subset)
+    dense_g = _word_matrix(
+        len(o.subset), local[generator.x_mask & inside], local[generator.z_mask & inside]
+    )
+    dim = dense_g.shape[0]
+    theta = 3.0 * np.pi / 4.0
+    unitary = np.cos(theta) * np.eye(dim) - 1j * np.sin(theta) * dense_g
     return EntanglerSpec(subset=o.subset, unitary=unitary, origin=o)
 
 
-def _clifford_generator(spec: EntanglerSpec) -> PauliWord | None:
-    """The generator of a spec whose unitary is its single-word origin's Clifford turn, else None.
-
-    The test reads only the spec, so a spec read back from a plan
-    qualifies as the one :func:`build_clifford_unentangler` returned.
-    """
-    word = spec.origin.dominant_word()
-    if word is None:
-        return None
-    generator, unitary = _clifford_turn(word, spec.subset)
-    return generator if np.array_equal(spec.unitary, unitary) else None
-
-
 def apply_unitary(h: PauliSum, spec: EntanglerSpec) -> PauliSum:
-    """Conjugate h by the spec's unitary and re-expand in the word basis, pruned at 1e-10.
+    """Conjugate h by the spec's unitary and re-expand in the word basis.
 
-    A Clifford spec (see :func:`_clifford_generator`) maps words to signed
-    words: with G its generator, a word P that commutes with G stays, and
-    any other becomes Im(phi) W, where G P = phi W: U = -(I + i G)/sqrt(2),
-    so U^dagger P U is P or -i G P.  The dense path below gives the same
-    terms bit for bit, as its weights for such a unitary come out as
-    exactly 1.0 or -1.0 and below its 1e-14 cut elsewhere.
-
-    Any other unitary takes the dense path: each distinct subset factor
-    is conjugated once and resolved into subset words by trace inner
-    products; coefficients stay real because the conjugated factors are
-    Hermitian.
+    Each distinct subset factor is conjugated once and resolved into
+    subset words by trace inner products; coefficients stay real because
+    the conjugated factors are Hermitian.  Results are pruned at 1e-10.
     """
     subset = tuple(spec.subset)
     if any(not 0 <= q < h.n_qubits for q in subset):
         raise ValueError("spec subset outside the Hamiltonian register")
-    generator = _clifford_generator(spec)
-    if generator is not None:
-        g = PauliWord(h.n_qubits, generator.x_mask, generator.z_mask)
-        rotated = []
-        for word, coeff in h.terms.items():
-            if commutes(g, word):
-                rotated.append((word, coeff))
-            else:
-                phase, product = multiply_words(g, word)
-                rotated.append((product, phase.imag * coeff))
-        return PauliSum.from_terms(h.n_qubits, rotated, prune=1e-10)
     u = spec.unitary
     u_dagger = u.conj().T
     dim = 1 << len(subset)

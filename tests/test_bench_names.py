@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from conftest import README_MODEL
-from mfpart import entangler, partition, simulator
-from mfpart.hamio import parse_hamiltonian, parse_plan, serialize_plan
+from mfpart import partition, simulator
+from mfpart.hamio import parse_hamiltonian
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -82,25 +82,3 @@ def test_tracer_sees_the_sampling_layer_once_per_fragment():
         2 ** len(f.certificate.steps) for f in plan.fragments
     )
 
-
-def test_tracer_counts_the_word_products_of_clifford_rotations():
-    # The README model plans one fragment under a single-word Clifford turn;
-    # the planner rotates it, and so does the estimate of the reloaded plan.
-    h = parse_hamiltonian(README_MODEL)
-    _, ground = simulator.eigensolve(h)
-    tracer = _load_spans().Tracer()
-    tracer.install()
-    try:
-        plan = partition.greedy_partition(h, level="mf2")
-        planned = dict(tracer.counts)
-        loaded = parse_plan(serialize_plan(plan))
-        simulator.estimate_energy(loaded, ground, shots=100, seed=7)
-    finally:
-        tracer.uninstall()
-    summary = tracer.summary()
-    assert tracer.absent == []
-    assert planned["multiply_words"] > 0
-    assert summary["multiply_words.calls"] > planned["multiply_words"]
-    assert summary["apply_unitary.calls"] > 0
-    specs = [frag.entangler for frag in loaded.fragments if frag.entangler is not None]
-    assert specs and all(entangler._clifford_generator(spec) is not None for spec in specs)

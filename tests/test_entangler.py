@@ -1,12 +1,11 @@
 import hashlib
 import itertools
-import json
 
 import numpy as np
 import pytest
 
 from conftest import dense_sum, embed_on_subset, random_sum
-from mfpart import entangler, hamio
+from mfpart import entangler
 from mfpart.entangler import (
     EntanglerSpec,
     FactorabilityVerdict,
@@ -243,67 +242,21 @@ def test_single_word_screen_passes_a_common_symmetry(monkeypatch):
     assert op_bits(ops) == op_bits(unscreened_ops(h, (0, 1), monkeypatch))
 
 
-def unproved_ops(h, subset, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(entangler, "_full_rank", lambda b: False)
-        return find_commuting_ops(h, subset)
-
-
-def svd_null_vectors(stacked):
-    """How many null vectors find_commuting_ops' SVD rule counts in a map."""
-    sing = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(sing <= entangler._NULLSPACE_TOL_SCALE * max(1.0, float(sing[0]))))
-
-
 def test_single_word_screen_matches_the_svd_on_random_sums(monkeypatch):
     rng = np.random.default_rng(4242)
-    fired = kept = proved = found = 0
+    fired = kept = 0
     for i in range(60):
         n = 3 + i % 3
         h = random_sum(rng, n, int(rng.integers(3, 4 * n)))
         for subset in itertools.combinations(range(n), 2):
             screened = find_commuting_ops(h, subset)
             assert op_bits(screened) == op_bits(unscreened_ops(h, subset, monkeypatch))
-            assert op_bits(screened) == op_bits(unproved_ops(h, subset, monkeypatch))
             if entangler._no_commuting_word(h, subset):
                 fired += 1
             else:
                 kept += 1
-            # The full-rank proof on every map, screened or not, against the SVD's count.
-            stacked = entangler._commutator_matrix(h, subset, entangler._subset_words(n, subset))
-            null = svd_null_vectors(stacked)
-            if entangler._full_rank(stacked[len(stacked) // 2 :]):
-                assert null == 0
-                proved += 1
-            elif null:
-                found += 1
-    # Both outcomes of each are well represented, so agreement is not vacuous.
+    # Both outcomes are well represented, so agreement is not vacuous.
     assert fired > 50 and kept > 50
-    assert proved > 50 and found > 50
-
-
-@pytest.mark.parametrize(
-    "factor, proved", [(0.5, False), (1.0, False), (2.0, None), (10.0, None), (1e3, True)]
-)
-def test_full_rank_proof_near_the_nullspace_tolerance(factor, proved):
-    # A 30 x 15 map with singular values from 1 down to factor times the tolerance.
-    rng = np.random.default_rng(77)
-    left, _ = np.linalg.qr(rng.normal(size=(30, 15)))
-    right, _ = np.linalg.qr(rng.normal(size=(15, 15)))
-    sing = np.geomspace(1.0, factor * entangler._NULLSPACE_TOL_SCALE, 15)
-    b = (left * sing) @ right.T
-    stacked = np.vstack([np.zeros_like(b), b])
-    null = svd_null_vectors(stacked)
-    if factor < 1.0:
-        assert null == 1
-    elif factor > 1.0:
-        assert null == 0
-    result = entangler._full_rank(b)
-    # Proved full rank only where the SVD finds no null vector; None leaves
-    # the proof free to decline inside its rounding margin.
-    assert not (result and null)
-    if proved is not None:
-        assert result is proved
 
 
 def test_find_commuting_ops_rejects_large_subsets():
@@ -531,67 +484,6 @@ def test_apply_unitary_matches_dense_conjugation(seed):
     assert np.allclose(
         np.linalg.eigvalsh(dense_sum(conjugated)), np.linalg.eigvalsh(dense_sum(h))
     )
-
-
-def reloaded(spec):
-    """The spec through its plan JSON form."""
-    payload = json.loads(json.dumps(hamio._entangler_payload(spec, {})))
-    return hamio._entangler_from_payload(payload, (), spec.origin.n_qubits, {})
-
-
-def term_bits(h):
-    return [(w, c.hex()) for w, c in h.terms.items()]
-
-
-CLIFFORD_SUBSETS = {2: [(0,), (1,), (0, 1)], 3: [(1,), (0, 2)], 4: [(1, 3)], 5: [(0, 4)],
-                    6: [(2, 5)]}
-
-
-@pytest.mark.parametrize("n", sorted(CLIFFORD_SUBSETS))
-def test_clifford_rotation_is_a_word_map_equal_to_dense_conjugation(n, monkeypatch):
-    rng = np.random.default_rng(2600 + n)
-    h = random_sum(rng, n, int(rng.integers(4, 4 * n + 4)))
-    dh = dense_sum(h)
-    for subset in CLIFFORD_SUBSETS[n]:
-        for w in entangler._subset_words(n, subset):
-            spec = build_clifford_unentangler(KQubitOp(n, subset, {w: float(rng.uniform(0.5, 2))}))
-            again = reloaded(spec)
-            assert entangler._clifford_generator(spec) is not None
-            assert entangler._clifford_generator(again) is not None
-            rotated = apply_unitary(h, spec)
-            # Every word goes to one signed word.
-            assert len(rotated.terms) == len(h.terms)
-            assert sorted(map(abs, rotated.terms.values())) == sorted(map(abs, h.terms.values()))
-            u = embed_on_subset(spec.unitary, subset, n)
-            assert np.allclose(dense_sum(rotated), u.conj().T @ dh @ u, atol=1e-12)
-            with monkeypatch.context() as m:
-                m.setattr(entangler, "_clifford_generator", lambda spec: None)
-                dense_path = apply_unitary(h, spec)
-            assert term_bits(rotated) == term_bits(dense_path)
-            assert term_bits(apply_unitary(h, again)) == term_bits(dense_path)
-
-
-def test_only_a_clifford_turn_of_its_own_origin_is_a_word_map():
-    n, subset = 3, (0, 2)
-    h = random_sum(np.random.default_rng(2699), n, 10)
-    z0z2 = KQubitOp(n, subset, {word(n, {0: "Z", 2: "Z"}): 1.0})
-    clifford = build_clifford_unentangler(z0z2)
-    others = [
-        # The same turn up to a global phase, and the same turn for another word.
-        EntanglerSpec(subset, -clifford.unitary, z0z2),
-        EntanglerSpec(subset, clifford.unitary, KQubitOp(n, subset, {word(n, {0: "X"}): 1.0})),
-        # A mixed origin, and the eigenbasis form of a single word.
-        EntanglerSpec(subset, clifford.unitary,
-                      KQubitOp(n, subset, {word(n, {0: "Z", 2: "Z"}): 1.0,
-                                           word(n, {0: "X"}): 0.5})),
-        build_unentangler(PauliSum.from_terms(n, [(word(n, {0: "Z", 2: "Z"}), 1.0),
-                                                  (word(n, {1: "X"}), 0.5)]), z0z2),
-    ]
-    for spec in others:
-        assert entangler._clifford_generator(spec) is None
-        u = embed_on_subset(spec.unitary, subset, n)
-        assert np.allclose(dense_sum(apply_unitary(h, spec)), u.conj().T @ dense_sum(h) @ u,
-                           atol=1e-10)
 
 
 def test_apply_unitary_checks_subset_range():

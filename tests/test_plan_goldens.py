@@ -114,7 +114,6 @@ def test_screens_leave_plans_and_validation_unchanged(monkeypatch):
     screened = outputs()
     monkeypatch.setattr(meanfield, "_settled_l", lambda rows, n_rows: None)
     monkeypatch.setattr(entangler, "_no_commuting_word", lambda h, subset: False)
-    monkeypatch.setattr(entangler, "_full_rank", lambda b: False)
     unscreened = outputs()
     assert [problems for _, problems in screened] == [[]] * len(screened)
     assert screened == unscreened
