@@ -475,26 +475,21 @@ def build_unentangler(h: PauliSum, o: KQubitOp) -> EntanglerSpec:
 
     Conjugating h by the result leaves only Z factors on the subset, so
     each subset qubit factors out (l = 2 or absent).  The unitary is the
-    one :func:`factorability_check` builds.
+    one :func:`factorability_check` builds; a failing verdict raises
+    ValueError, and a transform that leaves a subset qubit at l < 2
+    raises RuntimeError.
     """
-    return _build_unentangler(h, o, factorability_check(h, o))[0]
-
-
-def _build_unentangler(
-    h: PauliSum, o: KQubitOp, verdict: FactorabilityVerdict
-) -> tuple[EntanglerSpec, PauliSum]:
-    """:func:`build_unentangler` from a verdict on (h, o), plus U†hU."""
+    verdict = factorability_check(h, o)
     if not verdict.ok:
         raise ValueError(
             f"not factorable: eigenspace {verdict.eigenspace} has off-diagonal "
             f"residual {verdict.residual:g}"
         )
     spec = EntanglerSpec(subset=o.subset, unitary=verdict.unitary, origin=o)
-    transformed = apply_unitary(h, spec)
-    for q, l in _l_values(transformed, o.subset).items():
+    for q, l in _l_values(apply_unitary(h, spec), o.subset).items():
         if l < 2:
             raise RuntimeError(f"transform left qubit {q} non-factorable")
-    return spec, transformed
+    return spec
 
 
 def build_clifford_unentangler(o: KQubitOp) -> EntanglerSpec:

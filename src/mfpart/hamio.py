@@ -47,6 +47,9 @@ __all__ = [
     "parse_plan",
 ]
 
+#: The largest register a Hamiltonian file or a plan may name (``info`` walks every qubit).
+_MAX_QUBITS = 1024
+
 _HEADER_RE = re.compile(r"qubits\s*:\s*(\d+)$")
 _FACTOR_RE = re.compile(r"([XYZxyz])(\d+)$")
 
@@ -63,6 +66,8 @@ def _factors(tokens: list[str]) -> dict[int, str]:
         if factor is None:
             raise ValueError(f"malformed factor {tok!r}")
         qubit = int(factor.group(2))
+        if qubit >= _MAX_QUBITS:
+            raise ValueError(f"qubit {qubit} is past the {_MAX_QUBITS}-qubit register bound")
         if qubit in axes:
             raise ValueError(f"qubit {qubit} repeated in one term")
         axes[qubit] = factor.group(1).upper()
@@ -84,6 +89,8 @@ def parse_hamiltonian(text: str) -> PauliSum:
             if parsed:
                 raise ValueError(f"line {ln}: qubits header must precede terms")
             declared = int(header.group(1))
+            if declared > _MAX_QUBITS:
+                raise ValueError(f"line {ln}: header past the {_MAX_QUBITS}-qubit register bound")
             continue
         tokens = line.split()
         try:
@@ -306,24 +313,19 @@ def _bloch(value, path: tuple) -> tuple:
 
 
 def _read_op(made: dict, qubit: int, value, path: tuple) -> SingleQubitOp:
-    """The op of a Bloch field, made and checked once per :func:`mfpart.meanfield._op_key`
-    of three floats; any other value is checked on its own."""
-    if not (type(value) is list and len(value) == 3 and {*map(type, value)} == {float}):
-        return _named(SingleQubitOp, path, qubit, _bloch(value, path))
-    op = made.get(key := _op_key(qubit, value))
+    """The op of a Bloch field: its entries checked, then one op made and
+    checked per :func:`mfpart.meanfield._op_key` of the three floats."""
+    bloch = _bloch(value, path)
+    op = made.get(key := _op_key(qubit, bloch))
     if op is None:
-        op = made[key] = _named(SingleQubitOp, path, qubit, _bloch(value, path))
+        op = made[key] = _named(SingleQubitOp, path, qubit, bloch)
     return op
 
 
-def _read_value(made: dict, value, path: tuple):
-    """A terminal value, one float object made and checked per bit pattern."""
-    if type(value) is not float:
-        return _check(value, float, path)
-    found = made.get(key := struct.pack("d", value))
-    if found is None:
-        found = made[key] = _check(value, float, path)
-    return found
+def _read_value(made: dict, value, path: tuple) -> float:
+    """A terminal value, checked, then one float object per bit pattern."""
+    value = _check(value, float, path)
+    return made.setdefault(struct.pack("d", value), value)
 
 
 def _certificate_from_payload(
@@ -534,11 +536,12 @@ def parse_plan(text: str) -> PartitionPlan:
     raises ValueError naming the field, as does a table that misses or
     adds an outcome prefix; its prefixes may be listed in any order, and
     it is read into a :class:`~mfpart.meanfield.BranchTable` in bit order.
+    Numbers are read as floats, a JSON integer as the float it names.
     Across the plan, each distinct op (qubit and bit pattern of its Bloch
-    vector) and each distinct terminal value (its bit pattern) is made and
-    checked once and shared, so 0.0 and -0.0 never merge, and each word
-    label is decoded once, so equal words are one object.  These memos
-    are dicts of the call: nothing outlives it but the plan.
+    vector) and terminal value (its bit pattern) is made once and shared,
+    so 0.0 and -0.0 never merge, and each word label is decoded once, so
+    equal words are one object.  These memos are dicts of the call:
+    nothing outlives it but the plan.
     """
     try:
         doc = json.loads(text)
@@ -547,6 +550,8 @@ def parse_plan(text: str) -> PartitionPlan:
     if not isinstance(doc, dict) or doc.get("format") != "mf-partition-plan":
         raise ValueError("not a partition-plan document")
     n = _get(doc, "n_qubits", int, ())
+    if n > _MAX_QUBITS:
+        raise ValueError(f"plan field 'n_qubits' is {n}, past the {_MAX_QUBITS}-qubit bound")
     version = _get(doc, "version", int, ())
     if version != 1:
         raise ValueError(f"plan field 'version' must be 1, not {version}")

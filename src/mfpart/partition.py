@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from .entangler import (
     EntanglerSpec,
-    _build_unentangler,
     apply_unitary,
     build_clifford_unentangler,
     factorability_check,
@@ -123,16 +122,19 @@ def _try_entangler(s: PauliSum) -> tuple[EntanglerSpec, MFCertificate, PauliSum]
     for pair in itertools.combinations(stuck, 2):
         for op in find_commuting_ops(s, pair):
             # A single-word operator takes the Clifford form only (see
-            # build_clifford_unentangler), a mixed one the eigenbasis form.
+            # build_clifford_unentangler), a mixed one the eigenbasis form of
+            # a passing factorability check; verify_mf on the rotated sum decides.
             if op.dominant_word() is not None:
                 spec = build_clifford_unentangler(op)
-                rotated = apply_unitary(s, spec)
             else:
                 try:
-                    spec, rotated = _build_unentangler(s, op, factorability_check(s, op))
-                except (ValueError, RuntimeError):
+                    verdict = factorability_check(s, op)
+                    if not verdict.ok:
+                        continue
+                    spec = EntanglerSpec(op.subset, verdict.unitary, op)
+                except ValueError:
                     continue
-            cert = verify_mf(rotated)
+            cert = verify_mf(rotated := apply_unitary(s, spec))
             if cert is not None:
                 return spec, cert, rotated
     return None

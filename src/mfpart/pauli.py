@@ -62,19 +62,13 @@ def _axis_masks(axis: str, bit: int) -> tuple[int, int]:
     return (0 if axis == "Z" else bit), (0 if axis == "X" else bit)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class PauliWord:
-    """A tensor product of single-qubit Pauli factors with unit coefficient.
-
-    Words spend their lives as dict keys, so the hash is computed once
-    and held in a slot; caching it is measurably cheaper than the
-    generated tuple hash.
-    """
+    """A tensor product of single-qubit Pauli factors with unit coefficient."""
 
     n_qubits: int
     x_mask: int = 0
     z_mask: int = 0
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_qubits < 0:
@@ -82,21 +76,6 @@ class PauliWord:
         limit = 1 << self.n_qubits
         if not (0 <= self.x_mask < limit and 0 <= self.z_mask < limit):
             raise ValueError("mask bits outside the qubit register")
-        object.__setattr__(
-            self, "_hash", hash((self.n_qubits, self.x_mask, self.z_mask))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PauliWord):
-            return NotImplemented
-        return (
-            self.x_mask == other.x_mask
-            and self.z_mask == other.z_mask
-            and self.n_qubits == other.n_qubits
-        )
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliWord":

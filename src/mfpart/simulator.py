@@ -13,11 +13,12 @@ is the outcome sequence in which step d reads -1 exactly when bit
 m-1-d of b is set, the order of ``itertools.product((1, -1), repeat=m)``.
 An exact eigenvalue is drawn each shot, which is why the analytic
 per-fragment moments are plain operator moments of the certified sum.
+``estimate_energy`` rotates the state of an entangled fragment once and
+takes both the samples and the moments from that copy.
 """
 
 from __future__ import annotations
 
-import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,23 +74,10 @@ class StateVector:
 #: X, Y and Z, the Bloch basis of a single-qubit op.
 _PAULIS = np.array([_word_matrix(1, x, z) for x, z in ((1, 0), (1, 1), (0, 1))])
 
-#: The word actions made while one fragment's moments are taken, so its
-#: variance reuses what its expectation made: both are public calls with
-#: no memo argument.  None at any other time, so no action outlives them.
-_fragment_actions: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "_fragment_actions", default=None
-)
-
 
 def _apply_word_raw(word: PauliWord, amps: np.ndarray) -> np.ndarray:
     """word |psi> via bit arithmetic; exact fourth-root-of-unity phases."""
-    actions = _fragment_actions.get()
-    action = None if actions is None else actions.get(word)
-    if action is None:
-        action = _word_action(word.n_qubits, word.x_mask, word.z_mask)
-        if actions is not None:
-            actions[word] = action
-    dest, factor = action
+    dest, factor = _word_action(word.n_qubits, word.x_mask, word.z_mask)
     out = np.empty_like(amps)
     out[dest] = amps * factor
     return out
@@ -283,21 +271,16 @@ class EstimatorReport:
 def _estimate_fragment(
     frag: MFFragment, fi: int, psi: StateVector, shots: int, seed: int
 ) -> FragmentEstimate:
-    # Sampling first lets its rotated copy of the state go before the
-    # moments make theirs, so one copy is alive at a time.
+    # One rotated copy of the state serves the samples and the moments: the
+    # certificate describes the rotated sum, measured with no rotation left.
+    eff = frag.effective_hamiltonian()
+    if frag.entangler is not None:
+        psi = StateVector(psi.n_qubits, _prepare_fragment_state(frag, psi))
+        frag = MFFragment(eff, frag.certificate)
     probs, values = branch_distribution(frag, psi)
     samples = values[_draw(probs, np.random.default_rng([seed, fi]).random(shots))]
-
-    eff = frag.effective_hamiltonian()
-    eff_state = psi
-    if frag.entangler is not None:
-        eff_state = StateVector(psi.n_qubits, _prepare_fragment_state(frag, psi))
-    token = _fragment_actions.set({})
-    try:
-        exact_mean = expectation(eff, eff_state)
-        exact_var = variance(eff, eff_state)
-    finally:
-        _fragment_actions.reset(token)
+    exact_mean = expectation(eff, psi)
+    exact_var = variance(eff, psi)
 
     return FragmentEstimate(
         index=fi,

@@ -441,6 +441,36 @@ def test_measure_reads_an_integer_bloch_entry_as_a_float(tmp_path, capsys):
     assert captured.out == report
 
 
+def assert_one_error_line(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and message in lines[0]
+
+
+@pytest.mark.parametrize("header", ["1180591620717411303424", "1025"])
+def test_info_refuses_a_register_past_the_bound(tmp_path, capsys, header):
+    path = tmp_path / "h.txt"
+    path.write_text(f"qubits: {header}\n1.0 Z0\n")
+    assert main(["info", str(path)]) == 1
+    assert_one_error_line(capsys, "line 1: header past the 1024-qubit register bound")
+
+
+def test_measure_refuses_a_plan_register_past_the_bound(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text(README_MODEL)
+    plan_path = tmp_path / "plan.json"
+    assert main(["partition", str(model), "--level", "mf2", "--output", str(plan_path)]) == 0
+    doc = json.loads(plan_path.read_text())
+    doc["n_qubits"] = 2**70
+    plan_path.write_text(json.dumps(doc))
+    state_path, _ = write_state(tmp_path, 3)
+    capsys.readouterr()
+    assert main(measure_args(plan_path, state_path)) == 1
+    assert_one_error_line(capsys, "'n_qubits' is 1180591620717411303424, past the 1024-qubit")
+
+
 def test_measure_refuses_an_entangler_on_another_register(tmp_path, capsys):
     model = tmp_path / "h2.txt"
     model.write_text(serialize_hamiltonian(h2_model(np.random.default_rng(21))))

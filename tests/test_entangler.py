@@ -408,6 +408,16 @@ def test_build_unentangler_rejects_failing_verdict():
         build_unentangler(h, op)
 
 
+def test_build_unentangler_refuses_a_transform_that_leaves_a_qubit_entangled(monkeypatch):
+    # A passing verdict whose unitary leaves the sum as it is: qubit 0 keeps l = 1.
+    h = sum_on(3, (1.0, {0: "X", 1: "X"}), (0.8, {0: "Z", 2: "Z"}))
+    op = KQubitOp(3, (0, 1), {word(3, {0: "Z", 1: "Z"}): 1.0})
+    identity = FactorabilityVerdict("nondegenerate_ok", unitary=np.eye(4, dtype=complex))
+    monkeypatch.setattr(entangler, "factorability_check", lambda h, o: identity)
+    with pytest.raises(RuntimeError, match="transform left qubit 0 non-factorable"):
+        build_unentangler(h, op)
+
+
 def test_clifford_unentangler_matrix_form():
     op = KQubitOp(2, (0, 1), {word(2, {0: "Z", 1: "Z"}): 1.0})
     spec = build_clifford_unentangler(op)

@@ -367,6 +367,48 @@ def test_parse_plan_reads_a_json_integer_as_the_float_it_names():
     assert all(type(v) is float for v in values)
 
 
+def test_parse_hamiltonian_refuses_a_register_past_the_bound():
+    for text, message in [
+        ("qubits: 1180591620717411303424\n1.0 Z0", "line 1: header past the 1024-qubit register"),
+        ("# wide\nqubits: 1025\n1.0 Z0", "line 2: header past the 1024-qubit register"),
+        ("1.0 Z0\n1.0 Z1180591620717411303424",
+         "line 2: qubit 1180591620717411303424 is past the 1024-qubit register"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_hamiltonian(text)
+    assert parse_hamiltonian("qubits: 1024\n1.0 Z1023").n_qubits == 1024
+
+
+def test_parse_plan_refuses_a_register_past_the_bound():
+    doc = json.loads(serialize_plan(greedy_partition(parse_hamiltonian(README_MODEL), "mf2")))
+    doc["n_qubits"] = 2**70
+    with pytest.raises(ValueError, match="'n_qubits' is 1180591620717411303424, past the 1024"):
+        parse_plan(json.dumps(doc))
+
+
+def test_parse_plan_shares_json_integers_as_it_shares_floats():
+    zz = PauliWord.from_axes(2, {0: "Z", 1: "Z"})
+    h = PauliSum(2, {zz: 1.0})
+    steps = (
+        ReductionStep(0, UniformBranchOps(0, SingleQubitOp(0, (0.0, 0.0, 1.0)))),
+        ReductionStep(1, {(1,): SingleQubitOp(1, (0.0, 0.0, 1.0)),
+                          (-1,): SingleQubitOp(1, (0.0, 0.0, 1.0))}),
+    )
+    values = {(1, 1): 1.0, (1, -1): -1.0, (-1, 1): -1.0, (-1, -1): 1.0}
+    text = serialize_plan(PartitionPlan(h, (MFFragment(h, MFCertificate(2, steps, values)),), "mf1"))
+    doc = json.loads(text)
+    cert = doc["fragments"][0]["certificate"]
+    cert["steps"][1]["ops"]["-"] = [0, 0, 1]
+    cert["terminal_values"]["--"] = 1
+    loaded = parse_plan(json.dumps(doc))
+    table = loaded.fragments[0].certificate.steps[1].ops
+    terminal = loaded.fragments[0].certificate.terminal_values
+    assert table[(1,)] is table[(-1,)]
+    assert terminal[(1, 1)] is terminal[(-1, -1)]
+    assert validate_plan(loaded) == validate_plan(parse_plan(text)) == []
+    assert serialize_plan(loaded) == text
+
+
 def test_parse_plan_refuses_a_unitary_off_by_4e_6():
     plan = greedy_partition(parse_hamiltonian(README_MODEL), level="mf2")
     doc = json.loads(serialize_plan(plan))

@@ -373,37 +373,18 @@ def test_one_rotated_copy_of_the_state_is_alive_at_a_time(monkeypatch):
 
     monkeypatch.setattr(simulator, "_prepare_fragment_state", tracked)
     report = estimate_energy(plan, ground, shots=100, seed=7)
-    # One copy to sample from and one for the moments, per entangled fragment.
-    assert len(copies) == 2 * len(entangled)
+    # One copy serves the samples and the moments of each entangled fragment.
+    assert len(copies) == len(entangled)
     monkeypatch.undo()
     assert estimate_energy(plan, ground, shots=100, seed=7) == report
 
 
-def test_a_fragment_makes_each_word_action_once_for_both_moments(monkeypatch):
+def test_a_fragment_reports_the_moments_of_its_prepared_state():
     plan = greedy_partition(parse_hamiltonian(README_MODEL), level="mf2")
     assert any(frag.entangler is not None for frag in plan.fragments)
     n = plan.source.n_qubits
     psi = StateVector(n, random_amplitudes(np.random.default_rng(21), n))
     report = estimate_energy(plan, psi, shots=50, seed=3)
-    action = simulator._word_action
-    made = []
-
-    def counted(n_qubits, x_mask, z_mask):
-        made.append(PauliWord(n_qubits, x_mask, z_mask))
-        return action(n_qubits, x_mask, z_mask)
-
-    monkeypatch.setattr(simulator, "_word_action", counted)
-    assert estimate_energy(plan, psi, shots=50, seed=3) == report
-    monkeypatch.undo()
-    # The variance reuses the actions the expectation made, and the
-    # memo ends with the fragment's moments.
-    assert made == [
-        word
-        for frag in plan.fragments
-        for word, _ in frag.effective_hamiltonian().sorted_terms()
-        if not word.is_identity
-    ]
-    assert simulator._fragment_actions.get() is None
     for frag, est in zip(plan.fragments, report.fragments):
         state = StateVector(n, simulator._prepare_fragment_state(frag, psi))
         eff = frag.effective_hamiltonian()

@@ -88,7 +88,7 @@ def test_every_value_object_has_slots_and_no_instance_dict():
             object.__setattr__(obj, "extra", 1)
 
 
-def test_a_word_holds_its_hash_in_a_slot():
+def test_a_word_hashes_as_the_tuple_of_its_fields():
     word = PauliWord(3, 0b101, 0b110)
     assert hash(word) == hash((3, 0b101, 0b110)) == hash(PauliWord(3, 0b101, 0b110))
     assert repr(word) == "PauliWord(n_qubits=3, x_mask=5, z_mask=6)"
