@@ -231,7 +231,9 @@ class EntanglerSpec:
         u = self.unitary
         if u.shape != (dim, dim):
             raise ValueError(f"unitary shape {u.shape} does not match subset")
-        if not (np.abs(u.conj().T @ u - np.eye(dim)) <= 1e-10).all():
+        # No unitary has an entry past 1 + 1e-10, and a larger one could overflow u†u.
+        if not ((np.abs(u) <= 1 + 1e-10).all()
+                and (np.abs(u.conj().T @ u - np.eye(dim)) <= 1e-10).all()):
             raise ValueError("matrix is not unitary")
         if tuple(self.subset) != tuple(self.origin.subset):
             raise ValueError("spec subset differs from its origin's")

@@ -50,8 +50,9 @@ __all__ = [
 #: The largest register a Hamiltonian file or a plan may name (``info`` walks every qubit).
 _MAX_QUBITS = 1024
 
-_HEADER_RE = re.compile(r"qubits\s*:\s*(\d+)$")
-_FACTOR_RE = re.compile(r"([XYZxyz])(\d+)$")
+# Leading zeros are dropped: more than four digits are past the bound, and are not given to int().
+_HEADER_RE = re.compile(r"qubits\s*:\s*0*(\d+)$")
+_FACTOR_RE = re.compile(r"([XYZxyz])0*(\d+)$")
 
 
 def _strip(raw: str) -> str:
@@ -65,9 +66,11 @@ def _factors(tokens: list[str]) -> dict[int, str]:
         factor = _FACTOR_RE.match(tok)
         if factor is None:
             raise ValueError(f"malformed factor {tok!r}")
-        qubit = int(factor.group(2))
-        if qubit >= _MAX_QUBITS:
-            raise ValueError(f"qubit {qubit} is past the {_MAX_QUBITS}-qubit register bound")
+        digits = factor.group(2)
+        if len(digits) > 4 or int(digits) >= _MAX_QUBITS:
+            shown = digits if len(digits) <= 30 else f"index of {len(digits)} digits"
+            raise ValueError(f"qubit {shown} is past the {_MAX_QUBITS}-qubit register bound")
+        qubit = int(digits)
         if qubit in axes:
             raise ValueError(f"qubit {qubit} repeated in one term")
         axes[qubit] = factor.group(1).upper()
@@ -88,7 +91,7 @@ def parse_hamiltonian(text: str) -> PauliSum:
                 raise ValueError(f"line {ln}: duplicate qubits header")
             if parsed:
                 raise ValueError(f"line {ln}: qubits header must precede terms")
-            declared = int(header.group(1))
+            declared = int(d) if len(d := header.group(1)) <= 4 else _MAX_QUBITS + 1
             if declared > _MAX_QUBITS:
                 raise ValueError(f"line {ln}: header past the {_MAX_QUBITS}-qubit register bound")
             continue
@@ -393,6 +396,8 @@ def _matrix(payload: dict, key: str, path: tuple) -> np.ndarray:
         matrix = np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"plan field {name!r} must be a matrix of numbers") from None
+    except OverflowError:  # an integer literal past the float range
+        raise ValueError(f"plan field {name!r} must be a matrix of finite numbers") from None
     if not np.isfinite(matrix).all():
         raise ValueError(f"plan field {name!r} must be a matrix of finite numbers")
     return matrix

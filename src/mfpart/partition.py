@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .entangler import (
     EntanglerSpec,
@@ -70,28 +70,19 @@ class MFFragment:
     """A summand measurable in one feedforward pass.
 
     With an entangler present the certificate describes the conjugated
-    sum U†HU; ``hamiltonian`` always stores the untransformed summand so
-    fragments add up to the source directly.  The conjugated sum is kept
-    once known: the partitioner stores the sum it certified, and any
-    other fragment (parsed, hand-built or copied with
-    ``dataclasses.replace``) conjugates its own ``hamiltonian`` on the
-    first call to :meth:`effective_hamiltonian`.  The kept sum is not a
-    constructor argument and takes no part in comparisons.
+    sum U†HU, built on each :meth:`effective_hamiltonian` call; ``hamiltonian``
+    stores the untransformed summand so fragments add up to the source.
     """
 
     hamiltonian: PauliSum
     certificate: MFCertificate
     entangler: EntanglerSpec | None = None
-    _rotated: PauliSum | None = field(default=None, init=False, repr=False, compare=False)
 
     def effective_hamiltonian(self) -> PauliSum:
         """The sum the certificate actually certifies."""
         if self.entangler is None:
             return self.hamiltonian
-        if self._rotated is None:
-            # Threads that miss together store equal sums.
-            object.__setattr__(self, "_rotated", apply_unitary(self.hamiltonian, self.entangler))
-        return self._rotated
+        return apply_unitary(self.hamiltonian, self.entangler)
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,8 +105,8 @@ def _attach_op(complement: PauliSum, op: SingleQubitOp) -> PauliSum:
     return acc
 
 
-def _try_entangler(s: PauliSum) -> tuple[EntanglerSpec, MFCertificate, PauliSum] | None:
-    """A rotation of s, its certificate and the rotated sum it certifies."""
+def _try_entangler(s: PauliSum) -> tuple[EntanglerSpec, MFCertificate] | None:
+    """A rotation of s and the certificate of the rotated sum."""
     stuck = _stuck_support(s)
     if len(stuck) < 2:
         return None
@@ -134,9 +125,9 @@ def _try_entangler(s: PauliSum) -> tuple[EntanglerSpec, MFCertificate, PauliSum]
                     spec = EntanglerSpec(op.subset, verdict.unitary, op)
                 except ValueError:
                     continue
-            cert = verify_mf(rotated := apply_unitary(s, spec))
+            cert = verify_mf(apply_unitary(s, spec))
             if cert is not None:
-                return spec, cert, rotated
+                return spec, cert
     return None
 
 
@@ -182,17 +173,10 @@ class _Pool:
         return MFCertificate(cert.n_qubits, tuple(steps), cert.terminal_values)
 
     def fragment(
-        self,
-        s: PauliSum,
-        cert: MFCertificate,
-        spec: EntanglerSpec | None = None,
-        rotated: PauliSum | None = None,
+        self, s: PauliSum, cert: MFCertificate, spec: EntanglerSpec | None = None
     ) -> MFFragment:
-        """A fragment of s, with the rotated sum its certificate describes kept."""
-        frag = MFFragment(self.sum(s), self.certificate(cert), spec)
-        if rotated is not None:
-            object.__setattr__(frag, "_rotated", self.sum(rotated))
-        return frag
+        """A fragment of s over pooled words and ops."""
+        return MFFragment(self.sum(s), self.certificate(cert), spec)
 
 
 def _qwc_fragments(groups: tuple[PauliSum, ...], pool: _Pool) -> list[MFFragment]:
@@ -208,8 +192,8 @@ def _recurse(s: PauliSum, level: str, pool: _Pool) -> list[MFFragment]:
     if level == "mf2":
         found = _try_entangler(s)
         if found is not None:
-            spec, tcert, rotated = found
-            return [pool.fragment(s, tcert, spec, rotated)]
+            spec, tcert = found
+            return [pool.fragment(s, tcert, spec)]
 
     ls = _l_values(s, s.support())
     candidates = [k for k, l in ls.items() if l <= 1]

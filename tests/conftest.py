@@ -6,12 +6,14 @@ significant amplitude bit everywhere.
 """
 
 import ctypes
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfpart.hamio import parse_hamiltonian
+from mfpart.hamio import parse_hamiltonian, serialize_plan
+from mfpart.partition import greedy_partition
 from mfpart.pauli import PauliSum, PauliWord
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -25,6 +27,16 @@ qubits: 3
  0.70 Y1 Y2
 -1.00
 """
+
+#: Two exchange-coupled qubits: their mf2 plan is one fragment with an entangler.
+EXCHANGE_MODEL = "1.0 X0 X1\n1.0 Y0 Y1\n0.5 Z0 Z1\n0.3 Z0\n"
+
+
+def exchange_plan_with(key: str, value) -> str:
+    """The exchange model's mf2 plan text with entry [0][0] of one unitary part replaced."""
+    doc = json.loads(serialize_plan(greedy_partition(parse_hamiltonian(EXCHANGE_MODEL), "mf2")))
+    doc["fragments"][0]["entangler"][key][0][0] = value
+    return json.dumps(doc)
 
 
 def _openblas() -> tuple[str, str]:

@@ -104,10 +104,7 @@ def dict_copy(plan):
         cert = frag.certificate
         steps = tuple(ReductionStep(step.qubit, copy(step.ops)) for step in cert.steps)
         cert = dataclasses.replace(cert, steps=steps, terminal_values=copy(cert.terminal_values))
-        copied = dataclasses.replace(frag, certificate=cert)
-        # The same rotated sum, so only the table type differs.
-        object.__setattr__(copied, "_rotated", frag._rotated)
-        fragments.append(copied)
+        fragments.append(dataclasses.replace(frag, certificate=cert))
     return dataclasses.replace(plan, fragments=tuple(fragments))
 
 
@@ -121,7 +118,6 @@ def with_negated_value(plan, fi, as_dict):
     cert = dataclasses.replace(frag.certificate, terminal_values=dict(table) if as_dict else table)
     fragments = list(plan.fragments)
     fragments[fi] = dataclasses.replace(frag, certificate=cert)
-    object.__setattr__(fragments[fi], "_rotated", frag._rotated)
     return dataclasses.replace(plan, fragments=tuple(fragments))
 
 

@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, README_MODEL, h2_model, random_amplitudes, wide_table_model
+from conftest import (
+    DATA_DIR,
+    README_MODEL,
+    exchange_plan_with,
+    h2_model,
+    random_amplitudes,
+    wide_table_model,
+)
 from mfpart import cli, meanfield
 from mfpart.cli import main
 from mfpart.hamio import parse_plan, serialize_hamiltonian, serialize_state
@@ -581,3 +588,48 @@ def test_importing_the_cli_leaves_the_thread_pool_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout.strip() == "False"
+
+
+def exchange_plan_files(tmp_path, key, value):
+    """The exchange model's mf2 plan file, one unitary entry replaced, and a state file."""
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(exchange_plan_with(key, value))
+    return plan_path, write_state(tmp_path, 2)[0]
+
+
+@pytest.mark.parametrize("key", ["unitary_re", "unitary_im"])
+def test_measure_refuses_a_unitary_integer_past_the_float_range(tmp_path, capsys, key):
+    plan_path, state_path = exchange_plan_files(tmp_path, key, 10**400)
+    assert main(measure_args(plan_path, state_path)) == 1
+    assert_one_error_line(capsys, f"'fragments[0].entangler.{key}' must be a matrix of finite")
+
+
+def test_measure_refuses_a_unitary_entry_past_one_in_one_line(tmp_path):
+    plan_path, state_path = exchange_plan_files(tmp_path, "unitary_re", 1e308)
+    # As a program, so that numpy's warnings would reach stderr.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "mfpart.cli", *measure_args(plan_path, state_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == [
+        f"error: {plan_path}: plan field 'fragments[0].entangler': matrix is not unitary"
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"qubits: {'9' * 5000}\n1.0 Z0\n", "line 1: header past the 1024-qubit register bound"),
+        (f"1.0 Z0\n1.0 X{'9' * 5000}\n",
+         "line 2: qubit index of 5000 digits is past the 1024-qubit register bound"),
+    ],
+    ids=["header", "factor"],
+)
+def test_info_names_the_line_of_a_number_too_long_to_read(tmp_path, capsys, text, message):
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    assert main(["info", str(path)]) == 1
+    assert_one_error_line(capsys, message)

@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import README_MODEL, h2_model, random_amplitudes, random_sum
+from conftest import README_MODEL, exchange_plan_with, h2_model, random_amplitudes, random_sum
 from mfpart import hamio
 from mfpart.hamio import (
     parse_hamiltonian,
@@ -417,3 +418,33 @@ def test_parse_plan_refuses_a_unitary_off_by_4e_6():
         entangler[part] = [[(1 + 4e-6) * x for x in row] for row in entangler[part]]
     with pytest.raises(ValueError, match=r"'fragments\[1\].entangler': matrix is not unitary"):
         parse_plan(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["unitary_re", "unitary_im"])
+def test_parse_plan_refuses_a_unitary_integer_past_the_float_range(key):
+    message = rf"'fragments\[0\].entangler.{key}' must be a matrix of finite numbers"
+    with pytest.raises(ValueError, match=message):
+        parse_plan(exchange_plan_with(key, 10**400))
+
+
+def test_parse_plan_refuses_a_unitary_entry_past_one_without_a_warning():
+    text = exchange_plan_with("unitary_re", 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"'fragments\[0\].entangler': matrix is not unitary"):
+            parse_plan(text)
+
+
+def test_parse_hamiltonian_names_the_line_of_a_number_too_long_to_read():
+    # Longer than the 4,300 digits int() reads from a string.
+    digits = "9" * 5000
+    for text, message in [
+        (f"qubits: {digits}\n1.0 Z0", "line 1: header past the 1024-qubit register bound"),
+        (f"1.0 Z0\n1.0 X{digits}",
+         "line 2: qubit index of 5000 digits is past the 1024-qubit register bound"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_hamiltonian(text)
+    zeros = "0" * 5000
+    h = parse_hamiltonian(f"qubits: {zeros}3\n1.0 Z{zeros}2")
+    assert h == parse_hamiltonian("qubits: 3\n1.0 Z2")

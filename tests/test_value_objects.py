@@ -96,17 +96,6 @@ def test_a_word_hashes_as_the_tuple_of_its_fields():
     assert hash(dataclasses.replace(word, z_mask=0)) == hash(PauliWord(3, 0b101))
 
 
-def test_replace_makes_a_fragment_without_the_kept_rotated_sum():
-    frag = next(f for f in readme_plan().fragments if f.entangler is not None)
-    rotated = frag.effective_hamiltonian()
-    assert frag._rotated is rotated
-    copy = dataclasses.replace(frag)
-    assert copy == frag and copy._rotated is None
-    assert copy.effective_hamiltonian().terms == rotated.terms
-    with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(frag, _rotated=rotated)
-
-
 def table_ops(cert):
     tables = [step.ops for step in cert.steps if isinstance(step.ops, BranchTable)]
     return [op for table in tables for op in table.values()]
@@ -333,22 +322,14 @@ def test_a_partition_run_makes_one_op_per_qubit_and_bit_pattern():
 
 
 def test_fragment_words_are_the_source_words():
-    rotated = 0
     for plan in w2_plans():
         source = {word: word for word in plan.source.terms}
         seen = dict(source)
         for frag in plan.fragments:
-            sums = [frag.hamiltonian]
-            if frag.entangler is not None:
-                # The rotated sum the partitioner certified is kept, over shared words.
-                sums.append(frag._rotated)
-                rotated += 1
-            for s in sums:
-                for word in s.terms:
-                    assert seen.setdefault(word, word) is word
+            for word in frag.hamiltonian.terms:
+                assert seen.setdefault(word, word) is word
             # A fragment may also hold words that cancel against other fragments.
             assert all(source.get(word, word) is word for word in frag.hamiltonian.terms)
-    assert rotated > 0
 
 
 def test_serialize_plan_peak_memory_stays_near_its_text():
