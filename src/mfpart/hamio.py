@@ -31,7 +31,7 @@ from .meanfield import (
     ProductTerminalMap,
     ReductionStep,
     UniformBranchOps,
-    _op_key,
+    _made_op,
     _prefix_index,
 )
 from .partition import MFFragment, PartitionPlan
@@ -157,7 +157,8 @@ def parse_state(text: str) -> StateVector:
     if len(rows) != 1 << n_qubits:
         raise ValueError(f"{len(rows)} amplitudes is not a power of two")
     amps = np.array(rows, dtype=complex)
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # inf past the float range, refused below
+        norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"state norm {norm} is too far from 1")
     if abs(norm - 1.0) > 1e-10:
@@ -317,12 +318,9 @@ def _bloch(value, path: tuple) -> tuple:
 
 def _read_op(made: dict, qubit: int, value, path: tuple) -> SingleQubitOp:
     """The op of a Bloch field: its entries checked, then one op made and
-    checked per :func:`mfpart.meanfield._op_key` of the three floats."""
-    bloch = _bloch(value, path)
-    op = made.get(key := _op_key(qubit, bloch))
-    if op is None:
-        op = made[key] = _named(SingleQubitOp, path, qubit, bloch)
-    return op
+    checked per qubit and bit pattern of the three floats (see
+    :func:`mfpart.meanfield._made_op`)."""
+    return _named(_made_op, path, made, qubit, _bloch(value, path))
 
 
 def _read_value(made: dict, value, path: tuple) -> float:

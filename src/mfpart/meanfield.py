@@ -465,14 +465,19 @@ def _axis_profile(h: PauliSum) -> dict[int, set[str]] | None:
     return axes
 
 
-def _pure_axis_certificate(h: PauliSum, axes: dict[int, set[str]]) -> MFCertificate:
+def _made_op(made: dict[tuple[int, bytes], SingleQubitOp], qubit: int, bloch) -> SingleQubitOp:
+    """The op of ``made`` with this qubit and Bloch bit pattern, made on first use."""
+    op = made.get(key := _op_key(qubit, bloch))
+    if op is None:
+        op = made[key] = SingleQubitOp(qubit, bloch)
+    return op
+
+
+def _pure_axis_certificate(h: PauliSum, axes: dict[int, set[str]], made: dict) -> MFCertificate:
     order = sorted(axes)
     position = {k: i for i, k in enumerate(order)}
     steps = tuple(
-        ReductionStep(
-            qubit=k,
-            ops=UniformBranchOps(i, SingleQubitOp(k, _AXIS_BLOCH[next(iter(axes[k]))])),
-        )
+        ReductionStep(k, UniformBranchOps(i, _made_op(made, k, _AXIS_BLOCH[next(iter(axes[k]))])))
         for i, k in enumerate(order)
     )
     terms = tuple(
@@ -623,9 +628,7 @@ def _branch_gram(
         lam = sum(vectors[key][col] ** 2 for key in order)
         if lam <= _kernel_tol(lam):
             return 3, None
-        top = [0.0, 0.0, 0.0]
-        top[col] = 1.0
-        return 2, (top[0], top[1], top[2])
+        return 2, _AXIS_BLOCH["XYZ"[col]]
     l = _settled_l(vectors.values(), len(vectors))
     if l is not None:
         return l, None
@@ -746,17 +749,24 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
     are read at call time.  Raises ValueError when h's squared
     coefficients do not sum to a finite number.
     """
+    return _verify_mf(h, {})
+
+
+def _verify_mf(h: PauliSum, made: dict[tuple[int, bytes], SingleQubitOp]) -> MFCertificate | None:
+    """:func:`verify_mf` taking its ops from ``made`` (see :func:`_made_op`), and adding them.
+
+    A partition run passes one dict to all its calls, so its certificates share ops.
+    """
     if not math.isfinite(h.norm()):
         raise ValueError(_OVERFLOW)
     axes = _axis_profile(h)
     if axes:
-        return _pure_axis_certificate(h, axes)
+        return _pure_axis_certificate(h, axes, made)
 
     classes: list[dict[tuple[int, int], float]] = []
     # The (class, sign) of every live prefix in bit order: the children of
     # entry b are entries 2b (+1) and 2b+1 (-1) one step down.
     branches = [_sign_class(_branch_of(h), {}, classes)]
-    made: dict[tuple[int, bytes], SingleQubitOp] = {}
     remaining = list(h.support())
     steps: list[ReductionStep] = []
     while remaining:
@@ -767,11 +777,7 @@ def verify_mf(h: PauliSum) -> MFCertificate | None:
                 l, top = _branch_gram(bh, k)
                 if l < 2:
                     break
-                bloch = top if l == 2 else _AXIS_BLOCH["Z"]
-                op = made.get(key := _op_key(k, bloch))
-                if op is None:
-                    op = made[key] = SingleQubitOp(k, bloch)
-                class_ops.append(op)
+                class_ops.append(_made_op(made, k, top if l == 2 else _AXIS_BLOCH["Z"]))
             else:
                 chosen = (k, class_ops)
                 break

@@ -32,23 +32,19 @@ from .entangler import (
 )
 from .meanfield import (
     _OVERFLOW,
-    BranchTable,
     MFCertificate,
-    ReductionStep,
     SingleQubitOp,
-    UniformBranchOps,
     _branch_commutes,
     _branch_of,
     _l_values,
-    _op_key,
     _product_differences,
     _sign_class,
     _stuck_support,
+    _verify_mf,
     compute_l,
     decompose_by_qubit,
     factor_l1,
     reduce_qubit,
-    verify_mf,
 )
 from .pauli import AXES, COEFF_PRUNE, PauliSum, PauliWord
 from .qwc import qwc_partition
@@ -96,16 +92,19 @@ class PartitionPlan:
         return len(self.fragments)
 
 
-def _attach_op(complement: PauliSum, op: SingleQubitOp) -> PauliSum:
-    """Product complement * op for a complement free of the op's qubit."""
-    acc = PauliSum.zero(complement.n_qubits)
+def _attach_op(complement: PauliSum, op: SingleQubitOp, words: dict) -> PauliSum:
+    """Product complement * op over the run's words, for a complement free of the op's qubit."""
+    terms = {}
     for axis, weight in zip(AXES, op.bloch):
         if abs(weight) > 0.0:
-            acc = acc + complement.attach(op.qubit, axis, weight)
-    return acc
+            for word, coeff in complement.terms.items():
+                if abs(coeff * weight) > COEFF_PRUNE:
+                    made = word.with_axis(op.qubit, axis)
+                    terms[words.setdefault(made, made)] = coeff * weight
+    return PauliSum(complement.n_qubits, terms)
 
 
-def _try_entangler(s: PauliSum) -> tuple[EntanglerSpec, MFCertificate] | None:
+def _try_entangler(s: PauliSum, ops: dict) -> tuple[EntanglerSpec, MFCertificate] | None:
     """A rotation of s and the certificate of the rotated sum."""
     stuck = _stuck_support(s)
     if len(stuck) < 2:
@@ -125,100 +124,56 @@ def _try_entangler(s: PauliSum) -> tuple[EntanglerSpec, MFCertificate] | None:
                     spec = EntanglerSpec(op.subset, verdict.unitary, op)
                 except ValueError:
                     continue
-            cert = verify_mf(apply_unitary(s, spec))
+            cert = _verify_mf(apply_unitary(s, spec), ops)
             if cert is not None:
                 return spec, cert
     return None
 
 
-class _Pool:
-    """One op per qubit and Bloch bit pattern, and one word per value, for one partition run.
-
-    Ops are keyed by :func:`mfpart.meanfield._op_key`, as in
-    :func:`verify_mf`.  Words start as the source's own.
-    """
-
-    __slots__ = ("ops", "words")
-
-    def __init__(self, source: PauliSum):
-        self.ops: dict[tuple[int, bytes], SingleQubitOp] = {}
-        self.words: dict[PauliWord, PauliWord] = {word: word for word in source.terms}
-
-    def op(self, op: SingleQubitOp) -> SingleQubitOp:
-        return self.ops.setdefault(_op_key(op.qubit, op.bloch), op)
-
-    def sum(self, s: PauliSum) -> PauliSum:
-        """s over pooled words, in its own term order; s itself if it has them all."""
-        words = self.words
-        if all(words.setdefault(word, word) is word for word in s.terms):
-            return s
-        return PauliSum(s.n_qubits, {words.setdefault(w, w): c for w, c in s.terms.items()})
-
-    def certificate(self, cert: MFCertificate) -> MFCertificate:
-        """cert over pooled ops; verify_mf's steps are uniform or BranchTables."""
-        steps = []
-        for step in cert.steps:
-            ops = step.ops
-            if isinstance(ops, UniformBranchOps):
-                op = self.op(ops.op)
-                if op is not ops.op:
-                    ops = UniformBranchOps(ops.depth, op)
-            else:
-                # Each distinct op object of the table is looked up once.
-                distinct = {id(op): op for op in ops.values()}
-                pooled = {key: self.op(op) for key, op in distinct.items()}
-                if any(pooled[key] is not op for key, op in distinct.items()):
-                    ops = BranchTable(ops.depth, [pooled[id(op)] for op in ops.values()])
-            steps.append(step if ops is step.ops else ReductionStep(step.qubit, ops))
-        return MFCertificate(cert.n_qubits, tuple(steps), cert.terminal_values)
-
-    def fragment(
-        self, s: PauliSum, cert: MFCertificate, spec: EntanglerSpec | None = None
-    ) -> MFFragment:
-        """A fragment of s over pooled words and ops."""
-        return MFFragment(self.sum(s), self.certificate(cert), spec)
-
-
-def _qwc_fragments(groups: tuple[PauliSum, ...], pool: _Pool) -> list[MFFragment]:
+def _qwc_fragments(groups: tuple[PauliSum, ...], ops: dict) -> list[MFFragment]:
     """A fragment per group: each is axis-pure, so verify_mf gives its product chain."""
-    return [pool.fragment(group, verify_mf(group)) for group in groups]
+    return [MFFragment(group, _verify_mf(group, ops)) for group in groups]
 
 
-def _recurse(s: PauliSum, level: str, pool: _Pool) -> list[MFFragment]:
-    cert = verify_mf(s)
+def _recurse(s: PauliSum, level: str, ops: dict, words: dict) -> list[MFFragment]:
+    """Fragments of s; ``ops`` and ``words`` are the run's, so each op and word is made once."""
+    cert = _verify_mf(s, ops)
     if cert is not None:
-        return [pool.fragment(s, cert)]
+        return [MFFragment(s, cert)]
 
     if level == "mf2":
-        found = _try_entangler(s)
+        found = _try_entangler(s, ops)
         if found is not None:
             spec, tcert = found
-            return [pool.fragment(s, tcert, spec)]
+            return [MFFragment(s, tcert, spec)]
 
     ls = _l_values(s, s.support())
     candidates = [k for k, l in ls.items() if l <= 1]
     if not candidates:
         # Only reachable when verification hit the branch cap: every qubit
         # is factorable, so QWC groups are a safe way to shrink the problem.
-        return _qwc_fragments(qwc_partition(s).groups, pool)
+        return _qwc_fragments(qwc_partition(s).groups, ops)
     k = min(candidates, key=lambda q: (-ls[q], q))
 
     parts: list[PauliSum]
     if ls[k] == 1:
         _, _, o2, c2, _ = factor_l1(s, compute_l(decompose_by_qubit(s, k)))
-        prime_part = _attach_op(c2, o2)
+        prime_part = _attach_op(c2, o2, words)
         parts = [prime_part, s - prime_part]
     else:
-        dec = decompose_by_qubit(s, k)
-        part_x = dec.h_x.attach(k, "X", 1.0)
-        part_y = dec.h_y.attach(k, "Y", 1.0)
-        parts = [part_x, part_y, s - part_x - part_y]
+        # s's own terms by their factor on k: X, Y, then Z and I in one part,
+        # each in s's order and pruned as PauliSum arithmetic prunes.
+        split: dict[str, dict[PauliWord, float]] = {"X": {}, "Y": {}, "Z": {}}
+        for word, coeff in s.terms.items():
+            if abs(coeff) > COEFF_PRUNE:
+                split.get(word.axis(k), split["Z"])[word] = coeff
+        parts = [PauliSum(s.n_qubits, terms) for terms in split.values()]
 
     out: list[MFFragment] = []
     for part in parts:
         if part.is_zero:
             continue
-        out.extend(_recurse(part, level, pool))
+        out.extend(_recurse(part, level, ops, words))
     return out
 
 
@@ -231,19 +186,20 @@ def greedy_partition(h: PauliSum, level: str = "mf1") -> PartitionPlan:
     ``GRAM_TOL_SCALE``.  A sum whose chain would need more than
     ``MAX_BRANCHES`` live branches is split further.  A sum whose squared
     coefficients do not sum to a finite number is refused by the first
-    :func:`verify_mf`.  Across the run, fragments share one op object per
-    qubit and Bloch bit pattern and one word object per word, the
-    source's own where it has it.
+    :func:`verify_mf`.  The chain searches make each op once per run and
+    the splits each word, so fragments share one op object per qubit and
+    Bloch bit pattern and one word object per word, the source's own
+    where it has it.
     """
     if level not in ("mf1", "mf2"):
         raise ValueError(f"unknown level {level!r}")
     if h.is_zero:
         raise ValueError("cannot partition an empty Hamiltonian")
-    pool = _Pool(h)
-    fragments = _recurse(h, level, pool)
+    ops = {}
+    fragments = _recurse(h, level, ops, {word: word for word in h.terms})
     baseline = qwc_partition(h)
     if len(fragments) > baseline.n_groups:
-        fragments = _qwc_fragments(baseline.groups, pool)
+        fragments = _qwc_fragments(baseline.groups, ops)
     return PartitionPlan(source=h, fragments=tuple(fragments), level=level)
 
 

@@ -60,7 +60,8 @@ class StateVector:
             raise ValueError(f"expected {1 << self.n_qubits} amplitudes, got {amps.shape}")
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # inf past the float range, refused below
+            norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state norm {norm} is not 1")
 

@@ -17,8 +17,9 @@ from conftest import (
 )
 from mfpart import cli, meanfield
 from mfpart.cli import main
-from mfpart.hamio import parse_plan, serialize_hamiltonian, serialize_state
+from mfpart.hamio import parse_plan, serialize_hamiltonian, serialize_plan, serialize_state
 from mfpart.partition import greedy_partition
+from mfpart.pauli import PauliSum, PauliWord
 from mfpart.simulator import StateVector, estimate_energy, expectation, variance
 
 EXAMPLE = str(DATA_DIR / "collinear3.txt")
@@ -617,6 +618,25 @@ def test_measure_refuses_a_unitary_entry_past_one_in_one_line(tmp_path):
     assert done.stderr.splitlines() == [
         f"error: {plan_path}: plan field 'fragments[0].entangler': matrix is not unitary"
     ]
+
+
+@pytest.mark.parametrize("command", ["variance", "measure"])
+def test_a_state_whose_norm_overflows_is_refused_in_one_line(tmp_path, command):
+    h = PauliSum.from_terms(1, [(PauliWord.from_axes(1, {0: "Z"}), 1.0)])
+    h_path, plan_path, state_path = (tmp_path / name for name in ("h.txt", "plan.json", "big.txt"))
+    h_path.write_text(serialize_hamiltonian(h))
+    plan_path.write_text(serialize_plan(greedy_partition(h)))
+    state_path.write_text("1e308 1e308\n0 0\n")
+    args = (measure_args(plan_path, str(state_path)) if command == "measure"
+            else ["variance", str(h_path), "--state", str(state_path)])
+    # As a program, so that numpy's warnings would reach stderr.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "mfpart.cli", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == [f"error: {state_path}: state norm inf is too far from 1"]
 
 
 @pytest.mark.parametrize(

@@ -118,6 +118,16 @@ def test_state_parse_errors(text, message):
         parse_state(text)
 
 
+def test_a_state_whose_norm_overflows_is_refused_without_a_warning():
+    # Each square of 1e308 is past the float range, so the norm is inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="state norm inf is too far from 1"):
+            parse_state("1e308 1e308\n0 0\n")
+        with pytest.raises(ValueError, match="state norm inf is not 1"):
+            StateVector(1, np.array([1e308, 1e308]))
+
+
 def test_plan_document_shape(collinear3):
     plan = greedy_partition(collinear3)
     doc = json.loads(serialize_plan(plan))

@@ -187,9 +187,9 @@ def rescue_run():
     stuck, checked = [], []
     try_entangler, check = partition._try_entangler, partition.factorability_check
 
-    def try_spy(s):
+    def try_spy(s, ops):
         stuck.append(s)
-        return try_entangler(s)
+        return try_entangler(s, ops)
 
     def check_spy(h, op):
         checked.append(op)

@@ -149,7 +149,7 @@ def test_single_qubit_op_unit_and_sum():
     unit = op.unit()
     assert np.isclose(np.linalg.norm(unit.bloch), 1.0)
     one = PauliSum.from_terms(2, [(PauliWord.identity(2), 1.0)])
-    dense = dense_sum(_attach_op(one, op))
+    dense = dense_sum(_attach_op(one, op, {}))
     expected = 3.0 * dense_word(PauliWord.from_axes(2, {1: "X"})) + 4.0 * dense_word(
         PauliWord.from_axes(2, {1: "Z"})
     )

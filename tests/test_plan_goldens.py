@@ -1,9 +1,10 @@
 """Plan JSON and seeded reports pinned byte for byte by SHA-256 digests.
 
 The digests in ``data/plan_digests.json`` were written from the plans of
-the acceptance-6 sums (seeds 6000-6049) at both levels and of the README
-model at mf2.  Any change to a plan's fragments, certificates, entangler
-unitaries or float formatting changes a digest.
+the acceptance-6 sums (seeds 6000-6049) at both levels, of the README
+model at mf2 and of the acceptance-9 sum at mf1.  Any change to a plan's
+fragments, certificates, entangler unitaries or float formatting changes
+a digest.
 
 The digests in ``data/report_digests.json`` were written from the JSON of
 the seeded ``estimate_energy`` report of each of those mf2 plans in a
@@ -72,6 +73,15 @@ def test_acceptance6_mf2_reports_are_unchanged(workers):
 def test_readme_plan_is_unchanged():
     plan = greedy_partition(parse_hamiltonian(README_MODEL), level="mf2")
     assert digest(plan) == DIGESTS["readme_mf2"]
+
+
+def test_acceptance9_mf1_plan_is_unchanged():
+    # The acceptance-9 sum (10 qubits, 1000 terms) is the one pinned sum whose
+    # recursion (725 fragments at mf1) loses to its QWC groups, so its plan is
+    # the end-of-run fallback's.
+    plan = greedy_partition(random_sum(np.random.default_rng(424242), 10, 1000), level="mf1")
+    assert plan.n_fragments == 603
+    assert digest(plan) == DIGESTS["w1_mf1"]
 
 
 @functools.cache

@@ -303,12 +303,14 @@ def test_a_partition_run_makes_one_op_per_qubit_and_bit_pattern():
     # Ops in more than one fragment, from table and from uniform steps.
     across = {False: 0, True: 0}
     signed_zeros = n_ops = 0
+    blochs = set()
     for plan in w2_plans():
         objects, by_value, fragments_of = {}, {}, {}
         for fi, op, uniform in plan_ops(plan):
             objects.setdefault(bits(op), set()).add(id(op))
             by_value.setdefault((op.qubit, op.bloch), set()).add(bits(op))
             fragments_of.setdefault((id(op), uniform), set()).add(fi)
+            blochs.add(id(op.bloch))
         assert all(len(ids) == 1 for ids in objects.values())
         for (_, uniform), fis in fragments_of.items():
             across[uniform] += len(fis) > 1
@@ -317,8 +319,27 @@ def test_a_partition_run_makes_one_op_per_qubit_and_bit_pattern():
     assert across[False] > 0 and across[True] > 0
     # As many op objects as a reloaded plan holds; 2,229 with one pool per verify_mf call.
     assert n_ops == 1178
+    # Axis ops share the chain search's axis tuples across all the plans:
+    # 912 tuples when each verify_mf call made its own ops and a pool kept
+    # the first of each.
+    assert len(blochs) == 739
     # Seed 6020's (a, 0.0, c) and (a, -0.0, c) stay two ops.
     assert signed_zeros >= 1
+
+
+def test_greedy_partition_builds_no_certificate_the_chain_search_made(monkeypatch):
+    # Every certificate, step and table of a plan is the one the chain
+    # search in mfpart.meanfield made; the partitioner builds none again.
+    builders = set()
+    for cls in (MFCertificate, ReductionStep, BranchTable, UniformBranchOps):
+        def spy(self, *args, init=cls.__init__, **kwargs):
+            builders.add(sys._getframe(1).f_globals["__name__"])
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spy)
+    for level in ("mf1", "mf2"):
+        for seed in range(6000, 6050):
+            greedy_partition(acceptance6_sum(seed), level)
+    assert builders == {"mfpart.meanfield"}
 
 
 def test_fragment_words_are_the_source_words():
